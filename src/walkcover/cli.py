@@ -17,12 +17,13 @@ import csv
 import datetime
 import io
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 from typing import Any
 
 from . import __version__, exact, green, hitting, lattice, montecarlo, reflect
-from .rng import fresh_seed
+from .rng import STREAM_VERSION, fresh_seed
 
 
 def _now() -> str:
@@ -54,6 +55,23 @@ def _envelope(command: str, params: dict, seed: int | None, started: str,
         "notes": notes,
         "exit_code": exit_code,
     }
+
+
+def _thread_count(value: str | None) -> int:
+    """Worker threads: ``--threads`` when given, else ``WALKCOVER_THREADS``,
+    else 1.  Anything but a positive integer is an input error."""
+    source = "--threads"
+    if value is None:
+        value, source = os.environ.get("WALKCOVER_THREADS"), "WALKCOVER_THREADS"
+        if not value:
+            return 1
+    try:
+        threads = int(value)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"{source} must be a positive integer, got {value!r}")
+    return threads
 
 
 def _read_path_file(path: str) -> lattice.Path:
@@ -258,7 +276,10 @@ def _cmd_verify_thm41(args, seed):
     return results, notes, 0 if report.staircase_is_max else 1, rows
 
 
+# the Monte Carlo commands: each takes a seed and a thread count and
+# echoes the random-stream version it drew from
 _NEEDS_SEED = {"mc", "compare", "counterexample"}
+_THREADS_HELP = "worker threads (default: WALKCOVER_THREADS, else 1)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--mode", choices=(lattice.TRACE, lattice.REPETITIONS),
                    default=lattice.TRACE)
-    p.add_argument("--threads", type=int, default=montecarlo.default_threads())
+    p.add_argument("--threads", help=_THREADS_HELP)
     p.add_argument("--no-early-stop", action="store_true")
 
     p = add("compare", _cmd_compare, help="estimate several targets on shared walks")
@@ -303,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--mode", choices=(lattice.TRACE, lattice.REPETITIONS),
                    default=lattice.TRACE)
-    p.add_argument("--threads", type=int, default=montecarlo.default_threads())
+    p.add_argument("--threads", help=_THREADS_HELP)
     p.add_argument("--common-rng", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="evaluate every target on the same walks (paired errors)")
@@ -327,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--walks", type=int, default=100_000)
     p.add_argument("--L", type=int, default=10_000)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, default=montecarlo.default_threads())
+    p.add_argument("--threads", help=_THREADS_HELP)
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--skip-mc", action="store_true")
 
@@ -398,9 +419,10 @@ def run(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     started = _now()
     seed = None
-    if args.command in _NEEDS_SEED:
-        seed = args.seed if args.seed is not None else fresh_seed()
     try:
+        if args.command in _NEEDS_SEED:
+            args.threads = _thread_count(args.threads)
+            seed = args.seed if args.seed is not None else fresh_seed()
         results, notes, code, csv_rows = args.func(args, seed)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -408,6 +430,8 @@ def run(argv: list[str]) -> int:
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "command", "config", "out", "record", "format",
                            "seed") and v is not None}
+    if args.command in _NEEDS_SEED:
+        params["rng_stream"] = STREAM_VERSION
     doc = _envelope(args.command, params, seed, started, results, notes, code)
     if args.format == "csv":
         if not csv_rows:

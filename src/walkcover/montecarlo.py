@@ -1,18 +1,21 @@
 """Monte Carlo estimation of covering probabilities.
 
-Walks are simulated in vectorized batches; each walk's step sequence
+Walks are simulated in vectorized tiles of ``batch_walks`` walks, small
+enough for every temporary to stay in cache; each walk's step sequence
 comes from its own counter-based stream (see :mod:`walkcover.rng`), so a
 run is reproducible bit-for-bit from ``(config, seed)`` alone, regardless
 of batch size or worker count.  Positions are packed into single int64
 keys (coordinate-wise base-2^b encoding) so trajectory bookkeeping and
 target matching are scalar array operations.
 
-Success accounting is per walk: every target point carries a
-remaining-visits counter, decremented on each visit (the time-0 position
-counts), and a walk succeeds when all counters reach zero.  Success is
-absorbing, so stopping a successful walk early changes nothing; walks
-that still owe visits run to the step budget.  Estimates carry the
-binomial standard error and a Wilson 95% interval.
+Success accounting is per walk: every walk counts its visits to each
+target point (the time-0 position counts), and it covers a target once
+every point of that target has had its required number of visits.
+Success is absorbing, so a walk that has covered every target retires
+early without changing any count; walks that still owe visits run to the
+step budget.  Each tile is reduced to joint success counts (per-target
+counts on the diagonal).  Estimates carry the binomial standard error and
+a Wilson 95% interval.
 
 Truncating at L estimates a lower bound on the L = infinity covering
 probability; the infinite-horizon quantities themselves are computed
@@ -22,9 +25,8 @@ exactly by the Green's-function modules, not here.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -32,15 +34,8 @@ import numpy as np
 from .lattice import CoverTarget, Point, REPETITIONS, TRACE
 from .rng import walk_directions
 
-DEFAULT_BATCH = 8192
+DEFAULT_BATCH = 512
 DEFAULT_CHUNK = 256
-
-
-def default_threads() -> int:
-    env = os.environ.get("WALKCOVER_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
 
 
 @dataclass(frozen=True)
@@ -109,7 +104,7 @@ class _PackedTargets:
         offset = base >> 1
         weights = [base**i for i in range(d)]
         self.origin_key = sum(offset * w for w in weights)
-        self.point_keys = np.array(
+        point_keys = np.array(
             [sum((c + offset) * w for c, w in zip(p, weights)) for p in points],
             dtype=np.int64)
         incr = []
@@ -117,63 +112,93 @@ class _PackedTargets:
             for sign in (1, -1):
                 incr.append(sign * weights[axis])
         self.step_keys = np.array(incr, dtype=np.int64)
+        self._order = np.argsort(point_keys)
+        self._sorted = point_keys[self._order]
+        self._span = np.uint64(self._sorted[-1] - self._sorted[0])
 
+    def trajectories(self, pos: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        """(n, C) packed positions after each of the steps ``dirs`` (n, C)
+        of walks starting at ``pos`` (n,)."""
+        n, C = dirs.shape
+        # one cumulative sum over the whole tile keeps the operation large;
+        # it may wrap modulo 2**64, but each row's offsets from the row
+        # before stay exact, since every true position fits in int64
+        traj = np.cumsum(np.take(self.step_keys, dirs).ravel()).reshape(n, C)
+        before = np.zeros(n, dtype=np.int64)
+        before[1:] = traj[:-1, -1]
+        traj += (pos - before)[:, None]
+        return traj
 
-def _run_range(cfg: SimConfig, pts: _PackedTargets, needed0: np.ndarray,
-               w_lo: int, w_hi: int) -> np.ndarray:
-    """Per-target success counts for walks [w_lo, w_hi); column t counts
-    walks whose t-th requirement column completed within L steps."""
-    n_targets = needed0.shape[0]
-    per_target = np.zeros(n_targets, dtype=np.int64)
-    sides = 2 * cfg.d
-    for b0 in range(w_lo, w_hi, cfg.batch_walks):
-        ids = np.arange(b0, min(b0 + cfg.batch_walks, w_hi), dtype=np.uint64)
-        W = len(ids)
-        pos = np.full(W, pts.origin_key, dtype=np.int64)
-        rem = np.repeat(needed0[None, :, :], W, axis=0)  # (W, targets, points)
-        open_t = rem.sum(axis=2) > 0                     # (W, targets)
-        per_target += W - open_t.sum(axis=0)
-        alive = open_t.any(axis=1)
-        ids, pos, rem, open_t = ids[alive], pos[alive], rem[alive], open_t[alive]
-        step0 = 0
-        while step0 < cfg.L and len(ids):
-            C = min(cfg.chunk_steps, cfg.L - step0)
-            dirs = walk_directions(cfg.seed, ids, step0, C, sides)
-            traj = pos[:, None] + np.cumsum(pts.step_keys[dirs], axis=1)
-            for pi, pk in enumerate(pts.point_keys):
-                hits = (traj == pk).sum(axis=1)
-                col = rem[:, :, pi]
-                np.maximum(col - hits[:, None], 0, out=col)
-            pos = traj[:, -1]
-            step0 += C
-            now_done = open_t & (rem.sum(axis=2) == 0)
-            if now_done.any():
-                per_target += now_done.sum(axis=0)
-                open_t &= ~now_done
-            if cfg.early_stop:
-                alive = open_t.any(axis=1)
-                if not alive.all():
-                    ids, pos, rem, open_t = (ids[alive], pos[alive],
-                                             rem[alive], open_t[alive])
-    return per_target
+    def hits(self, traj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(row, point) index pairs, one per position of ``traj`` that is a
+        target point."""
+        flat = traj.ravel()
+        # a single range test leaves the few positions near the targets
+        near = np.flatnonzero((flat - self._sorted[0]).view(np.uint64) <= self._span)
+        keys = flat[near]
+        at = np.minimum(np.searchsorted(self._sorted, keys), len(self._sorted) - 1)
+        hit = self._sorted[at] == keys
+        return near[hit] // traj.shape[1], self._order[at[hit]]
 
 
 def _build_requirements(cfg: SimConfig, targets: Sequence[CoverTarget]
                         ) -> tuple[_PackedTargets, np.ndarray]:
-    """Union the target points and tabulate outstanding visit counts per
-    (target, point), already crediting the walk's time-0 position."""
+    """Union the target points and tabulate the visits each (target,
+    point) still needs after the walk's time-0 position is credited."""
     for t in targets:
         if t.dim != cfg.d:
             raise ValueError(f"target dimension {t.dim} != configured d={cfg.d}")
     union: list[Point] = sorted({p for t in targets for p in t.trace})
     pts = _PackedTargets(cfg.d, cfg.L, union)
     origin = tuple([0] * cfg.d)
-    needed0 = np.zeros((len(targets), len(union)), dtype=np.int64)
+    needed = np.zeros((len(targets), len(union)), dtype=np.int64)
     for ti, t in enumerate(targets):
         for pi, p in enumerate(union):
             if p in t.trace:
-                needed0[ti, pi] = t.required(p) - (p == origin)
-    return pts, np.maximum(needed0, 0)
+                needed[ti, pi] = t.required(p) - (p == origin)
+    return pts, np.maximum(needed, 0)
+
+
+def _tile(cfg: SimConfig, pts: _PackedTargets, needed: np.ndarray,
+          lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, n_targets) success indicators of walks [lo, hi), drawn
+    ``chunk_steps`` steps at a time."""
+    ids = np.arange(lo, hi, dtype=np.uint64)
+    ok = np.zeros((hi - lo, needed.shape[0]), dtype=bool)
+    live = np.arange(hi - lo)  # rows of ``ok`` still walking
+    pos = np.full(hi - lo, pts.origin_key, dtype=np.int64)
+    visits = np.zeros((hi - lo, needed.shape[1]), dtype=np.int64)
+    step0 = 0
+    while True:
+        covered = (visits[:, None, :] >= needed).all(axis=2)
+        ok[live] = covered
+        if cfg.early_stop:
+            walking = ~covered.all(axis=1)
+            live, pos, visits = live[walking], pos[walking], visits[walking]
+        if step0 >= cfg.L or not len(live):
+            return ok
+        C = min(cfg.chunk_steps, cfg.L - step0)
+        dirs = walk_directions(cfg.seed, ids[live], step0, C, 2 * cfg.d)
+        traj = pts.trajectories(pos, dirs)
+        np.add.at(visits, pts.hits(traj), 1)
+        pos = traj[:, -1].copy()
+        step0 += C
+
+
+def _run_span(cfg: SimConfig, pts: _PackedTargets, needed: np.ndarray,
+              w_lo: int, w_hi: int, out: np.ndarray | None) -> np.ndarray:
+    """Joint success counts of walks [w_lo, w_hi), tile by tile:
+    ``joint[i, j]`` counts walks covering both target i and target j.
+    Each walk's success row also goes to ``out`` when it is given."""
+    joint = np.zeros((needed.shape[0],) * 2, dtype=np.int64)
+    for lo in range(w_lo, w_hi, cfg.batch_walks):
+        hi = min(lo + cfg.batch_walks, w_hi)
+        ok = _tile(cfg, pts, needed, lo, hi)
+        counts = ok.astype(np.int64)
+        joint += counts.T @ counts
+        if out is not None:
+            out[lo:hi] = ok
+    return joint
 
 
 def _walk_spans(cfg: SimConfig, threads: int) -> list[tuple[int, int]]:
@@ -185,24 +210,24 @@ def _walk_spans(cfg: SimConfig, threads: int) -> list[tuple[int, int]]:
             for lo in range(0, cfg.n_walks, width)]
 
 
-def _simulate(cfg: SimConfig, targets: Sequence[CoverTarget]) -> np.ndarray:
-    """Success counts per target over all walks (one pass, shared
-    randomness across targets)."""
-    pts, needed0 = _build_requirements(cfg, targets)
+def _simulate(cfg: SimConfig, targets: Sequence[CoverTarget],
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Joint success counts over all walks (one pass, shared randomness
+    across targets); per-walk success rows go to ``out`` when given."""
+    pts, needed = _build_requirements(cfg, targets)
     threads = max(1, cfg.threads)
     if threads == 1:
-        return _run_range(cfg, pts, needed0, 0, cfg.n_walks)
+        return _run_span(cfg, pts, needed, 0, cfg.n_walks, out)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(lambda s: _run_range(cfg, pts, needed0, *s),
-                         _walk_spans(cfg, threads))
-        return sum(parts)
+        return sum(pool.map(lambda s: _run_span(cfg, pts, needed, *s, out),
+                            _walk_spans(cfg, threads)))
 
 
 def mc_cover_probability(target: CoverTarget, cfg: SimConfig) -> Estimate:
     """Unbiased estimate of the probability that the first L steps cover
     the target."""
-    counts = _simulate(cfg, [target])
-    return Estimate(int(counts[0]), cfg.n_walks)
+    joint = _simulate(cfg, [target])
+    return Estimate(int(joint[0, 0]), cfg.n_walks)
 
 
 @dataclass(frozen=True)
@@ -215,11 +240,15 @@ class CompareResult:
     n: int
 
     def paired_diff(self, i: int, j: int) -> tuple[float, float]:
-        """(p_i - p_j, standard error of the paired difference)."""
-        pi, pj = self.estimates[i].p_hat, self.estimates[j].p_hat
-        pij = self.joint[i, j] / self.n
-        var = pi * (1 - pi) + pj * (1 - pj) - 2 * (pij - pi * pj)
-        return pi - pj, math.sqrt(max(var, 0.0) / self.n)
+        """(p_i - p_j, standard error of the paired difference).  The
+        variance is formed in integers, n^2 var = n (s_i + s_j - 2 s_ij)
+        - (s_i - s_j)^2, so it is never negative and is exactly 0 when
+        targets i and j succeed on the same walks."""
+        n = self.n
+        si, sj = self.estimates[i].successes, self.estimates[j].successes
+        sij = int(self.joint[i, j])
+        n2_var = n * (si + sj - 2 * sij) - (si - sj) ** 2
+        return (si - sj) / n, math.sqrt(n2_var / n**3)
 
 
 def mc_compare(targets: Sequence[CoverTarget], cfg: SimConfig,
@@ -229,67 +258,19 @@ def mc_compare(targets: Sequence[CoverTarget], cfg: SimConfig,
     if not targets:
         raise ValueError("no targets")
     if common_rng:
-        per_walk = _per_walk_success(cfg, targets)
+        joint = _simulate(cfg, targets)
     else:
-        cols = []
-        for k, t in enumerate(targets):
-            shifted = SimConfig(cfg.d, cfg.L, cfg.n_walks, cfg.seed + k + 1,
-                                cfg.mode, cfg.early_stop, cfg.threads,
-                                cfg.batch_walks, cfg.chunk_steps)
-            cols.append(_per_walk_success(shifted, [t])[:, 0])
-        per_walk = np.stack(cols, axis=1)
-    joint = (per_walk.T.astype(np.int64) @ per_walk.astype(np.int64))
-    estimates = tuple(Estimate(int(per_walk[:, k].sum()), cfg.n_walks)
+        per_walk = np.stack(
+            [_per_walk_success(replace(cfg, seed=cfg.seed + k + 1), [t])[:, 0]
+             for k, t in enumerate(targets)], axis=1).astype(np.int64)
+        joint = per_walk.T @ per_walk
+    estimates = tuple(Estimate(int(joint[k, k]), cfg.n_walks)
                       for k in range(len(targets)))
     return CompareResult(estimates, joint, cfg.n_walks)
 
 
 def _per_walk_success(cfg: SimConfig, targets: Sequence[CoverTarget]) -> np.ndarray:
-    """(n_walks, n_targets) success indicators; used where joint counts
-    are needed."""
-    union: list[Point] = sorted({p for t in targets for p in t.trace})
-    pts = _PackedTargets(cfg.d, cfg.L, union)
-    origin = tuple([0] * cfg.d)
-    needed0 = np.zeros((len(targets), len(union)), dtype=np.int64)
-    for ti, t in enumerate(targets):
-        for pi, p in enumerate(union):
-            if p in t.trace:
-                needed0[ti, pi] = t.required(p) - (p == origin)
-    needed0 = np.maximum(needed0, 0)
+    """(n_walks, n_targets) success indicators, for per-walk comparisons."""
     out = np.zeros((cfg.n_walks, len(targets)), dtype=bool)
-
-    def fill(w_lo: int, w_hi: int) -> None:
-        sides = 2 * cfg.d
-        for b0 in range(w_lo, w_hi, cfg.batch_walks):
-            hi = min(b0 + cfg.batch_walks, w_hi)
-            ids = np.arange(b0, hi, dtype=np.uint64)
-            W = len(ids)
-            pos = np.full(W, pts.origin_key, dtype=np.int64)
-            rem = np.repeat(needed0[None, :, :], W, axis=0)
-            step0 = 0
-            while step0 < cfg.L:
-                open_any = rem.sum(axis=(1, 2)) > 0
-                if cfg.early_stop and not open_any.any():
-                    break
-                C = min(cfg.chunk_steps, cfg.L - step0)
-                dirs = walk_directions(cfg.seed, ids, step0, C, sides)
-                traj = pos[:, None] + np.cumsum(pts.step_keys[dirs], axis=1)
-                for pi, pk in enumerate(pts.point_keys):
-                    hits = (traj == pk).sum(axis=1)
-                    col = rem[:, :, pi]
-                    np.maximum(col - hits[:, None], 0, out=col)
-                pos = traj[:, -1]
-                step0 += C
-            out[b0:hi] = rem.sum(axis=2) == 0
-
-    threads = max(1, cfg.threads)
-    if threads == 1:
-        fill(0, cfg.n_walks)
-    else:
-        width = -(-max(cfg.batch_walks, -(-cfg.n_walks // threads)) // cfg.batch_walks)
-        width *= cfg.batch_walks
-        spans = [(lo, min(lo + width, cfg.n_walks))
-                 for lo in range(0, cfg.n_walks, width)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda s: fill(*s), spans))
+    _simulate(cfg, targets, out)
     return out

@@ -5,38 +5,55 @@ Philox-4x32 (10 rounds), vectorized with numpy integer arithmetic.  The
 so every walk owns an independent stream addressed purely by its index.
 Draws therefore depend only on ``(seed, walk, position-in-stream)`` and
 results are identical under any batching or thread schedule.
+
+Walk steps follow stream version 2 (:data:`STREAM_VERSION`).  With
+``n = nsides`` and ``k`` the largest integer such that ``n**k <= 2**32``
+(12 for n = 6), value ``v`` of a walk is the 64-bit number whose high and
+low halves are words ``2v`` and ``2v + 1`` of its stream, and step ``s``
+is base-n digit ``s mod k``, most significant first, of
+``floor(value * n**k / 2**64)`` for value ``s div k``: the first k base-n
+digits of the fraction ``value / 2**64``.  Each k-step string then has
+probability ``n**-k`` within a relative error of ``n**k / 2**64 <=
+2**-32``, and exactly ``n**-k`` when n is a power of two.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_M0 = np.uint64(0xD2511F53)
-_M1 = np.uint64(0xCD9E8D57)
-_W0 = np.uint32(0x9E3779B9)
-_W1 = np.uint32(0xBB67AE85)
+# the version of the walk-step stream: any change to the steps drawn for
+# a given (seed, walk) bumps it
+STREAM_VERSION = 2
+
+_FACTORS = (0xD2511F53, 0xCD9E8D57)
+_BUMPS = (0x9E3779B9, 0xBB67AE85)
 _MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 
 def philox4x32(c0, c1, c2, c3, k0, k1, rounds: int = 10):
-    """One Philox-4x32 block per element; all inputs uint32 arrays of a
-    common shape, returns the four output words."""
-    x0 = np.asarray(c0, np.uint32)
-    x1 = np.asarray(c1, np.uint32)
-    x2 = np.asarray(c2, np.uint32)
-    x3 = np.asarray(c3, np.uint32)
-    key0 = np.asarray(k0, np.uint32).copy()
-    key1 = np.asarray(k1, np.uint32).copy()
+    """One Philox-4x32 block per element of the counter words ``c0..c3``
+    (uint32 values that broadcast to a common shape) under the key
+    ``(k0, k1)`` (two uint32 scalars); returns the four output words as
+    uint32 arrays of that shape.
+
+    Words are held in uint64 so each 32x32-bit product is exact.  The two
+    multiplied words (x0, x2) share one array and the two xored words
+    (x1, x3) another, so a round is five array operations."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in (c0, c1, c2, c3)))
+    mul = np.empty((2,) + shape, np.uint64)
+    xor = np.empty_like(mul)
+    mul[0], mul[1], xor[0], xor[1] = c0, c2, c1, c3
+    column = (2,) + (1,) * len(shape)
+    factors = np.array(_FACTORS, np.uint64).reshape(column)
+    key = [int(np.squeeze(k0)), int(np.squeeze(k1))]
     for _ in range(rounds):
-        p0 = _M0 * x0.astype(np.uint64)
-        p1 = _M1 * x2.astype(np.uint64)
-        hi0 = (p0 >> np.uint64(32)).astype(np.uint32)
-        lo0 = (p0 & _MASK32).astype(np.uint32)
-        hi1 = (p1 >> np.uint64(32)).astype(np.uint32)
-        lo1 = (p1 & _MASK32).astype(np.uint32)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ key0, lo1, hi0 ^ x3 ^ key1, lo0
-        key0 = key0 + _W0
-        key1 = key1 + _W1
+        prod = (mul * factors)[::-1]  # (M1 * x2, M0 * x0)
+        mul = (prod >> _SHIFT32) ^ xor ^ np.array(key, np.uint64).reshape(column)
+        xor = prod & _MASK32
+        key = [(k + b) & 0xFFFFFFFF for k, b in zip(key, _BUMPS)]
+    x0, x2 = mul.astype(np.uint32)
+    x1, x3 = xor.astype(np.uint32)
     return x0, x1, x2, x3
 
 
@@ -44,28 +61,49 @@ def walk_words(seed: int, walk_ids: np.ndarray, block0: int, nblocks: int) -> np
     """Raw uint32 words for each walk: words ``4*block0 .. 4*(block0 +
     nblocks) - 1`` of each walk's stream; shape (len(walk_ids), 4*nblocks)."""
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-    ids = np.asarray(walk_ids, np.uint64)
-    W = ids.shape[0]
+    ids = np.asarray(walk_ids, np.uint64)[:, None]
     blocks = block0 + np.arange(nblocks, dtype=np.uint64)[None, :]
-    shape = (W, nblocks)
-    c0 = np.broadcast_to((blocks & _MASK32).astype(np.uint32), shape)
-    c1 = np.broadcast_to((blocks >> np.uint64(32)).astype(np.uint32), shape)
-    c2 = np.broadcast_to((ids & _MASK32).astype(np.uint32)[:, None], shape)
-    c3 = np.broadcast_to((ids >> np.uint64(32)).astype(np.uint32)[:, None], shape)
-    k0 = np.full(shape, seed & 0xFFFFFFFF, np.uint32)
-    k1 = np.full(shape, seed >> 32, np.uint32)
-    x0, x1, x2, x3 = philox4x32(c0, c1, c2, c3, k0, k1)
-    return np.stack([x0, x1, x2, x3], axis=-1).reshape(W, 4 * nblocks)
+    words = philox4x32(blocks & _MASK32, blocks >> _SHIFT32, ids & _MASK32, ids >> _SHIFT32,
+                       seed & 0xFFFFFFFF, seed >> 32)
+    return np.stack(words, axis=-1).reshape(ids.shape[0], 4 * nblocks)
+
+
+def steps_per_value(nsides: int) -> int:
+    """Steps drawn from one 64-bit value: the largest k with
+    ``nsides**k <= 2**32``."""
+    if not 2 <= nsides <= 1 << 16:
+        raise ValueError(f"nsides must be in [2, 65536], got {nsides}")
+    k = 1
+    while nsides ** (k + 1) <= 1 << 32:
+        k += 1
+    return k
 
 
 def walk_directions(seed: int, walk_ids: np.ndarray, step0: int, nsteps: int,
                     nsides: int) -> np.ndarray:
-    """Steps ``step0 .. step0+nsteps-1`` of each walk as integers in
-    ``[0, nsides)``; one word per step (modulo bias < nsides/2^32)."""
-    block0, offset = divmod(step0, 4)
-    nblocks = (offset + nsteps + 3) // 4
-    words = walk_words(seed, walk_ids, block0, nblocks)
-    return (words[:, offset:offset + nsteps] % np.uint32(nsides)).astype(np.int64)
+    """Steps ``step0 .. step0+nsteps-1`` of each walk as int64 values in
+    ``[0, nsides)``, by stream version 2 (see the module docstring);
+    shape (len(walk_ids), nsteps)."""
+    k = steps_per_value(nsides)
+    v0, skip = divmod(step0, k)
+    nvalues = -(-(skip + nsteps) // k)
+    # values v0 .. v0 + nvalues - 1; each Philox block holds two
+    block0, odd = divmod(v0, 2)
+    words = walk_words(seed, walk_ids, block0, (odd + nvalues + 1) // 2)
+    words = words[:, 2 * odd:2 * (odd + nvalues)].astype(np.uint64)
+    hi, lo = words[:, 0::2], words[:, 1::2]
+    scale = np.uint64(nsides ** k)
+    # floor(value * scale / 2**64), exact: with scale <= 2**32 the sum
+    # below is at most 2**64 - 1
+    q = ((hi * scale + ((lo * scale) >> _SHIFT32)) >> _SHIFT32).astype(np.uint32)
+    digits = np.empty(q.shape + (k,), np.min_scalar_type(nsides - 1))
+    base = np.uint32(nsides)
+    for j in range(k - 1, -1, -1):
+        rest = q // base
+        digits[:, :, j] = q - rest * base
+        q = rest
+    # a contiguous result: gathers indexed by it run several times faster
+    return digits.reshape(len(q), nvalues * k)[:, skip:skip + nsteps].astype(np.int64)
 
 
 def fresh_seed() -> int:

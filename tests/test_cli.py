@@ -79,6 +79,23 @@ class TestEnvelope:
                                       "--L", "5", "--cap", "2"])
         assert code == 0 and doc["results"]["staircase_is_max"]
 
+    def test_monte_carlo_commands_echo_stream_version(self, capsys, tmp_path,
+                                                       corner_path):
+        from walkcover.rng import STREAM_VERSION
+        f = tmp_path / "paths.json"
+        f.write_text(json.dumps([[[0, 0], [1, 0]], [[0, 0], [0, 1]]]))
+        rec = tmp_path / "run.json"
+        for argv in (["mc", "--target", corner_path, "--d", "2", "--L", "4",
+                      "--walks", "100", "--seed", "1", "--record", str(rec)],
+                     ["compare", "--targets", str(f), "--d", "2", "--L", "4",
+                      "--walks", "100", "--seed", "1"],
+                     ["counterexample", "--skip-mc"]):
+            _, doc = run_json(capsys, argv)
+            assert doc["parameters"]["rng_stream"] == STREAM_VERSION
+        assert json.loads(rec.read_text())["parameters"]["rng_stream"] == STREAM_VERSION
+        _, doc = run_json(capsys, ["staircase", "--N", "2", "--d", "2"])
+        assert "rng_stream" not in doc["parameters"]
+
     def test_compare_common_rng_flag(self, capsys, tmp_path):
         f = tmp_path / "paths.json"
         f.write_text(json.dumps([[[0, 0], [1, 0]], [[0, 0], [0, 1]]]))
@@ -162,3 +179,31 @@ class TestExitCodes:
                             lambda **kw: fake)
         code = run(["verify-thm11", "--radius", "1", "--max-size", "1", "--L", "1"])
         assert code == 1
+
+class TestThreadCount:
+    MC = ["mc", "--d", "2", "--L", "4", "--walks", "100", "--seed", "1"]
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_bad_environment_value(self, capsys, monkeypatch, corner_path, value):
+        monkeypatch.setenv("WALKCOVER_THREADS", value)
+        assert run(self.MC + ["--target", corner_path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "WALKCOVER_THREADS" in err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_option_value(self, capsys, corner_path, value):
+        assert run(self.MC + ["--target", corner_path, "--threads", value]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--threads" in err
+
+    def test_commands_without_threads_ignore_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("WALKCOVER_THREADS", "abc")
+        code, _ = run_json(capsys, ["staircase", "--N", "2", "--d", "2"])
+        assert code == 0
+
+    def test_resolved_count_echoed(self, capsys, monkeypatch, corner_path):
+        monkeypatch.setenv("WALKCOVER_THREADS", "3")
+        _, doc = run_json(capsys, self.MC + ["--target", corner_path])
+        assert doc["parameters"]["threads"] == 3
+        _, doc = run_json(capsys, self.MC + ["--target", corner_path, "--threads", "2"])
+        assert doc["parameters"]["threads"] == 2

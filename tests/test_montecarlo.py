@@ -3,8 +3,9 @@ import pytest
 
 from walkcover.exact import exact_cover_probability
 from walkcover.lattice import CoverTarget, validate_path
-from walkcover.montecarlo import (Estimate, SimConfig, _per_walk_success,
-                                  mc_compare, mc_cover_probability)
+from walkcover.montecarlo import (DEFAULT_BATCH, DEFAULT_CHUNK, Estimate, SimConfig,
+                                  _PackedTargets, _per_walk_success, mc_compare,
+                                  mc_cover_probability)
 
 NEIGHBOR = CoverTarget.from_points([(1, 0)])
 
@@ -35,19 +36,42 @@ class TestAnalyticCase:
 
 class TestDeterminism:
     def test_threads_and_batching_invariant(self):
+        """Tile and step-window boundaries change nothing: chunk 17 makes
+        windows that start and end inside the 12-step values at d=3."""
         tgt = CoverTarget.from_points([(1, 0, 0), (1, 1, 0)])
-        runs = []
-        for threads, batch, chunk in [(1, 8192, 256), (8, 512, 64), (3, 1000, 17)]:
+        other = CoverTarget.from_points([(0, 1, 0), (-1, 1, 0), (0, 0, 1)])
+        runs, pairs = [], []
+        for threads, batch, chunk in [(1, 8192, 256), (8, 512, 64), (3, 1000, 17),
+                                      (2, DEFAULT_BATCH, DEFAULT_CHUNK)]:
             cfg = SimConfig(d=3, L=150, n_walks=30_000, seed=90210,
                             threads=threads, batch_walks=batch, chunk_steps=chunk)
             runs.append(mc_cover_probability(tgt, cfg).successes)
-        assert runs[0] == runs[1] == runs[2]
+            res = mc_compare([tgt, other], cfg)
+            pairs.append((res.joint.tolist(), [e.successes for e in res.estimates]))
+        assert len(set(runs)) == 1
+        assert all(p == pairs[0] for p in pairs)
+        assert pairs[0][1][0] == runs[0]
 
     def test_early_stop_does_not_change_counts(self):
         tgt = CoverTarget.from_points([(1, 0)])
         a = mc_cover_probability(tgt, SimConfig(2, 50, 20000, 5, early_stop=True))
         b = mc_cover_probability(tgt, SimConfig(2, 50, 20000, 5, early_stop=False))
         assert a.successes == b.successes
+        # the compare path retires finished walks too
+        pair = [tgt, CoverTarget.from_points([(0, 1), (1, 1)])]
+        a = mc_compare(pair, SimConfig(2, 50, 20000, 5, early_stop=True))
+        b = mc_compare(pair, SimConfig(2, 50, 20000, 5, early_stop=False))
+        assert a.joint.tolist() == b.joint.tolist()
+
+    def test_trajectories_exact_when_tile_sum_wraps(self):
+        """The tile-wide cumulative sum exceeds int64 here (2/3 of 512 *
+        256 steps of 2**48); every position must still be exact."""
+        pts = _PackedTargets(5, 2000, [(1, 0, 0, 0, 0)])
+        dirs = np.full((512, 256), 8)
+        dirs[::3] = 9
+        pos = np.full(512, pts.origin_key, dtype=np.int64)
+        expect = pos[:, None] + np.cumsum(pts.step_keys[dirs], axis=1)
+        assert (pts.trajectories(pos, dirs) == expect).all()
 
 
 class TestModeAndHorizonMonotonicity:
@@ -82,6 +106,17 @@ class TestAgreementWithExact:
 
 
 class TestCompare:
+    def test_paired_stderr_matches_per_walk_differences(self):
+        a = CoverTarget.from_points([(1, 0), (1, 1)])
+        b = CoverTarget.from_points([(0, 1), (-1, 1)])
+        cfg = SimConfig(d=2, L=40, n_walks=20_000, seed=21)
+        res = mc_compare([a, b], cfg)
+        per_walk = _per_walk_success(cfg, [a, b]).astype(float)
+        diff = per_walk[:, 0] - per_walk[:, 1]
+        got_diff, got_se = res.paired_diff(0, 1)
+        assert got_diff == pytest.approx(diff.mean(), abs=1e-15)
+        assert got_se == pytest.approx(diff.std() / np.sqrt(cfg.n_walks), rel=1e-12)
+
     def test_duplicate_targets_identical_under_common_rng(self):
         tgt = CoverTarget.from_points([(1, 0), (1, 1)])
         cfg = SimConfig(d=2, L=60, n_walks=20_000, seed=3)

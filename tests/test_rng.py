@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
-from walkcover.rng import philox4x32, walk_directions, walk_words
+from walkcover.rng import (STREAM_VERSION, philox4x32, steps_per_value,
+                           walk_directions, walk_words)
 
 
 def _block(c, k):
@@ -38,10 +40,16 @@ class TestStreams:
 
     def test_step_windows_consistent(self):
         ids = np.array([7, 123456], dtype=np.uint64)
-        full = walk_directions(5, ids, 0, 64, 6)
-        for s0, n in [(0, 10), (3, 13), (17, 40), (63, 1)]:
-            window = walk_directions(5, ids, s0, n, 6)
-            assert (window == full[:, s0:s0 + n]).all()
+        for nsides in (4, 6, 8, 20):
+            k = steps_per_value(nsides)
+            full = walk_directions(5, ids, 0, 64 + 4 * k, nsides)
+            # windows starting and ending inside a value, across value and
+            # Philox-block boundaries
+            for s0, n in [(0, 10), (3, 13), (17, 40), (63, 1), (k - 1, 2),
+                          (k + 1, 2 * k + 3), (63 + 4 * k, 1), (5, 0)]:
+                window = walk_directions(5, ids, s0, n, nsides)
+                assert window.shape == (2, n)
+                assert (window == full[:, s0:s0 + n]).all(), (nsides, s0, n)
 
     def test_streams_differ_across_walks_and_seeds(self):
         ids = np.arange(4, dtype=np.uint64)
@@ -57,3 +65,66 @@ class TestStreams:
         expect = len(dirs) / 6
         chi2 = float(((counts - expect) ** 2 / expect).sum())
         assert chi2 < 30  # 5 dof; generous cutoff far beyond any sane quantile
+
+    def test_adjacent_pairs_uniform_chi2(self):
+        """Consecutive steps are independent: the 36 ordered pairs at d=3
+        (within a value and across value boundaries) are uniform."""
+        ids = np.arange(2000, dtype=np.uint64)
+        dirs = walk_directions(4242, ids, 0, 121, 6)
+        pairs = (6 * dirs[:, :-1] + dirs[:, 1:]).ravel()
+        counts = np.bincount(pairs, minlength=36)
+        expect = len(pairs) / 36
+        chi2 = float(((counts - expect) ** 2 / expect).sum())
+        assert chi2 < 80  # 35 dof; P(chi2 > 80) is about 2e-5
+
+
+def _scalar_steps(seed: int, walk: int, nsides: int, nsteps: int) -> list[int]:
+    """Stream v2 written out with Python integers: value v is words 2v
+    (high) and 2v + 1 (low); its k steps are the base-nsides digits,
+    most significant first, of floor(value * nsides**k / 2**64)."""
+    k = steps_per_value(nsides)
+    nvalues = -(-nsteps // k)
+    words = walk_words(seed, np.array([walk], np.uint64), 0, (nvalues + 1) // 2)[0]
+    steps = []
+    for v in range(nvalues):
+        value = (int(words[2 * v]) << 32) | int(words[2 * v + 1])
+        q = value * nsides**k >> 64
+        steps += [q // nsides**(k - 1 - j) % nsides for j in range(k)]
+    return steps[:nsteps]
+
+
+class TestStreamV2:
+    """Pins stream version 2: a change to any of these steps must bump
+    ``STREAM_VERSION``."""
+
+    WALKS = np.array([0, 2**32 + 5], dtype=np.uint64)
+    KNOWN = {
+        4: [[1, 2, 1, 2, 0, 2, 1, 3, 3, 2, 2, 0, 3, 1, 1, 1, 2, 3, 3, 0],
+            [2, 2, 3, 0, 2, 0, 1, 2, 1, 3, 3, 0, 1, 2, 2, 2, 3, 0, 3, 2]],
+        6: [[2, 2, 2, 1, 0, 5, 5, 2, 5, 0, 0, 4, 4, 2, 2, 5, 2, 5, 2, 2],
+            [4, 0, 1, 3, 2, 2, 4, 2, 4, 2, 1, 2, 4, 5, 0, 2, 0, 1, 5, 3]],
+        20: [[7, 19, 12, 7, 8, 14, 2, 14, 14, 5, 14, 0, 18, 4, 19, 8, 17, 18, 11, 16],
+             [13, 9, 11, 8, 6, 13, 19, 16, 2, 17, 2, 9, 5, 5, 11, 5, 6, 6, 4, 19]],
+    }
+
+    def test_version(self):
+        assert STREAM_VERSION == 2
+
+    @pytest.mark.parametrize("nsides", sorted(KNOWN))
+    def test_known_answers_seed0(self, nsides):
+        got = walk_directions(0, self.WALKS, 0, 20, nsides)
+        assert got.tolist() == self.KNOWN[nsides]
+
+    def test_steps_per_value(self):
+        assert {n: steps_per_value(n) for n in (2, 4, 6, 8, 20)} == {
+            2: 32, 4: 16, 6: 12, 8: 10, 20: 7}
+        for bad in (1, 1 << 17):
+            with pytest.raises(ValueError):
+                steps_per_value(bad)
+
+    @pytest.mark.parametrize("nsides", [2, 4, 6, 7, 20])
+    def test_matches_scalar_definition(self, nsides):
+        n = 3 * steps_per_value(nsides) + 5
+        got = walk_directions(77, self.WALKS, 0, n, nsides)
+        for row, walk in zip(got.tolist(), self.WALKS):
+            assert row == _scalar_steps(77, int(walk), nsides, n)
