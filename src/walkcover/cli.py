@@ -7,7 +7,7 @@ seed: exact and Monte Carlo results bit-identically, Green values within
 their stated error bounds.
 
 Exit codes: 0 success; 1 a theorem-shaped check found a violation (a bug
-signal, not a usage problem); 2 usage or input error.
+signal, not a usage problem); 2 usage, input or numerical error.
 """
 
 from __future__ import annotations
@@ -387,18 +387,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Config-file values become defaults; explicit flags win."""
+    """Config-file values become defaults; explicit flags win.  Each key
+    must name an option of the chosen command."""
+    argv = [part for a in argv
+            for part in (a.split("=", 1) if a.startswith("--config=") else [a])]
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
     cfg_path = argv[idx + 1]
     with open(cfg_path, "r", encoding="utf-8") as fh:
         defaults = json.load(fh)
+    if not isinstance(defaults, dict):
+        raise ValueError(f"{cfg_path} must hold a JSON object")
     rest = argv[:idx] + argv[idx + 2:]
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = next((a for a in rest if a in sub.choices), None)
+    flags = ({f for a in sub.choices[command]._actions for f in a.option_strings}
+             if command else ())
     out = list(rest)
     given = {a.split("=")[0] for a in rest if a.startswith("--")}
     for key, value in defaults.items():
         flag = "--" + key.replace("_", "-")
+        if flag not in flags:
+            raise ValueError(f"key {key!r} is not an option of command {command!r}")
         if flag in given:
             continue
         if isinstance(value, bool):
@@ -413,7 +424,7 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         argv = _apply_config(parser, argv)
-    except (OSError, json.JSONDecodeError, IndexError) as exc:
+    except (OSError, ValueError, IndexError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)
@@ -427,6 +438,12 @@ def run(argv: list[str]) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except (green.ToleranceUnreachableError, hitting.SingularSystemError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 2
+    except reflect.ReductionInvariantError as exc:
+        print(f"violation: {exc}", file=sys.stderr)
+        return 1
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "command", "config", "out", "record", "format",
                            "seed") and v is not None}

@@ -77,7 +77,7 @@ def first_entry_distribution(query: HittingQuery, tol: float = 1e-5) -> dict[Poi
     slack = 100 * tol
     if (h < -slack).any() or h.sum() > 1 + slack:
         raise SingularSystemError(
-            f"entry probabilities out of range: {h} (sum {h.sum()})")
+            f"entry probabilities out of range: {h.tolist()} (sum {h.sum()})")
     h = np.clip(h, 0.0, 1.0)
     return {p: float(v) for p, v in zip(pts, h)}
 

@@ -104,8 +104,10 @@ class _PackedTargets:
         offset = base >> 1
         weights = [base**i for i in range(d)]
         self.origin_key = sum(offset * w for w in weights)
+        # reachable keys are positive (offset > L + 1); unreachable points get negative ones
         point_keys = np.array(
-            [sum((c + offset) * w for c, w in zip(p, weights)) for p in points],
+            [sum((c + offset) * w for c, w in zip(p, weights))
+             if sum(map(abs, p)) <= L else -1 - i for i, p in enumerate(points)],
             dtype=np.int64)
         incr = []
         for axis in range(d):

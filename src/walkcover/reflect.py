@@ -37,6 +37,10 @@ class NotConnectingError(ValueError):
     """Path does not connect 0 to the L1 sphere as required."""
 
 
+class ReductionInvariantError(RuntimeError):
+    """``reduce_path`` broke one of its postconditions."""
+
+
 @dataclass(frozen=True)
 class Hyperplane:
     """The locus ``x[i] == x[j] + offset`` (0-based coordinate axes)."""
@@ -208,7 +212,9 @@ def reduce_path(path: Path) -> list[tuple[Hyperplane, Path]]:
                 if any(p[i] - p[j] >= 2 for p in current.trace):
                     before = total_difference(current)
                     fire(Hyperplane(i, j, 1))
-                    assert total_difference(current) < before
+                    if total_difference(current) >= before:  # else stage 1 never ends
+                        raise ReductionInvariantError(
+                            f"firing x[{i}] = x[{j}] + 1 did not lower the total difference")
                     fired = True
                     break
             if fired:
@@ -221,6 +227,7 @@ def reduce_path(path: Path) -> list[tuple[Hyperplane, Path]]:
         for other in range(pivot + 1, d):
             fire(Hyperplane(other, pivot, 0))  # origin side: x[other] <= x[pivot]
 
-    assert all(max(p) - min(p) <= 1 for p in current.trace)
-    assert current.trace >= staircase_path(N, d).trace
+    if (any(max(p) - min(p) > 1 for p in current.trace)
+            or not current.trace >= staircase_path(N, d).trace):
+        raise ReductionInvariantError("reduced path is off the staircase region")
     return chain

@@ -153,6 +153,19 @@ class TestFormatsAndFiles:
         _, doc = run_json(capsys, ["--config", str(cfg), "staircase", "--N", "3"])
         assert doc["results"]["points"] == [[0, 0], [1, 0], [1, 1], [2, 1]]
 
+    def test_config_equals_form(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": 3}))
+        _, doc = run_json(capsys, [f"--config={cfg}", "staircase", "--N", "2"])
+        assert doc["results"]["points"] == [[0, 0, 0], [1, 0, 0], [1, 1, 0]]
+
+    def test_config_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": 3, "walks": 10}))
+        assert run(["--config", str(cfg), "staircase", "--N", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'walks'" in err
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
@@ -179,6 +192,31 @@ class TestExitCodes:
                             lambda **kw: fake)
         code = run(["verify-thm11", "--radius", "1", "--max-size", "1", "--L", "1"])
         assert code == 1
+
+    def test_unreachable_tolerance(self, capsys):
+        code = run(["green", "--d", "3", "--x", "0,0,0", "--method", "fourier",
+                    "--tol", "1e-14"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and "tol" in err
+
+    def test_singular_first_entry_system(self, capsys, monkeypatch):
+        import walkcover.hitting as hitting
+        monkeypatch.setattr(hitting, "_green", lambda d, x, tol: 1.0)
+        code = run(["hit", "--d", "3", "--start", "0,0,0",
+                    "--set", "[[1,0,0],[0,1,0]]"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and "Singular" in err
+
+    def test_reduce_invariant_violation(self, capsys, monkeypatch, tmp_path):
+        import walkcover.reflect as rf
+        monkeypatch.setattr(rf, "canonical_representative",
+                            lambda path, h: (path, ()))
+        f = tmp_path / "straight.json"
+        f.write_text("[[0,0],[1,0],[2,0],[3,0]]")
+        code = run(["reduce", "--target", str(f)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.count("\n") == 1 and "total difference" in err
+
 
 class TestThreadCount:
     MC = ["mc", "--d", "2", "--L", "4", "--walks", "100", "--seed", "1"]

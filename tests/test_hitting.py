@@ -74,6 +74,11 @@ class TestFirstEntryStructure:
         assert 0 < total < 1
         assert abs(total - hit_probability(q, tol=1e-5)) < 1e-12
 
+    def test_tolerance_1e6_reachable(self):
+        dist = first_entry_distribution(HittingQuery(O, (Y, W), 3), tol=1e-6)
+        assert abs(dist[Y] - ORACLE["y_of_yw"]) < 1e-6
+        assert abs(dist[W] - ORACLE["w_of_yw"]) < 1e-6
+
     def test_symmetric_pair_splits_evenly(self):
         dist = first_entry_distribution(HittingQuery(O, (Y, Z), 3), tol=1e-5)
         assert abs(dist[Y] - dist[Z]) < 1e-9

@@ -73,6 +73,21 @@ class TestDeterminism:
         expect = pos[:, None] + np.cumsum(pts.step_keys[dirs], axis=1)
         assert (pts.trajectories(pos, dirs) == expect).all()
 
+    def test_unreachable_points_never_hit(self):
+        """(8, -1) lies beyond L = 2 steps; its key must not alias a
+        reachable position (it once packed onto the origin's key)."""
+        far = CoverTarget.from_points([(8, -1)])
+        near = CoverTarget.from_points([(1, 0)])
+        mixed = CoverTarget.from_points([(8, -1), (1, 0)])
+        cfg = SimConfig(d=2, L=2, n_walks=4096, seed=0)
+        assert mc_cover_probability(far, cfg).successes == 0
+        assert mc_cover_probability(mixed, cfg).successes == 0
+        assert mc_compare([far], cfg).estimates[0].successes == 0
+        res = mc_compare([far, near, mixed], cfg)
+        counts = [e.successes for e in res.estimates]
+        assert counts[0] == counts[2] == 0
+        assert counts[1] == mc_cover_probability(near, cfg).successes > 0
+
 
 class TestModeAndHorizonMonotonicity:
     def test_trace_dominates_repetitions_per_walk(self):

@@ -214,6 +214,15 @@ class TestReducePath:
         with pytest.raises(NotConnectingError):
             reduce_path(validate_path([(0, 0), (-1, 0)]))
 
+    def test_stalled_firing_raises_instead_of_looping(self, monkeypatch):
+        """The postconditions hold under python -O too: a firing that
+        leaves the path unchanged stops stage 1 with a named error."""
+        import walkcover.reflect as rf
+        monkeypatch.setattr(rf, "canonical_representative",
+                            lambda path, h: (path, ()))
+        with pytest.raises(rf.ReductionInvariantError):
+            reduce_path(straight_path(3, 2))
+
     def test_covering_probability_never_decreases_along_chain(self):
         """Each reflection step weakly increases the exact covering
         probability (the computational content of reflection monotonicity
