@@ -11,11 +11,10 @@ pass --full to run it, otherwise a desk-scale version runs in minutes.
 import argparse
 import json
 
-from walkcover.hitting import counterexample_probabilities, truncation_bias_estimate
-from walkcover.lattice import CoverTarget, validate_path
+from walkcover.hitting import (COUNTEREXAMPLE_PATHS, counterexample_probabilities,
+                               truncation_bias_estimate)
+from walkcover.lattice import CoverTarget
 from walkcover.montecarlo import SimConfig, mc_compare
-
-O, Y, Z, W = (0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)
 
 
 def main() -> None:
@@ -34,8 +33,7 @@ def main() -> None:
 
     walks = 500_000 if args.full else 50_000
     horizons = (40, 400, 4000, 40_000) if args.full else (40, 400, 4000, 10_000)
-    targets = [CoverTarget.of_path(validate_path([O, Y, W, Z]), "repetitions"),
-               CoverTarget.of_path(validate_path([O, Y, W, Y]), "repetitions")]
+    targets = [CoverTarget.of_path(p, "repetitions") for p in COUNTEREXAMPLE_PATHS]
     rows = []
     for L in horizons:
         cfg = SimConfig(d=3, L=L, n_walks=walks, seed=args.seed,

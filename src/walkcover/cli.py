@@ -19,7 +19,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 from typing import Any
 
 from . import __version__, exact, green, hitting, lattice, montecarlo, reflect
@@ -28,17 +27,6 @@ from .rng import STREAM_VERSION, fresh_seed
 
 def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
-@dataclass
-class RunRecord:
-    command: str
-    parameters: dict
-    seed: int | None
-    started: str
-    finished: str
-    results: Any
-    tool_version: str = __version__
 
 
 def _envelope(command: str, params: dict, seed: int | None, started: str,
@@ -176,19 +164,15 @@ def _cmd_counterexample(args, seed):
         "p_original": ce.p_original,
         "p_reflected": ce.p_reflected,
         "original_exceeds_reflected": ce.p_original > ce.p_reflected,
-        "components": ce.components,
     }
     notes = list(ce.notes)
     code = 0 if ce.p_original > ce.p_reflected else 1
     if not args.skip_mc:
-        o, y, z, w = (0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)
-        original = lattice.validate_path([o, y, w, z])
-        reflected = lattice.validate_path([o, y, w, y])
         cfg = montecarlo.SimConfig(d=3, L=args.L, n_walks=args.walks, seed=seed,
                                    mode=lattice.REPETITIONS, threads=args.threads)
         cmp_res = montecarlo.mc_compare(
-            [lattice.CoverTarget.of_path(original, lattice.REPETITIONS),
-             lattice.CoverTarget.of_path(reflected, lattice.REPETITIONS)], cfg)
+            [lattice.CoverTarget.of_path(p, lattice.REPETITIONS)
+             for p in hitting.COUNTEREXAMPLE_PATHS], cfg)
         bias = hitting.truncation_bias_estimate(args.L, ce.p_original)
         results["mc"] = {
             "L": args.L, "walks": args.walks,
@@ -235,7 +219,8 @@ def _cmd_reduce(args, seed):
 
 
 def _cmd_comb(args, seed):
-    from .comb import all_collections, check_cover_inequality
+    from .comb import all_collections, check_cover_inequality, check_work
+    check_work(args.n, args.m, log2_instances=args.n * args.m)
     violations = []
     cases = 0
     for V in all_collections(args.n, args.m):
@@ -294,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=fn)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", help="write output here instead of stdout")
-        p.add_argument("--record", help="also persist a run record to this path")
+        p.add_argument("--record", help="also write the JSON envelope to this path")
         return p
 
     p = add("exact", _cmd_exact, help="exact covering probability by enumeration")
@@ -463,10 +448,8 @@ def run(argv: list[str]) -> int:
     else:
         print(text)
     if args.record:
-        record = RunRecord(args.command, params, seed, started, doc["finished"],
-                           results)
         with open(args.record, "w", encoding="utf-8") as fh:
-            json.dump(asdict(record), fh, indent=2)
+            json.dump(doc, fh, indent=2)
     return code
 
 

@@ -21,7 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-MAX_ENUM_ARCS = 30
+#: Work allowed in one enumeration, counted as 2^m (2^n + m) per
+#: instance of m arcs over n elements: the 2^m signed unions, each built
+#: from m arcs and tested against 2^n subsets.  At about 0.2 us a unit
+#: this is a few seconds of pure Python.
+MAX_ENUM_WORK = 2**24
 
 
 class LengthMismatchError(ValueError):
@@ -30,6 +34,19 @@ class LengthMismatchError(ValueError):
 
 class TooLargeError(ValueError):
     """Instance exceeds the exhaustive-enumeration guard."""
+
+
+def check_work(n: int, m: int, log2_instances: int = 0) -> None:
+    """Raise ``TooLargeError`` unless enumerating 2^log2_instances
+    collections of m arcs over n elements fits ``MAX_ENUM_WORK``."""
+    if n < 1 or m < 0:
+        raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
+    bits = MAX_ENUM_WORK.bit_length()
+    if (n >= bits or m + log2_instances >= bits
+            or 2 ** (m + log2_instances) * (2**n + m) > MAX_ENUM_WORK):
+        raise TooLargeError(f"2^{log2_instances} collection(s) of {m} arcs over {n} "
+                            f"elements exceed the enumeration guard of "
+                            f"{MAX_ENUM_WORK} work units")
 
 
 def _mask_of(elements: Iterable[int], n: int) -> int:
@@ -126,8 +143,7 @@ def _signed_unions(masks: Sequence[int]) -> list[tuple[int, int]]:
 def cover_count(V: ArcCollection, A: Iterable[int]) -> int:
     """Number of configurations covering the reflection of A, by
     exhaustive enumeration over all 2^m sign choices."""
-    if V.m > MAX_ENUM_ARCS:
-        raise TooLargeError(f"{V.m} arcs exceeds the enumeration guard {MAX_ENUM_ARCS}")
+    check_work(V.n, V.m)
     a_mask = _mask_of(A, V.n)
     full = (1 << V.n) - 1
     comp = full ^ a_mask
@@ -142,8 +158,7 @@ def cover_count_split(V: ArcCollection, A: Iterable[int]) -> int:
     extends both ways), or the last arc must mop up exactly the uncovered
     remainder with one specific sign.
     """
-    if V.m > MAX_ENUM_ARCS:
-        raise TooLargeError(f"{V.m} arcs exceeds the enumeration guard {MAX_ENUM_ARCS}")
+    check_work(V.n, V.m)
     a_mask = _mask_of(A, V.n)
     full = (1 << V.n) - 1
     comp = full ^ a_mask
@@ -174,8 +189,7 @@ def check_cover_inequality(V: ArcCollection) -> tuple[bool, frozenset[int] | Non
     No witness should ever be produced: one is a bug detector.
     """
     n = V.n
-    if V.m > MAX_ENUM_ARCS or n > MAX_ENUM_ARCS:
-        raise TooLargeError("instance exceeds the enumeration guard")
+    check_work(n, V.m)
     unions = _signed_unions(V.masks())
     full = (1 << n) - 1
     top = sum(1 for pos, _ in unions if (full & ~pos) == 0)

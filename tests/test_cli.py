@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import jsonschema
 import pytest
@@ -142,8 +143,8 @@ class TestFormatsAndFiles:
         jsonschema.validate(doc, SCHEMA)
         record = json.loads(rec.read_text())
         assert record["command"] == "exact"
-        assert record["tool_version"] == walkcover.__version__
-        assert record["results"] == doc["results"]
+        assert record == doc
+        jsonschema.validate(record, SCHEMA)
 
     def test_config_file_defaults_and_flag_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -192,6 +193,14 @@ class TestExitCodes:
                             lambda **kw: fake)
         code = run(["verify-thm11", "--radius", "1", "--max-size", "1", "--L", "1"])
         assert code == 1
+
+    def test_comb_work_guard(self, capsys):
+        t0 = time.monotonic()
+        code = run(["comb", "--n", "5", "--m", "5"])
+        elapsed = time.monotonic() - t0
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and "guard" in err
+        assert elapsed < 1
 
     def test_unreachable_tolerance(self, capsys):
         code = run(["green", "--d", "3", "--x", "0,0,0", "--method", "fourier",

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from walkcover.green import green_value, simple_walk
-from walkcover.hitting import (HittingQuery, counterexample_probabilities,
+from walkcover.exact import exact_cover_probability
+from walkcover.green import green_value, return_probability, simple_walk
+from walkcover.hitting import (COUNTEREXAMPLE_PATHS, HittingQuery,
+                               counterexample_probabilities,
                                first_entry_distribution, hit_probability,
+                               infinite_cover_probability,
                                truncation_bias_estimate)
-from walkcover.lattice import CoverTarget
+from walkcover.lattice import REPETITIONS, CoverTarget
 from walkcover.montecarlo import SimConfig, mc_cover_probability
 from walkcover.rng import walk_directions
 
@@ -92,6 +95,23 @@ class TestFirstEntryStructure:
             HittingQuery((0, 0), ((1, 0),), 2)
 
 
+class TestInfiniteCover:
+    def test_one_point_trace_is_green_ratio(self):
+        g = lambda x: green_value(simple_walk(3), x, tol=1e-5).value
+        p = infinite_cover_probability(CoverTarget.from_points([Y]), tol=1e-5)
+        assert abs(p - g(Y) / g(O)) < 1e-12
+
+    def test_origin_twice_is_return_probability(self):
+        target = CoverTarget(REPETITIONS, frozenset([O]), {O: 2})
+        p = infinite_cover_probability(target, tol=1e-5)
+        assert abs(p - return_probability(3, tol=1e-5)) < 1e-12
+
+    def test_recurrent_dimension_rejected(self):
+        with pytest.raises(ValueError):
+            infinite_cover_probability(CoverTarget.from_points([(0, 0), (1, 0)]))
+
+
+
 class TestCounterexample:
     def test_values_and_ordering(self):
         ce = counterexample_probabilities(tol=1e-5)
@@ -101,12 +121,21 @@ class TestCounterexample:
         assert abs(ce.p_reflected - 0.0653) < 5e-3
         assert ce.p_original > ce.p_reflected
 
-    def test_variant_factor_surfaced(self):
+    def test_engine_matches_diagonal_factor_assembly(self, entry):
+        """The hand decomposition over entry orders, kept here as a
+        reference: its last factor for the w-first branch is the
+        diagonal-neighbor hitting probability, not the unit one."""
+        g = lambda x: green_value(simple_walk(3), x, tol=1e-5).value
+        hit_y, hit_w = g(Y) / g(O), g(W) / g(O)
+        head = 2 * entry["y_of_yzw"] * (entry["y_of_yw"] + entry["w_of_yw"]) * hit_y
+        p_original = head + 2 * entry["w_of_yzw"] * entry["y_of_yz"] * hit_w
+        unit_variant = head + 2 * entry["w_of_yzw"] * entry["y_of_yz"] * hit_y
+        p_reflected = (entry["y_of_yw"] * (entry["o_of_oy"] + entry["y_of_oy"]) * hit_y
+                       + entry["w_of_yw"] * hit_y * hit_y)
         ce = counterexample_probabilities(tol=1e-5)
-        variant = ce.components["p_original_variant_last_factor_unit"]
-        assert abs(variant - 0.0832) < 5e-3
-        assert variant > ce.p_original
-        assert any("diagonal-neighbor factor" in n for n in ce.notes)
+        assert abs(ce.p_original - p_original) < 1e-12
+        assert abs(ce.p_reflected - p_reflected) < 1e-12
+        assert abs(unit_variant - ce.p_original) > 1e-3
 
     def test_recombination_of_published_constants(self):
         """Plugging the source table's own rounded constants into the
@@ -115,6 +144,12 @@ class TestCounterexample:
         p2 = 0.3008 * (2 * 0.2538) * 0.3401 + 0.1155 * 0.3401 * 0.3401
         assert abs(p1 - 0.0805) < 1e-4
         assert abs(p2 - 0.0653) < 1e-4
+
+    def test_exact_finite_horizon_value_lies_below(self):
+        target = CoverTarget.of_path(COUNTEREXAMPLE_PATHS[0], REPETITIONS)
+        res = exact_cover_probability(target, 3, 12, budget=6**12)
+        assert res.favorable == 69_773_160 and res.total == 6**12
+        assert res.probability < infinite_cover_probability(target, tol=1e-5)
 
     def test_truncation_bias_small_at_desk_scale(self):
         ce = counterexample_probabilities(tol=1e-5)
