@@ -239,7 +239,7 @@ def _cmd_comb(args, seed):
 def _cmd_verify_thm11(args, seed):
     report = exact.reflection_monotonicity_sweep(
         radius=args.radius, max_set_size=args.max_size,
-        lengths=tuple(range(1, args.L + 1)))
+        lengths=range(1, args.L + 1))
     results = {"cases": report.cases, "lengths": list(report.lengths),
                "radius": report.radius, "max_set_size": report.max_set_size,
                "violations": [list(map(str, v)) for v in report.violations]}

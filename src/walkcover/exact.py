@@ -21,6 +21,7 @@ class into a sign-cover counting instance.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -33,9 +34,15 @@ from .reflect import (Hyperplane, apply_configuration, arc_decompose,
 
 DEFAULT_BUDGET = 10**9
 
+#: Work allowed in one reflection sweep: (2d)^L * L steps build the walk
+#: masks of length L, and each case costs one unit to form plus, at each
+#: L, ceil((2d)^L / 64) mask words.  Criterion 6's size (radius 2, sets of
+#: size 2, L <= 6) is 2.6e6 units; L <= 7 is 1.0e7, about a second.
+MAX_SWEEP_WORK = 2**24
+
 
 class BudgetExceededError(ValueError):
-    """(2d)^L beyond the enumeration budget."""
+    """(2d)^L beyond the enumeration budget, or a sweep beyond its work guard."""
 
 
 class SideViolationError(ValueError):
@@ -185,6 +192,24 @@ def _walk_cover_masks(d: int, L: int, points: Sequence[Point]) -> dict[Point, in
     return masks
 
 
+def _check_sweep_work(d: int, points: int, max_set_size: int,
+                      lengths: Iterable[int]) -> None:
+    """Raise ``BudgetExceededError`` unless the sweep over pairs of sets
+    drawn from `points` origin-side points fits ``MAX_SWEEP_WORK``."""
+    steps, words, cases = 0, 1, 0
+    for L in lengths:
+        steps += (2 * d) ** L * L
+        words += -(-(2 * d) ** L // 64)
+        if steps + words > MAX_SWEEP_WORK:
+            break
+    for a, b in itertools.product(range(min(max_set_size, points) + 1), repeat=2):
+        cases += math.comb(points, a) * math.comb(points - a, b)
+        if steps + cases * words > MAX_SWEEP_WORK:
+            raise BudgetExceededError(
+                f"sweep over at least {points} origin-side points exceeds the "
+                f"enumeration guard of {MAX_SWEEP_WORK} work units")
+
+
 def reflection_monotonicity_sweep(d: int = 2, h: Hyperplane = Hyperplane(0, 1, 1),
                                   radius: int = 2, max_set_size: int = 2,
                                   lengths: Sequence[int] = (1, 2, 3, 4, 5, 6),
@@ -193,8 +218,13 @@ def reflection_monotonicity_sweep(d: int = 2, h: Hyperplane = Hyperplane(0, 1, 1
     origin-side sets (up to the given size, inside the sup-norm box)
     against the pair with the second set reflected.  Any case where the
     reflected pair is covered by strictly more walks is a violation."""
+    if max_set_size < 1:
+        raise ValueError("need max_set_size >= 1")
+    # the origin side holds at least half the box: it contains x_i <= x_j or x_i >= x_j
+    _check_sweep_work(d, ((2 * radius + 1) ** d + 1) // 2, max_set_size, lengths)
     box = [p for p in itertools.product(range(-radius, radius + 1), repeat=d)]
     origin_side = [p for p in box if h.on_origin_side(p)]
+    _check_sweep_work(d, len(origin_side), max_set_size, lengths)
     relevant = set(origin_side) | {reflect_point(p, h) for p in origin_side}
     violations = []
     cases = 0

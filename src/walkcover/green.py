@@ -4,17 +4,18 @@ coordinate-difference walk, with return-probability asymptotics.
 Two independent evaluation routes are implemented and cross-checked:
 
 * **stepsum** - the method of record.  G(x) = sum_n P(X_n = x) is summed
-  exactly to a step horizon and closed with an analytic local-CLT tail.
-  For the simple walk the n-step probabilities come from splitting the n
-  steps multinomially over the d coordinate axes (each axis then performs
-  an independent +/-1 walk): a cascade of binomial-mixture convolutions.
+  exactly to a step horizon and closed with a tail.  For the simple walk
+  the n-step probabilities come from splitting the n steps multinomially
+  over the d coordinate axes (each axis then performs an independent
+  +/-1 walk): a cascade of binomial-mixture convolutions, closed with an
+  analytic local-CLT tail.
   For the coordinate-difference walk (the d-1 dimensional walk of
   consecutive coordinate gaps, whose returns to 0 are the ambient walk's
   returns to the diagonal) the probabilities additionally decompose over
   an integer winding: the d "bond" processes must each land on a common
   level k, shifted along the segment between the probed bonds for
-  off-diagonal values.  Each winding term is the same multinomial
-  cascade.
+  off-diagonal values.  All winding levels run through one batched
+  cascade that shares its binomial rows, and the tail is fitted.
 
 * **fourier** - the defining torus integral with theta integrated out:
   G(x) = Int_0^inf prod_i ive(|x_i|, t/d) dt (Montroll 1956; Guttmann,
@@ -121,62 +122,55 @@ def _one_dim_landing(target: int, n_max: int) -> np.ndarray:
 
 
 def _alloc_merge(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
-    """c[m] = sum_k Binom(m, p)(k) a[k] b[m-k]: prepend one slot that
-    binomially claims its share of the m steps."""
-    n = len(a) - 1
-    c = np.empty(n + 1)
-    c[0] = a[0] * b[0]
-    row = np.array([1.0])
+    """c[..., m] = sum_k Binom(m, p)(k) a[..., k] b[..., m-k]: prepend one
+    slot that binomially claims its share of the m steps.  Leading axes
+    index winding levels; every level shares each binomial row."""
+    n = a.shape[-1] - 1
+    c = np.empty(a.shape)
+    c[..., 0] = a[..., 0] * b[..., 0]
+    row = np.zeros(n + 1)  # row[:m + 1] holds the Binom(m, p) pmf
+    row[0] = 1.0
     q = 1.0 - p
     for m in range(1, n + 1):
-        nxt = np.empty(m + 1)
-        nxt[0] = row[0] * q
-        nxt[m] = row[m - 1] * p
-        if m > 1:
-            nxt[1:m] = row[1:] * q + row[:-1] * p
-        row = nxt
-        c[m] = np.dot(row, a[:m + 1] * b[m::-1])
+        claimed = row[:m] * p
+        row[:m] *= q
+        row[1:m + 1] += claimed
+        c[..., m] = np.dot(a[..., :m + 1] * b[..., m::-1], row[:m + 1])
     return c
 
 
-def _alloc_cascade(targets: Sequence[int], n_max: int) -> np.ndarray:
-    """f[n] = P(n steps split multinomially over len(targets) slots leave
-    every slot's +/-1 walk at its target)."""
-    h = _one_dim_landing(targets[-1], n_max)
-    for j in range(len(targets) - 2, -1, -1):
-        h = _alloc_merge(_one_dim_landing(targets[j], n_max), h, 1.0 / (len(targets) - j))
+def _alloc_cascade(targets: np.ndarray, n_max: int) -> np.ndarray:
+    """f[..., n] = P(n steps split multinomially over the slots (the last
+    axis of `targets`) leave every slot's +/-1 walk at its target).  The
+    leading axes (winding levels) run through one cascade together."""
+    targets = np.abs(np.asarray(targets, dtype=int))
+    dist = sorted(set(targets.flat))
+    land = np.array([_one_dim_landing(t, n_max) for t in dist])
+    land_row = np.searchsorted(dist, targets)
+    slots = targets.shape[-1]
+    h = land[land_row[..., -1]]
+    for j in range(slots - 2, -1, -1):
+        h = _alloc_merge(land[land_row[..., j]], h, 1.0 / (slots - j))
     return h
 
 
-def _simple_step_terms(x: Sequence[int], n_max: int) -> np.ndarray:
-    return _alloc_cascade(list(x), n_max)
-
-
-def _bond_offsets(d: int, y: Sequence[int]) -> np.ndarray:
-    """At winding level k, bond h of the difference walk at y sits at k - partial[h]."""
+def _bond_targets(d: int, y: Sequence[int], horizon: float) -> np.ndarray:
+    """Row r: where the d bond walks of the difference walk at y must sit
+    at the r-th common winding level k, bond h at k - partial[h] (column 0
+    is k).  After n steps (or time t) k has variance about n/d^2, so the
+    levels run 10 sd + 10 beyond the bond offsets."""
     partial = np.concatenate([[0], np.cumsum(np.asarray(y, dtype=int))])
     if partial.shape[0] != d:
         raise ValueError("y must have dimension d-1")
-    return partial
+    reach = int(10 * math.sqrt(horizon) / d) + 10
+    levels = np.arange(partial.min() - reach, partial.max() + reach + 1)
+    return levels[:, None] - partial
 
 
 def _diff_step_terms(d: int, y: Sequence[int], n_max: int) -> np.ndarray:
     """n-step probabilities of the coordinate-difference walk at y, by
     summing over the common winding level of the d bond walks."""
-    partial = _bond_offsets(d, y)
-    f = np.zeros(n_max + 1)
-    k = 0
-    while True:
-        term = _alloc_cascade([k - partial[h] for h in range(d)], n_max)
-        if k > 0:
-            term = term + _alloc_cascade([-k - partial[h] for h in range(d)], n_max)
-        f += term
-        if k > 1 and term.sum() < 1e-16 * max(f.sum(), 1e-300):
-            break
-        k += 1
-        if k > n_max:
-            break
-    return f
+    return _alloc_cascade(_bond_targets(d, y, n_max), n_max).sum(axis=0)
 
 
 def _smooth_tail(terms: np.ndarray, s: float) -> tuple[float, float]:
@@ -228,7 +222,7 @@ def stepsum_green(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4,
     if n_max is None:
         n_max = _stepsum_n_max(spec, tol)
     if spec.kind == SIMPLE:
-        terms = _simple_step_terms(x, n_max)
+        terms = _alloc_cascade(x, n_max)
         tail, bound = _simple_tail(spec.d, x, n_max)
     else:
         terms = _diff_step_terms(spec.d, x, n_max)
@@ -247,11 +241,9 @@ def _occupation_density(spec: WalkSpectrum, x: Sequence[int], t: np.ndarray) -> 
     s = t / spec.d
     if spec.kind == SIMPLE:
         return np.prod([ive(abs(c), s) for c in x], axis=0)
-    partial = _bond_offsets(spec.d, x)
-    reach = int(10 * math.sqrt(t.max()) / spec.d) + 10  # k has variance t/d^2
-    levels = np.arange(partial.min() - reach, partial.max() + reach + 1)
-    table = ive(np.arange(np.ptp(partial) + reach + 1), s[:, None])
-    return np.prod([table[:, np.abs(levels - p)] for p in partial], axis=0).sum(axis=1)
+    bonds = np.abs(_bond_targets(spec.d, x, t.max()))
+    table = ive(np.arange(bonds.max() + 1), s[:, None])
+    return np.prod([table[:, b] for b in bonds.T], axis=0).sum(axis=1)
 
 
 def fourier_green(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4) -> GreenValue:

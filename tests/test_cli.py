@@ -202,6 +202,16 @@ class TestExitCodes:
         assert code == 2 and err.count("\n") == 1 and "guard" in err
         assert elapsed < 1
 
+    @pytest.mark.parametrize("option", [["--L", "20"], ["--radius", "50"],
+                                        ["--L", "0", "--radius", "100000"]])
+    def test_thm11_work_guard(self, capsys, option):
+        t0 = time.monotonic()
+        code = run(["verify-thm11"] + option)
+        elapsed = time.monotonic() - t0
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and "guard" in err
+        assert elapsed < 1
+
     def test_unreachable_tolerance(self, capsys):
         code = run(["green", "--d", "3", "--x", "0,0,0", "--method", "fourier",
                     "--tol", "1e-14"])

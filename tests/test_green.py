@@ -11,6 +11,7 @@ from walkcover.green import (DIAGONAL_DIFFERENCE, GreenValue,
                              diagonal_return_probability, fourier_green,
                              green_value, offdiag_green, offdiagonal_sum,
                              return_probability, simple_walk, stepsum_green)
+from walkcover.green import _alloc_cascade, _bond_targets, _diff_step_terms
 
 # classical values, frozen from the high-resolution stepsum oracle and
 # matching the standard references to the digits shown
@@ -85,7 +86,7 @@ class TestPublishedValues:
 
     def test_difference_walk_bounds_honest_vs_oracle(self):
         spec = diagonal_difference_walk(4)
-        # stepsum at tol 1e-5 takes 14 s on this walk, 1e-4 about 1 s (2-vCPU Xeon)
+        # stepsum at tol 1e-5 takes about 7 s on this walk, 1e-4 about 0.1 s (2-vCPU Xeon)
         for gv in (fourier_green(spec, (0, 0, 0), tol=1e-10),
                    stepsum_green(spec, (0, 0, 0), tol=1e-4)):
             assert abs(gv.value - ORACLE_DIFF_D4) <= gv.abs_error_bound
@@ -220,7 +221,43 @@ class TestCharacterMoments:
         assert abs(character_power_moment(d, i, j, k) - expect) < 1e-8 * max(expect, 1)
 
 
+def _per_level_diff_terms(d, y, n_max):
+    """Reference for the batched winding levels: one cascade per level,
+    +k and -k apart, until a level pair adds < 1e-16 of the total.
+    Returns the terms and the last k reached."""
+    partial = np.concatenate([[0], np.cumsum(y)])
+    f = np.zeros(n_max + 1)
+    for k in range(n_max + 1):
+        term = _alloc_cascade([k - p for p in partial], n_max)
+        if k > 0:
+            term = term + _alloc_cascade([-k - p for p in partial], n_max)
+        f += term
+        if k > 1 and term.sum() < 1e-16 * max(f.sum(), 1e-300):
+            break
+    return f, k
+
+
+class TestBatchedLevels:
+    @pytest.mark.parametrize("d", [4, 5, 7, 10])
+    @pytest.mark.parametrize("n_max", [40, 400])
+    def test_matches_per_level_loop(self, d, n_max):
+        for y in [(0,) * (d - 1), (1, -1) + (0,) * (d - 3), (2, -1) + (0,) * (d - 3)]:
+            ref, k_last = _per_level_diff_terms(d, y, n_max)
+            assert np.abs(_diff_step_terms(d, y, n_max) - ref).max() <= 1e-15
+            levels = _bond_targets(d, y, n_max)[:, 0]
+            assert levels.min() <= -k_last and k_last <= levels.max()
+
+
 class TestSweep:
+    def test_diagonal_rows_cross_validate_with_fourier(self):
+        table = asymptotic_sweep(3, 10, tol=1e-3)
+        for row in table.rows[1:]:
+            spec, zero = diagonal_difference_walk(row.d), (0,) * (row.d - 1)
+            s = green_value(spec, zero, tol=1e-3, method="stepsum")
+            assert row.p_diagonal == 1.0 - 1.0 / s.value
+            f = fourier_green(spec, zero, tol=1e-3)
+            assert abs(s.value - f.value) <= s.abs_error_bound + f.abs_error_bound
+
     def test_trends(self):
         table = asymptotic_sweep(3, 8, tol=1e-3)
         assert table.trends_ok, table.trend_failures
