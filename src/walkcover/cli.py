@@ -319,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--x", required=True, help="comma-separated coordinates")
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--method", choices=("auto", "both", "stepsum", "fourier"),
-                   default="auto")
+    p.add_argument("--method", choices=green.METHODS, default="fourier")
 
     p = add("hit", _cmd_hit, help="first-entry distribution over a finite set")
     p.add_argument("--d", type=int, required=True)

@@ -1,26 +1,24 @@
 """Lattice Green's functions for the simple walk and the
 coordinate-difference walk, with return-probability asymptotics.
 
-Two independent evaluation routes are implemented and cross-checked:
+* **fourier** - the method of record: the defining torus integral with
+  theta integrated out, G(x) = Int_0^inf prod_i ive(|x_i|, t/d) dt
+  (Montroll 1956; Guttmann, J. Phys. A 43 (2010) 305205), by
+  Gauss-Legendre in log t plus a fitted tail.  Its stated bound is
+  about 1e-12 in every dimension.  For the coordinate-difference walk
+  (the d-1 dimensional walk of consecutive coordinate gaps, whose
+  returns to 0 are the ambient walk's returns to the diagonal) the d
+  "bond" processes must each land on a common integer winding level k,
+  shifted along the segment between the probed bonds for off-diagonal
+  values; the integrand sums over k one panel of t at a time.
 
-* **stepsum** - the method of record.  G(x) = sum_n P(X_n = x) is summed
-  exactly to a step horizon and closed with a tail.  For the simple walk
-  the n-step probabilities come from splitting the n steps multinomially
-  over the d coordinate axes (each axis then performs an independent
-  +/-1 walk): a cascade of binomial-mixture convolutions, closed with an
-  analytic local-CLT tail.
-  For the coordinate-difference walk (the d-1 dimensional walk of
-  consecutive coordinate gaps, whose returns to 0 are the ambient walk's
-  returns to the diagonal) the probabilities additionally decompose over
-  an integer winding: the d "bond" processes must each land on a common
-  level k, shifted along the segment between the probed bonds for
-  off-diagonal values.  All winding levels run through one batched
-  cascade that shares its binomial rows, and the tail is fitted.
-
-* **fourier** - the defining torus integral with theta integrated out:
-  G(x) = Int_0^inf prod_i ive(|x_i|, t/d) dt (Montroll 1956; Guttmann,
-  J. Phys. A 43 (2010) 305205), by Gauss-Legendre in log t plus a fitted
-  tail.  Its stated bound is about 1e-12 in every dimension.
+* **stepsum** - the independent cross-check.  G(x) = sum_n P(X_n = x) is
+  summed exactly to a step horizon and closed with one analytic
+  local-CLT tail for both walks.  The n-step probabilities come from
+  splitting the n steps multinomially over the d coordinate axes (or
+  bonds), each then an independent +/-1 walk: a cascade of
+  binomial-mixture convolutions, through which all winding levels of
+  the difference walk run together, sharing their binomial rows.
 
 Return probabilities follow as ``1 - 1/G(0)`` for each walk; the sweep
 tabulates how ``2d x (return probability)`` descends toward its
@@ -43,6 +41,7 @@ from scipy.special import gammainc, gammaln, ive
 
 SIMPLE = "simple"
 DIAGONAL_DIFFERENCE = "diagonal_difference"
+METHODS = ("fourier", "stepsum", "both")
 
 
 class RecurrentWalkError(ValueError):
@@ -173,60 +172,59 @@ def _diff_step_terms(d: int, y: Sequence[int], n_max: int) -> np.ndarray:
     return _alloc_cascade(_bond_targets(d, y, n_max), n_max).sum(axis=0)
 
 
-def _smooth_tail(terms: np.ndarray, s: float) -> tuple[float, float]:
-    """Tail sum_{n>N} of a sequence decaying like A n^-s (with parity
-    oscillation), from an empirical fit of A on the last window."""
-    N = len(terms) - 1
-    w = max(32, N // 10)
-    ns = np.arange(N - w + 1, N + 1)
-    paired = (terms[N - w + 1:N + 1] + terms[N - w:N]) / 2.0
-    a_fit = float(np.mean(paired * ns**s))
-    tail = a_fit * (N + 0.5) ** (1 - s) / (s - 1)
-    bound = abs(tail) * (10.0 / N) + 4.0 * abs(a_fit) * (N + 1.0) ** (-s)
-    return tail, bound
+def _lclt_amplitude(spec: WalkSpectrum) -> float:
+    """A = (2 pi)^-s det(Sigma)^-1/2 in the parity-averaged local CLT, for the
+    step covariance Sigma = I/d (simple) or T/d (difference, det T = d)."""
+    s = spec.dim / 2.0
+    if spec.kind == SIMPLE:
+        return (spec.d / (2 * math.pi)) ** s
+    return spec.d ** ((spec.d - 2) / 2.0) / (2 * math.pi) ** s
 
 
-def _simple_tail(d: int, x: Sequence[int], n_max: int) -> tuple[float, float]:
-    """Analytic local-CLT closure for the simple walk: integral of the
-    Gaussian envelope plus the alternating half-term."""
-    s = d / 2.0
-    a = d * float(sum(c * c for c in x)) / 2.0
+def _lclt_tail(spec: WalkSpectrum, x: Sequence[int], n_max: int) -> tuple[float, float]:
+    """Local-CLT closure of sum_{n > n_max} P(X_n = x) and its bound: the
+    integral of the envelope A n^-s e^(-a/n), plus the alternating half-term
+    of a period-2 walk (the simple walk, and the difference walk at even d),
+    whose n has the parity of sum(q).  For the difference walk q are the
+    bond offsets (0, cumsum(y)) and a = d y^T T^-1 y / 2."""
+    s = spec.dim / 2.0
+    amp = _lclt_amplitude(spec)
+    diff = spec.kind == DIAGONAL_DIFFERENCE
+    q = np.r_[0, np.cumsum(x)] if diff else x
+    a = spec.d * (sum(c * c for c in q) - diff * sum(q) ** 2 / spec.d) / 2.0
     N = n_max + 0.5
-    amp = (d / (2 * math.pi)) ** s
     if a == 0:
-        integral = amp * N ** (1 - s) / (s - 1)
+        tail = amp * N ** (1 - s) / (s - 1)
     else:
-        integral = amp * a ** (1 - s) * gammainc(s - 1, a / N) * math.gamma(s - 1)
-    g_next = amp * (n_max + 1.0) ** (-s) * math.exp(-a / (n_max + 1))
-    parity = -1 if (n_max + 1 + sum(abs(c) for c in x)) % 2 else 1
-    tail = integral + parity * g_next / 2.0
-    bound = 2.0 * amp * n_max ** (-s)
-    return tail, bound
+        tail = amp * a ** (1 - s) * gammainc(s - 1, a / N) * math.gamma(s - 1)
+    if not diff or spec.d % 2 == 0:
+        g_next = amp * (n_max + 1.0) ** (-s) * math.exp(-a / (n_max + 1))
+        tail += (-1 if (n_max + 1 + sum(q)) % 2 else 1) * g_next / 2.0
+    return tail, 2.0 * amp * n_max ** (-s)
 
 
 def _stepsum_n_max(spec: WalkSpectrum, tol: float) -> int:
-    s = spec.dim / 2.0
-    if spec.kind == SIMPLE:
-        amp = (spec.d / (2 * math.pi)) ** s
-    else:
-        amp = spec.d ** ((spec.d - 2) / 2.0) / (2 * math.pi) ** s
-    n = (4.0 * amp / tol) ** (1.0 / s)
-    return int(min(max(n, 400), 25000))
+    """The first horizon whose tail bound is at most tol/2, within [400, 25000]."""
+    n = (4.0 * _lclt_amplitude(spec) / tol) ** (2.0 / spec.dim)
+    return min(max(math.ceil(n), 400), 25000)
 
 
 def stepsum_green(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4,
                   n_max: int | None = None) -> GreenValue:
-    """Partial sum of n-step probabilities plus an analytic tail."""
+    """Partial sum of n-step probabilities plus the local-CLT tail, bound
+    2 A n_max^-(dim/2).  Raises before the cascade runs when the 25 000-step
+    cap keeps that above tol; an explicit n_max states it whatever tol."""
     if not spec.transient:
         raise RecurrentWalkError(f"G diverges for {spec.kind} with dim {spec.dim}")
-    if n_max is None:
+    checked = n_max is None
+    if checked:
         n_max = _stepsum_n_max(spec, tol)
-    if spec.kind == SIMPLE:
-        terms = _alloc_cascade(x, n_max)
-        tail, bound = _simple_tail(spec.d, x, n_max)
-    else:
-        terms = _diff_step_terms(spec.d, x, n_max)
-        tail, bound = _smooth_tail(terms, spec.dim / 2.0)
+    tail, bound = _lclt_tail(spec, x, n_max)
+    if checked and bound > tol:
+        raise ToleranceUnreachableError(
+            f"stepsum bound {bound:.2e} at {n_max} steps exceeds tol {tol:.2e}")
+    terms = (_alloc_cascade(x, n_max) if spec.kind == SIMPLE
+             else _diff_step_terms(spec.d, x, n_max))
     return GreenValue(float(terms.sum() + tail), bound, "stepsum")
 
 
@@ -235,15 +233,23 @@ def stepsum_green(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4,
 # ---------------------------------------------------------------------------
 
 def _occupation_density(spec: WalkSpectrum, x: Sequence[int], t: np.ndarray) -> np.ndarray:
-    """P(Y_t = x) for the walk at rate 1 in continuous time: each coordinate
-    (bond) is an independent rate-1/d +/-1 walk, at n with probability
-    ive(n, t/d); bonds sum over their winding level as in _diff_step_terms."""
+    """P(Y_t = x) for the walk at rate 1 in continuous time, t of shape
+    (panels, nodes): each coordinate (bond) is an independent rate-1/d
+    +/-1 walk, at n with probability ive(n, t/d).  Bonds sum over their
+    winding level as in _diff_step_terms, one panel at a time over the
+    levels its largest t reaches, so memory stays at one panel's table."""
     s = t / spec.d
     if spec.kind == SIMPLE:
         return np.prod([ive(abs(c), s) for c in x], axis=0)
-    bonds = np.abs(_bond_targets(spec.d, x, t.max()))
-    table = ive(np.arange(bonds.max() + 1), s[:, None])
-    return np.prod([table[:, b] for b in bonds.T], axis=0).sum(axis=1)
+    out = np.empty(t.shape)
+    for row, tp, sp in zip(out, t, s):
+        bonds = np.abs(_bond_targets(spec.d, x, tp.max()))
+        table = ive(np.arange(bonds.max() + 1), sp[:, None])
+        prod = table[:, bonds[:, 0]]
+        for b in bonds.T[1:]:
+            prod *= table[:, b]
+        row[:] = prod.sum(axis=1)
+    return out
 
 
 def fourier_green(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4) -> GreenValue:
@@ -258,13 +264,14 @@ def fourier_green(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4) -> Gr
     body = []
     for order in (12, 16):
         z, w = leggauss(order)
-        t = np.exp(np.add.outer(np.arange(panels), (z + 1) / 2)).ravel()
-        f = _occupation_density(spec, x, np.r_[(z + 1) / 2, t])
-        body.append(float(f @ np.r_[w, np.tile(w, panels) * t]) / 2)
+        t = np.exp(np.add.outer(np.arange(panels), (z + 1) / 2))
+        f = _occupation_density(spec, x, np.vstack([(z + 1) / 2, t])).ravel()
+        body.append(float(f @ np.r_[w, np.tile(w, panels) * t.ravel()]) / 2)
     # beyond T, t^m f(t) = a0 + a1/t + a2/t^2 + ...; fit at T/4, T/2 and T
     T, m = math.exp(panels), spec.dim / 2.0
     ts = T / np.array([4.0, 2.0, 1.0])
-    a2, a1, a0 = np.linalg.solve(np.vander(1 / ts, 3), _occupation_density(spec, x, ts) * ts**m)
+    a2, a1, a0 = np.linalg.solve(np.vander(1 / ts, 3),
+                                 _occupation_density(spec, x, ts[None])[0] * ts**m)
     last = a2 * T ** (-m - 1) / (m + 1)
     tail = a0 * T ** (1 - m) / (m - 1) + a1 * T**-m / m + last
     bound = float(2.0 * abs(body[1] - body[0]) + abs(last) + 1e-12)
@@ -287,53 +294,52 @@ def _canonical_x(spec: WalkSpectrum, x: tuple[int, ...]) -> tuple[int, ...]:
 @lru_cache(maxsize=4096)
 def _green_cached(kind: str, d: int, x: tuple[int, ...], tol: float, method: str) -> GreenValue:
     spec = WalkSpectrum(kind, d)
-    if method == "auto":
-        method = "both" if spec.dim <= 3 else "stepsum"
     if method == "stepsum":
         return stepsum_green(spec, x, tol)
-    if method == "fourier":
-        return fourier_green(spec, x, tol)
-    step = stepsum_green(spec, x, tol)
     four = fourier_green(spec, x, tol)
-    gap = abs(step.value - four.value)
-    if gap > step.abs_error_bound + four.abs_error_bound:
-        raise ToleranceUnreachableError(
-            f"methods disagree: stepsum {step.value} +/- {step.abs_error_bound}, "
-            f"fourier {four.value} +/- {four.abs_error_bound}")
-    return step if step.abs_error_bound <= four.abs_error_bound else four
+    if method == "both":
+        step = stepsum_green(spec, x, tol)
+        if abs(step.value - four.value) > step.abs_error_bound + four.abs_error_bound:
+            raise ToleranceUnreachableError(
+                f"methods disagree: stepsum {step.value} +/- {step.abs_error_bound}, "
+                f"fourier {four.value} +/- {four.abs_error_bound}")
+    return four
 
 
 def green_value(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4,
-                method: str = "auto") -> GreenValue:
+                method: str = "fourier") -> GreenValue:
     """G(x) for the requested walk.
 
-    method "both" runs the two routes and enforces agreement within the
-    sum of their error bounds; "auto" does so at dim <= 3, which the
-    hitting calculus uses, and runs the stepsum route alone above that.
+    "fourier", the default, is the value of record.  "stepsum" returns the
+    independent cross-check's value instead; "both" runs the two routes,
+    raises unless they agree within the sum of their error bounds, and
+    returns the fourier value.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}")
     xt = tuple(int(c) for c in x)
     if len(xt) != spec.dim:
         raise ValueError(f"x must have dimension {spec.dim}")
     return _green_cached(spec.kind, spec.d, _canonical_x(spec, xt), tol, method)
 
 
-def return_probability(d: int, tol: float = 1e-5, method: str = "auto") -> float:
+def return_probability(d: int, tol: float = 1e-5) -> float:
     """Probability the d-dimensional simple walk ever returns to 0:
     1 - 1/G(0).  Always strictly between 1/(2d) and 1."""
     if d < 3:
         raise RecurrentWalkError("the simple walk is recurrent for d < 3")
-    g = green_value(simple_walk(d), (0,) * d, tol, method)
+    g = green_value(simple_walk(d), (0,) * d, tol)
     return 1.0 - 1.0 / g.value
 
 
-def diagonal_return_probability(d: int, tol: float = 1e-4, method: str = "auto") -> float:
+def diagonal_return_probability(d: int, tol: float = 1e-4) -> float:
     """Probability the d-dimensional simple walk ever returns to the full
     diagonal line: the coordinate-difference walk's return probability."""
     if d < 4:
         raise RecurrentWalkError("the coordinate-difference walk is recurrent for d < 4")
-    g = green_value(diagonal_difference_walk(d), (0,) * (d - 1), tol, method)
+    g = green_value(diagonal_difference_walk(d), (0,) * (d - 1), tol)
     return 1.0 - 1.0 / g.value
 
 
@@ -350,24 +356,18 @@ def _difference_vector(d: int, i: int, j: int) -> tuple[int, ...]:
     return tuple(y)
 
 
-def offdiag_green(d: int, i: int, j: int, tol: float = 1e-4,
-                  method: str = "auto") -> float:
+def offdiag_green(d: int, i: int, j: int, tol: float = 1e-4) -> float:
     """Green's function of the coordinate-difference walk at e_j - e_i;
     symmetric in (i, j) and a function of the cyclic index distance."""
     if d < 4:
         raise RecurrentWalkError("need d >= 4")
-    return green_value(diagonal_difference_walk(d), _difference_vector(d, i, j),
-                       tol, method).value
+    return green_value(diagonal_difference_walk(d), _difference_vector(d, i, j), tol).value
 
 
 def offdiagonal_sum(d: int, tol: float = 1e-4) -> float:
     """sum_j Ghat(e_j - e_i) - 1 (independent of i); the high-dimension
     bound for this quantity is 28/d."""
-    total = 0.0
-    for j in range(d):
-        total += offdiag_green(d, 0, j, tol) if j else green_value(
-            diagonal_difference_walk(d), (0,) * (d - 1), tol).value
-    return total - 1.0
+    return sum(offdiag_green(d, 0, j, tol) for j in range(d)) - 1.0
 
 
 def character_power_moment(d: int, i: int, j: int, k: int,
@@ -433,11 +433,11 @@ def asymptotic_sweep(d_min: int = 3, d_max: int = 10, tol: float = 1e-3) -> Swee
         raise ValueError("need 3 <= d_min <= d_max")
     rows = []
     for d in range(d_min, d_max + 1):
-        g0 = green_value(simple_walk(d), (0,) * d, tol, method="stepsum").value
+        g0 = green_value(simple_walk(d), (0,) * d, tol).value
         p = 1.0 - 1.0 / g0
         excess = g0 - 1.0 - 1.0 / (2 * d)
         if d >= 4:
-            pd = diagonal_return_probability(d, tol, method="stepsum")
+            pd = diagonal_return_probability(d, tol)
             rows.append(SweepRow(d, p, 2 * d * p, pd, 2 * d * pd, excess, d * excess))
         else:
             rows.append(SweepRow(d, p, 2 * d * p, None, None, excess, d * excess))

@@ -7,6 +7,7 @@ import pytest
 
 import walkcover
 from walkcover.cli import run
+from walkcover.lattice import validate_path
 
 SCHEMA = json.loads(
     (pathlib.Path(walkcover.__file__).parent / "output.schema.json").read_text())
@@ -108,6 +109,13 @@ class TestEnvelope:
         assert len(doc["results"]["paired_differences"]) == 1
         code, doc = run_json(capsys, argv + ["--no-common-rng"])
         assert doc["results"]["common_rng"] is False
+
+    def test_monotone_paths_file(self, capsys, monotone_paths_d3):
+        f = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "monotone_paths_d3.json"
+        assert [validate_path(p) for p in json.loads(f.read_text())] == monotone_paths_d3
+        code, doc = run_json(capsys, ["compare", "--targets", str(f), "--d", "3",
+                                      "--L", "50", "--walks", "512", "--seed", "1"])
+        assert code == 0 and len(doc["results"]["estimates"]) == 5
 
     def test_counterexample_skip_mc(self, capsys):
         code, doc = run_json(capsys, ["counterexample", "--skip-mc"])
@@ -211,6 +219,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2 and err.count("\n") == 1 and "guard" in err
         assert elapsed < 1
+
+    def test_green_method_auto_retired(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["green", "--d", "3", "--x", "0,0,0", "--method", "auto"])
+        assert exc.value.code == 2
 
     def test_unreachable_tolerance(self, capsys):
         code = run(["green", "--d", "3", "--x", "0,0,0", "--method", "fourier",

@@ -1,8 +1,12 @@
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
+from scipy.special import ive
 
 from walkcover.green import (DIAGONAL_DIFFERENCE, GreenValue,
                              RecurrentWalkError, ToleranceUnreachableError,
@@ -11,7 +15,8 @@ from walkcover.green import (DIAGONAL_DIFFERENCE, GreenValue,
                              diagonal_return_probability, fourier_green,
                              green_value, offdiag_green, offdiagonal_sum,
                              return_probability, simple_walk, stepsum_green)
-from walkcover.green import _alloc_cascade, _bond_targets, _diff_step_terms
+from walkcover.green import (_alloc_cascade, _bond_targets, _diff_step_terms,
+                             _occupation_density)
 
 # classical values, frozen from the high-resolution stepsum oracle and
 # matching the standard references to the digits shown
@@ -253,9 +258,9 @@ class TestSweep:
         table = asymptotic_sweep(3, 10, tol=1e-3)
         for row in table.rows[1:]:
             spec, zero = diagonal_difference_walk(row.d), (0,) * (row.d - 1)
-            s = green_value(spec, zero, tol=1e-3, method="stepsum")
-            assert row.p_diagonal == 1.0 - 1.0 / s.value
             f = fourier_green(spec, zero, tol=1e-3)
+            assert row.p_diagonal == 1.0 - 1.0 / f.value
+            s = green_value(spec, zero, tol=1e-3, method="stepsum")
             assert abs(s.value - f.value) <= s.abs_error_bound + f.abs_error_bound
 
     def test_trends(self):
@@ -280,3 +285,85 @@ class TestFourierGuards:
     def test_tolerance_failure_signaled(self):
         with pytest.raises(ToleranceUnreachableError):
             fourier_green(simple_walk(3), (0, 0, 0), tol=1e-14)
+
+
+def _one_shot_density(spec, x, t):
+    """Reference for the panel-wise difference-walk density: every t at
+    once, over the levels the largest t reaches."""
+    s = t / spec.d
+    bonds = np.abs(_bond_targets(spec.d, x, t.max()))
+    table = ive(np.arange(bonds.max() + 1), s[:, None])
+    return np.prod([table[:, b] for b in bonds.T], axis=0).sum(axis=1)
+
+
+def _probe_points(d):
+    """Difference-lattice points 0, (1, -1, 0..), (2, -1, 0..), e_1 and e_2."""
+    pad = (0,) * (d - 3)
+    return [(0, 0) + pad, (1, -1) + pad, (2, -1) + pad, (1, 0) + pad, (0, 1) + pad]
+
+
+class TestGreenContract:
+    @pytest.mark.parametrize("d", range(4, 11))
+    def test_lclt_tail_honest(self, d):
+        specs = [(diagonal_difference_walk(d), _probe_points(d)),
+                 (simple_walk(d - 1), [(0,) * (d - 1), (1,) + (0,) * (d - 2),
+                                       (2, 1) + (0,) * (d - 3)])]
+        for spec, points in specs:
+            for x in points:
+                ref = fourier_green(spec, x, tol=1e-10)
+                for tol in (1e-3, 1e-4):
+                    s = stepsum_green(spec, x, tol=tol)
+                    err = abs(s.value - ref.value) - ref.abs_error_bound
+                    assert err <= s.abs_error_bound <= tol / 2, (spec, x, tol)
+
+    def test_tail_half_term_only_for_period_two(self):
+        """With the half-term on the period-2 walks alone, the value barely
+        moves from horizon 400 to 401; a missing or spurious half-term
+        moves it by about half the bound."""
+        for spec, x in [(simple_walk(3), (2, 1, 0)),
+                        (diagonal_difference_walk(4), (2, -1, 0)),
+                        (diagonal_difference_walk(5), (1, 0, 0, 0)),
+                        (diagonal_difference_walk(6), (0, 1, 0, 0, 0))]:
+            a, b = (stepsum_green(spec, x, n_max=n) for n in (400, 401))
+            assert abs(a.value - b.value) <= a.abs_error_bound / 100, (spec, x)
+
+    @pytest.mark.parametrize("d", [4, 7, 10])
+    def test_panel_density_matches_one_shot(self, d):
+        spec = diagonal_difference_walk(d)
+        z, _ = leggauss(16)
+        u = (z + 1) / 2
+        t = np.vstack([u, np.exp(np.add.outer(np.arange(12), u))])
+        for y in _probe_points(d):
+            ref = _one_shot_density(spec, y, t.ravel())
+            assert np.abs(_occupation_density(spec, y, t).ravel() - ref).max() <= 1e-15
+
+    def test_fourier_difference_walk_memory(self):
+        tracemalloc.start()
+        try:
+            fourier_green(diagonal_difference_walk(4), (0, 0, 0), tol=1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
+    def test_both_returns_fourier_value(self):
+        # canonical points, so the cached value is computed at x itself
+        for spec, x in [(simple_walk(4), (1, 0, 0, 0)),
+                        (diagonal_difference_walk(5), (-1, 1, 0, 0))]:
+            g = green_value(spec, x, tol=1e-3, method="both")
+            assert g == fourier_green(spec, x, tol=1e-3)
+
+    def test_stepsum_refuses_uncertifiable_tolerance(self):
+        spec = simple_walk(3)
+        t0 = time.monotonic()
+        with pytest.raises(ToleranceUnreachableError):
+            stepsum_green(spec, (0, 0, 0), tol=1e-8)
+        assert time.monotonic() - t0 < 0.1
+        g = stepsum_green(spec, (0, 0, 0), tol=1e-8, n_max=1200)
+        assert abs(g.value - ORACLE_D3[(0, 0, 0)]) <= g.abs_error_bound
+        with pytest.raises(ToleranceUnreachableError):
+            green_value(spec, (0, 0, 0), tol=1e-8, method="both")
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError):
+            green_value(simple_walk(3), (0, 0, 0), method="auto")
