@@ -1,21 +1,30 @@
-"""Exact covering probabilities by exhaustive enumeration of walks.
+"""Exact covering probabilities by an integer transfer DP over walks.
 
 Every probability here is a rational number ``favorable / (2d)^L``
-computed with arbitrary-precision integers: the (2d)^L equally likely
-step sequences of length L are explored depth-first, with two exactness-
-preserving accelerations:
+computed exactly.  The favorable count comes from one forward pass over
+the L steps of the walk.  Its array holds, for every requirement state
+and every cell of a position box, the number of walk prefixes that sit
+in that cell with that many visits still outstanding per target point:
 
-* early accept: once every target requirement is met, the entire subtree
-  counts as ``(2d)^remaining``;
-* memoization: the favorable count from a state depends only on the
-  current position, steps left, and outstanding visit requirements.
+* a requirement state is a mixed-radix index over the outstanding visits
+  per target point (the origin starts one lower, since time 0 counts as
+  a visit);
+* a step sums the 2d shifted copies of the array, and at each target
+  cell moves mass from state r to r - e_i when r_i > 0;
+* mass that reaches the all-met state leaves the array for a scalar that
+  is multiplied by 2d at every later step;
+* the box has radius (L + max |p|_1)//2 + 1, outside which no unmet walk
+  can still return to every target in time, so dropping it is exact.
+
+Counts are int64 while (2d)^L fits, and Python integers beyond.
 
 On top of the counter sit the theorem-shaped routines: counting a
 target-set pair against its reflected twin, the exhaustive
-reflection-monotonicity sweep over small set pairs, the ranked table of
-covering probabilities over all short connecting paths (staircase
-maximality), and the bridge that converts one reflection equivalence
-class into a sign-cover counting instance.
+reflection-monotonicity sweep over small set pairs (bit-parallel over
+all walks, independent of the DP), the ranked table of covering
+probabilities over all short connecting paths (staircase maximality),
+and the bridge that converts one reflection equivalence class into a
+sign-cover counting instance.
 """
 
 from __future__ import annotations
@@ -24,25 +33,33 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import comb
-from .lattice import (CoverTarget, Path, Point, TRACE, l1_distance,
-                      staircase_path, unit_vector)
+from .lattice import (CoverTarget, Path, Point, TRACE, staircase_path,
+                      unit_vector)
 from .reflect import (Hyperplane, apply_configuration, arc_decompose,
                       reflect_point)
 
+#: DP work allowed by default: L x requirement states x box cells.
 DEFAULT_BUDGET = 10**9
+
+#: Largest walk count (2d)^L the DP holds in int64; every entry of its
+#: array, and the count of walks already done, is at most (2d)^L.
+INT64_MAX_WALKS = 2**63 - 1
 
 #: Work allowed in one reflection sweep: (2d)^L * L steps build the walk
 #: masks of length L, and each case costs one unit to form plus, at each
 #: L, ceil((2d)^L / 64) mask words.  Criterion 6's size (radius 2, sets of
-#: size 2, L <= 6) is 2.6e6 units; L <= 7 is 1.0e7, about a second.
+#: size 2, L <= 6) is 2.6e6 units; L <= 7 is 1.0e7.
 MAX_SWEEP_WORK = 2**24
 
 
 class BudgetExceededError(ValueError):
-    """(2d)^L beyond the enumeration budget, or a sweep beyond its work guard."""
+    """DP work beyond the budget, or a sweep beyond its work guard."""
 
 
 class SideViolationError(ValueError):
@@ -65,54 +82,60 @@ class ExactResult:
         return Fraction(self.favorable, self.total)
 
 
-def _check_budget(d: int, L: int, budget: int) -> None:
-    if (2 * d) ** L > budget:
-        raise BudgetExceededError(f"(2d)^L = {(2*d)**L} exceeds budget {budget}")
+def _box_radius(L: int, reach: int) -> int:
+    return (L + reach) // 2 + 1
 
 
-def _favorable_count(d: int, L: int, needed: dict[Point, int]) -> int:
+def _check_budget(d: int, L: int, states: int, reach: int, budget: int) -> None:
+    """Raise unless the DP's work, L x states x box cells, fits `budget`;
+    `reach` is the largest L1 norm among the target points."""
+    work = L * states * (2 * _box_radius(L, reach) + 1) ** d
+    if work > budget:
+        raise BudgetExceededError(
+            f"DP work L x states x cells = {work} exceeds budget {budget}")
+
+
+def _favorable_count(d: int, L: int, needed: dict[Point, int],
+                     budget: int = DEFAULT_BUDGET) -> int:
     """Walks of length L from the origin meeting every visit requirement;
     the time-0 position counts as a visit."""
-    points = tuple(sorted(needed))
-    idx_of = {p: i for i, p in enumerate(points)}
-    origin = tuple([0] * d)
-    start = tuple(max(needed[p] - (p == origin), 0) for p in points)
+    origin = (0,) * d
+    outstanding = {p: k - (p == origin) for p, k in needed.items()}
+    points = sorted(p for p, k in outstanding.items() if k > 0)
+    radices = tuple(outstanding[p] + 1 for p in points)
+    reach = max((sum(map(abs, p)) for p in points), default=0)
+    _check_budget(d, L, math.prod(radices), reach, budget)
+    if reach > L:
+        return 0
     sides = 2 * d
-    steps = [unit_vector(d, ax, sg) for ax in range(d) for sg in (1, -1)]
-    powers = [sides**r for r in range(L + 1)]
-    memo: dict[tuple, int] = {}
-
-    def feasible(pos: Point, r: int, rem: tuple[int, ...]) -> bool:
-        for p, k in zip(points, rem):
-            if k == 0:
-                continue
-            dist = l1_distance(pos, p)
-            lb = (dist if dist else 2) + 2 * (k - 1)
-            if lb > r:
-                return False
-        return True
-
-    def count(pos: Point, r: int, rem: tuple[int, ...]) -> int:
-        if all(k == 0 for k in rem):
-            return powers[r]
-        if r == 0 or not feasible(pos, r, rem):
-            return 0
-        key = (pos, r, rem)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = 0
-        for step in steps:
-            nxt = tuple(a + b for a, b in zip(pos, step))
-            idx = idx_of.get(nxt)
-            if idx is not None and rem[idx] > 0:
-                total += count(nxt, r - 1, rem[:idx] + (rem[idx] - 1,) + rem[idx + 1:])
-            else:
-                total += count(nxt, r - 1, rem)
-        memo[key] = total
-        return total
-
-    return count(origin, L, start)
+    R = _box_radius(L, reach)
+    dtype = np.int64 if sides**L <= INT64_MAX_WALKS else object
+    cur = np.zeros(radices + (2 * R + 1,) * d, dtype=dtype)
+    nxt = np.zeros_like(cur)
+    n = len(points)
+    cur[tuple(k - 1 for k in radices) + (R,) * d] = 1
+    met = (0,) * n
+    done = int(cur[met].sum())
+    cur[met] = 0
+    shifts = []
+    for axis in range(n, n + d):
+        lo, hi = [slice(None)] * cur.ndim, [slice(None)] * cur.ndim
+        lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+        shifts += [(tuple(hi), tuple(lo)), (tuple(lo), tuple(hi))]
+    cells = [(Ellipsis,) + tuple(c + R for c in p) for p in points]
+    for _ in range(L):
+        nxt.fill(0)
+        for dst, src in shifts:
+            nxt[dst] += cur[src]
+        for i, cell in enumerate(cells):
+            r = np.moveaxis(nxt[cell], i, 0)
+            r[0] += r[1]
+            r[1:-1] = r[2:]
+            r[-1] = 0
+        done = done * sides + int(nxt[met].sum())
+        nxt[met] = 0
+        cur, nxt = nxt, cur
+    return done
 
 
 def exact_cover_probability(target: CoverTarget, d: int, L: int,
@@ -124,9 +147,8 @@ def exact_cover_probability(target: CoverTarget, d: int, L: int,
         raise ValueError("L must be >= 0")
     if target.dim != d:
         raise ValueError(f"target dimension {target.dim} != {d}")
-    _check_budget(d, L, budget)
     needed = {p: target.required(p) for p in target.trace}
-    return ExactResult(_favorable_count(d, L, needed), (2 * d) ** L)
+    return ExactResult(_favorable_count(d, L, needed, budget), (2 * d) ** L)
 
 
 def count_reflected_pair(A0: Iterable[Point], B0: Iterable[Point], h: Hyperplane,
@@ -143,15 +165,9 @@ def count_reflected_pair(A0: Iterable[Point], B0: Iterable[Point], h: Hyperplane
     for p in A0 | B0:
         if not h.on_origin_side(p):
             raise SideViolationError(f"{p} crosses the hyperplane")
-    _check_budget(d, L, budget)
     mirrored = frozenset(reflect_point(p, h) for p in B0)
-
-    def favorable(points: frozenset[Point]) -> int:
-        if not points:
-            return (2 * d) ** L
-        return _favorable_count(d, L, {p: 1 for p in points})
-
-    return favorable(A0 | B0), favorable(A0 | mirrored)
+    return tuple(_favorable_count(d, L, {p: 1 for p in points}, budget)
+                 for points in (A0 | B0, A0 | mirrored))
 
 
 # ---------------------------------------------------------------------------
@@ -173,23 +189,25 @@ class ReflectionSweepReport:
         return not self.violations
 
 
-def _walk_cover_masks(d: int, L: int, points: Sequence[Point]) -> dict[Point, int]:
-    """Bit w of masks[p] is set iff walk number w (of the (2d)^L walks)
-    visits p; walks are numbered in lexicographic step order."""
-    steps = [unit_vector(d, ax, sg) for ax in range(d) for sg in (1, -1)]
-    masks = {p: 0 for p in points}
-    origin = tuple([0] * d)
-    for w, seq in enumerate(itertools.product(range(2 * d), repeat=L)):
-        pos = origin
-        trace = {pos}
-        for s in seq:
-            pos = tuple(a + b for a, b in zip(pos, steps[s]))
-            trace.add(pos)
-        bit = 1 << w
-        for p in trace:
-            if p in masks:
-                masks[p] |= bit
-    return masks
+def _walk_cover_masks(d: int, L: int, points: Sequence[Point]) -> np.ndarray:
+    """Row k holds one bit per walk, as little-endian uint64 words: bit w
+    is set iff walk number w (of the (2d)^L walks, numbered in
+    lexicographic step order) visits points[k]."""
+    sides, walks = 2 * d, (2 * d) ** L
+    base = 2 * L + 1
+    # position code: sum over axes of (x_a + L) * base^a; step 2a moves +e_a
+    delta = np.array([sg * base**ax for ax in range(d) for sg in (1, -1)])
+    w = np.arange(walks)
+    codes = np.empty((walks, L + 1), dtype=np.int64)
+    codes[:, 0] = L * sum(base**ax for ax in range(d))
+    for t in range(L):
+        codes[:, t + 1] = codes[:, t] + delta[w // sides ** (L - 1 - t) % sides]
+    hits = np.zeros((len(points), -(-walks // 64) * 64), dtype=bool)
+    for k, p in enumerate(points):
+        if sum(map(abs, p)) <= L:
+            code = sum((c + L) * base**ax for ax, c in enumerate(p))
+            hits[k, :walks] = (codes == code).any(axis=1)
+    return np.packbits(hits, axis=1, bitorder="little").view("<u8")
 
 
 def _check_sweep_work(d: int, points: int, max_set_size: int,
@@ -210,6 +228,43 @@ def _check_sweep_work(d: int, points: int, max_set_size: int,
                 f"enumeration guard of {MAX_SWEEP_WORK} work units")
 
 
+def _sweep_cases(n: int, max_set_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of disjoint index sets A0, B0 of size <= max_set_size
+    drawn from range(n), in sweep order, as two tables of mask rows:
+    A0 then B0, and A0 then the mirrors n + B0, each padded with row 2n
+    (the origin, which every walk visits)."""
+    pad = 2 * n
+    dtype = np.min_scalar_type(pad)
+    combos = []
+    for size in range(max_set_size + 1):
+        c = np.array(list(itertools.combinations(range(n), size)), dtype=dtype)
+        padded = np.full((len(c), max_set_size), pad, dtype=dtype)
+        padded[:, :size] = c.reshape(len(c), size)
+        combos.append(padded)
+    a_rows, b_rows = [], []
+    for a in np.concatenate(combos):
+        for b in combos:
+            b = b[~np.isin(b, a[a < n]).any(axis=1)]
+            a_rows.append(np.broadcast_to(a, b.shape))
+            b_rows.append(b)
+    a_idx, b_idx = np.concatenate(a_rows), np.concatenate(b_rows)
+    return (np.hstack([a_idx, b_idx]),
+            np.hstack([a_idx, np.where(b_idx == pad, pad, b_idx + n)]))
+
+
+def _covered_counts(masks: np.ndarray, cases: np.ndarray, counts: np.ndarray) -> None:
+    """Walks visiting every point of each case, into `counts`: the AND of
+    the mask rows that row c of `cases` names, popcounted, in blocks of
+    about 2^15 words (512 cases at L = 6)."""
+    block = max(1, 2**15 // masks.shape[1])
+    for lo in range(0, len(cases), block):
+        rows = cases[lo:lo + block]
+        acc = masks[rows[:, 0]]
+        for col in rows.T[1:]:
+            acc &= masks[col]
+        counts[lo:lo + len(rows)] = np.bitwise_count(acc).sum(axis=1)
+
+
 def reflection_monotonicity_sweep(d: int = 2, h: Hyperplane = Hyperplane(0, 1, 1),
                                   radius: int = 2, max_set_size: int = 2,
                                   lengths: Sequence[int] = (1, 2, 3, 4, 5, 6),
@@ -224,33 +279,24 @@ def reflection_monotonicity_sweep(d: int = 2, h: Hyperplane = Hyperplane(0, 1, 1
     _check_sweep_work(d, ((2 * radius + 1) ** d + 1) // 2, max_set_size, lengths)
     box = [p for p in itertools.product(range(-radius, radius + 1), repeat=d)]
     origin_side = [p for p in box if h.on_origin_side(p)]
-    _check_sweep_work(d, len(origin_side), max_set_size, lengths)
-    relevant = set(origin_side) | {reflect_point(p, h) for p in origin_side}
+    n = len(origin_side)
+    _check_sweep_work(d, n, max_set_size, lengths)
+    # mask rows: the origin-side points, their mirrors, then the origin
+    rows = origin_side + [reflect_point(p, h) for p in origin_side] + [(0,) * d]
+    original, reflected = _sweep_cases(n, max_set_size)
+    c1, c2 = np.empty((2, len(original)), dtype=np.int64)
     violations = []
-    cases = 0
-    a_choices = [frozenset(c) for size in range(max_set_size + 1)
-                 for c in itertools.combinations(origin_side, size)]
     for L in lengths:
-        masks = _walk_cover_masks(d, L, sorted(relevant))
-        all_walks = (1 << (2 * d) ** L) - 1
-
-        def covered_count(pts: Iterable[Point]) -> int:
-            m = all_walks
-            for p in pts:
-                m &= masks[p]
-            return m.bit_count()
-
-        for A0 in a_choices:
-            rest = [p for p in origin_side if p not in A0]
-            for size in range(max_set_size + 1):
-                for B0 in itertools.combinations(rest, size):
-                    cases += 1
-                    c1 = covered_count(A0 | set(B0))
-                    c2 = covered_count(A0 | {reflect_point(p, h) for p in B0})
-                    if c1 < c2:
-                        violations.append((L, tuple(sorted(A0)), B0, c1, c2))
+        masks = _walk_cover_masks(d, L, rows)
+        _covered_counts(masks, original, c1)
+        _covered_counts(masks, reflected, c2)
+        for v in np.flatnonzero(c1 < c2):
+            a, b = original[v, :max_set_size], original[v, max_set_size:]
+            violations.append((L, tuple(sorted(origin_side[i] for i in a if i < n)),
+                               tuple(origin_side[i] for i in b if i < n),
+                               int(c1[v]), int(c2[v])))
     return ReflectionSweepReport(d, h, radius, max_set_size, tuple(lengths),
-                                 cases, tuple(violations))
+                                 len(original) * len(lengths), tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -309,18 +355,44 @@ def enumerate_connecting_paths(N: int, d: int, cap: int):
     yield from extend([origin], 0)
 
 
-def _canonical_trace(points: Iterable[Point], d: int) -> tuple[Point, ...]:
-    """Least image of the point set under coordinate permutations and
-    per-axis sign flips (the symmetries of the walk law)."""
-    pts = list(points)
-    best = None
-    for perm in itertools.permutations(range(d)):
-        permuted = [tuple(p[a] for a in perm) for p in pts]
-        for flips in itertools.product((1, -1), repeat=d):
-            img = tuple(sorted(tuple(f * c for f, c in zip(flips, p)) for p in permuted))
-            if best is None or img < best:
-                best = img
-    return best
+@lru_cache(maxsize=None)
+def _symmetries(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The d!·2^d symmetries of the walk law: image coordinate k of p is
+    ``signs[s, k] * p[perms[s, k]]``."""
+    table = [(perm, flips) for perm in itertools.permutations(range(d))
+             for flips in itertools.product((1, -1), repeat=d)]
+    perms, signs = (np.array(column) for column in zip(*table))
+    perms.setflags(write=False)
+    signs.setflags(write=False)
+    return perms, signs
+
+
+def _canonical_keys(traces: Sequence[frozenset[Point]], d: int) -> list[tuple[int, ...]]:
+    """One key per trace, equal for two traces iff a symmetry of the walk
+    law maps one onto the other: the least sorted image of the trace,
+    each point coded as one integer in lexicographic order."""
+    perms, signs = _symmetries(d)
+    sizes = np.array([len(trace) for trace in traces])
+    pts = np.zeros((len(traces), sizes.max(initial=0), d), dtype=np.int64)
+    for t, trace in enumerate(traces):
+        pts[t, :sizes[t]] = list(trace)
+    pad = np.arange(pts.shape[1]) >= sizes[:, None]
+    weights = (2 * int(np.abs(pts).max(initial=0)) + 1) ** np.arange(d - 1, -1, -1)
+    # code of image s of point p: p @ coder[s], increasing in lexicographic order
+    coder = np.zeros((len(perms), d), dtype=np.int64)
+    np.put_along_axis(coder, perms, signs * weights, axis=1)
+    last = np.iinfo(np.int64).max
+    keys = []
+    for lo in range(0, len(traces), 256):
+        codes = pts[lo:lo + 256] @ coder.T
+        codes[pad[lo:lo + 256]] = last
+        codes = np.sort(codes.transpose(0, 2, 1), axis=2)
+        alive = np.ones(codes.shape[:2], dtype=bool)
+        for col in codes.transpose(2, 0, 1):
+            col = np.where(alive, col, last)
+            alive &= col == col.min(axis=1, keepdims=True)
+        keys += map(tuple, codes[np.arange(len(codes)), alive.argmax(axis=1)].tolist())
+    return keys
 
 
 def verify_staircase_max(N: int, d: int, L: int, cap: int,
@@ -328,24 +400,23 @@ def verify_staircase_max(N: int, d: int, L: int, cap: int,
     """Rank every connecting path (up to ``cap`` steps) by its exact
     covering probability within L walk steps.  Covering probability
     depends on the path only through its trace, and is invariant under
-    the walk symmetries, so probabilities are cached accordingly."""
+    the walk symmetries, so each symmetry class is counted once."""
     if L < N:
         raise ValueError("need L >= N")
-    _check_budget(d, L, budget)
-    cache: dict[tuple[Point, ...], Fraction] = {}
-    stair = staircase_path(N, d)
-    stair_points = stair.points
-
-    def probability(trace: frozenset[Point]) -> Fraction:
-        key = _canonical_trace(trace, d)
+    # a trace holds at most cap points besides the origin, all of norm <= N
+    _check_budget(d, L, 2**cap, N, budget)
+    paths = list(enumerate_connecting_paths(N, d, cap))
+    traces = list(dict.fromkeys(frozenset(pts) for pts in paths))
+    cache: dict[tuple[int, ...], Fraction] = {}
+    prob_of = {}
+    for trace, key in zip(traces, _canonical_keys(traces, d)):
         if key not in cache:
             cache[key] = exact_cover_probability(
                 CoverTarget(TRACE, trace), d, L, budget).probability
-        return cache[key]
-
-    rows = []
-    for pts in enumerate_connecting_paths(N, d, cap):
-        rows.append(RankedPath(pts, probability(frozenset(pts)), pts == stair_points))
+        prob_of[trace] = cache[key]
+    stair_points = staircase_path(N, d).points
+    rows = [RankedPath(pts, prob_of[frozenset(pts)], pts == stair_points)
+            for pts in paths]
     if not any(r.is_staircase for r in rows):
         raise ValueError("cap excludes the staircase itself")
     rows.sort(key=lambda r: (-r.probability, r.points))

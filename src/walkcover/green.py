@@ -296,13 +296,13 @@ def _green_cached(kind: str, d: int, x: tuple[int, ...], tol: float, method: str
     spec = WalkSpectrum(kind, d)
     if method == "stepsum":
         return stepsum_green(spec, x, tol)
-    four = fourier_green(spec, x, tol)
-    if method == "both":
-        step = stepsum_green(spec, x, tol)
-        if abs(step.value - four.value) > step.abs_error_bound + four.abs_error_bound:
-            raise ToleranceUnreachableError(
-                f"methods disagree: stepsum {step.value} +/- {step.abs_error_bound}, "
-                f"fourier {four.value} +/- {four.abs_error_bound}")
+    if method == "fourier":
+        return fourier_green(spec, x, tol)
+    four, step = (_green_cached(kind, d, x, tol, m) for m in ("fourier", "stepsum"))
+    if abs(step.value - four.value) > step.abs_error_bound + four.abs_error_bound:
+        raise ToleranceUnreachableError(
+            f"methods disagree: stepsum {step.value} +/- {step.abs_error_bound}, "
+            f"fourier {four.value} +/- {four.abs_error_bound}")
     return four
 
 

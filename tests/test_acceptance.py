@@ -131,7 +131,7 @@ def test_criterion_06_reflection_monotonicity_sweep():
     report = ex.reflection_monotonicity_sweep(radius=2, max_set_size=2,
                                               lengths=(1, 2, 3, 4, 5, 6))
     assert report.passed, report.violations[:3]
-    # dual-route integrity: bit-parallel counts equal the DFS counter
+    # dual-route integrity: the transfer-DP counter on sample pairs
     for A0, B0 in [((), ((0, 1),)), (((1, 1),), ((0, 1),)),
                    (((0, 0), (0, 2)), ((1, 2),))]:
         c1, c2 = ex.count_reflected_pair(A0, B0, ex.Hyperplane(0, 1, 1), 2, 6)

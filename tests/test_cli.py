@@ -38,6 +38,15 @@ class TestEnvelope:
         den = int(doc["results"]["probability_den"])
         assert 0 < num < den
 
+    def test_exact_l12_within_default_budget(self, capsys, tmp_path):
+        """(o,y,w,z) at L = 12 once needed --budget, when the guard counted
+        (2d)^L walks; the DP's work is far below the default."""
+        f = tmp_path / "oywz.json"
+        f.write_text("[[0,0,0],[1,0,0],[1,1,0],[0,1,0]]")
+        code, doc = run_json(capsys, ["exact", "--target", str(f), "--d", "3",
+                                      "--L", "12", "--mode", "repetitions"])
+        assert code == 0 and doc["results"]["favorable"] == "69773160"
+
     def test_mc_seed_echoed_when_omitted(self, capsys, corner_path):
         code, doc = run_json(capsys, ["mc", "--target", corner_path, "--d", "2",
                                       "--L", "4", "--walks", "500"])
@@ -201,6 +210,14 @@ class TestExitCodes:
                             lambda **kw: fake)
         code = run(["verify-thm11", "--radius", "1", "--max-size", "1", "--L", "1"])
         assert code == 1
+
+    def test_exact_budget_guard(self, capsys, corner_path):
+        t0 = time.monotonic()
+        code = run(["exact", "--target", corner_path, "--d", "2", "--L", "2000"])
+        elapsed = time.monotonic() - t0
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and "budget" in err
+        assert elapsed < 1
 
     def test_comb_work_guard(self, capsys):
         t0 = time.monotonic()

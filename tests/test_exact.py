@@ -1,4 +1,6 @@
 import itertools
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 from conftest import (all_step_sequences, brute_force_cover_count,
                       random_walk_path, walk_points)
+import walkcover.exact as ex
 from walkcover.comb import cover_count
 from walkcover.exact import (BudgetExceededError, SideViolationError,
                              count_reflected_pair, enumerate_connecting_paths,
@@ -16,6 +19,74 @@ from walkcover.lattice import CoverTarget, staircase_path, validate_path
 from walkcover.reflect import Hyperplane, canonical_representative, reflect_point
 
 H21 = Hyperplane(0, 1, 1)
+OYWZ = validate_path([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)])
+OYWZ_FAVORABLE_22 = 5_645_798_521_100_580
+
+
+# Reference implementations kept from the Python-loop versions that the
+# vectorised sweep masks and canonical keys replaced.
+
+def _reference_walk_cover_masks(d, L, points):
+    """Bit w of masks[p] is set iff walk number w (of the (2d)^L walks)
+    visits p; walks are numbered in lexicographic step order."""
+    masks = {p: 0 for p in points}
+    for w, seq in enumerate(all_step_sequences(d, L)):
+        bit = 1 << w
+        for p in set(walk_points(seq, d)):
+            if p in masks:
+                masks[p] |= bit
+    return masks
+
+
+def _reference_canonical_trace(points, d):
+    """Least image of the point set under coordinate permutations and
+    per-axis sign flips."""
+    pts = list(points)
+    best = None
+    for perm in itertools.permutations(range(d)):
+        permuted = [tuple(p[a] for a in perm) for p in pts]
+        for flips in itertools.product((1, -1), repeat=d):
+            img = tuple(sorted(tuple(f * c for f, c in zip(flips, p)) for p in permuted))
+            if best is None or img < best:
+                best = img
+    return best
+
+
+def _reference_sweep_violations(d, h, radius, max_set_size, lengths):
+    """The sweep's violation tuples by one set-at-a-time loop over
+    Python-integer masks."""
+    box = list(itertools.product(range(-radius, radius + 1), repeat=d))
+    origin_side = [p for p in box if h.on_origin_side(p)]
+    relevant = set(origin_side) | {reflect_point(p, h) for p in origin_side}
+    a_choices = [frozenset(c) for size in range(max_set_size + 1)
+                 for c in itertools.combinations(origin_side, size)]
+    violations = []
+    for L in lengths:
+        masks = _reference_walk_cover_masks(d, L, sorted(relevant))
+
+        def covered(pts):
+            m = (1 << (2 * d) ** L) - 1
+            for p in pts:
+                m &= masks[p]
+            return m.bit_count()
+
+        for A0 in a_choices:
+            rest = [p for p in origin_side if p not in A0]
+            for size in range(max_set_size + 1):
+                for B0 in itertools.combinations(rest, size):
+                    c1 = covered(A0 | set(B0))
+                    c2 = covered(A0 | {reflect_point(p, h) for p in B0})
+                    if c1 < c2:
+                        violations.append((L, tuple(sorted(A0)), B0, c1, c2))
+    return violations
+
+
+class FarSide(Hyperplane):
+    """A hyperplane whose "origin side" is the far side, so that the
+    sweep reflects sets toward the origin and finds violations."""
+
+    def on_origin_side(self, p):
+        return self.contains(p) or not super().on_origin_side(p)
 
 
 class TestExactCoverProbability:
@@ -33,8 +104,56 @@ class TestExactCoverProbability:
         assert r.favorable == 0 and r.total == 4
 
     def test_budget_guard(self):
+        """The guard counts DP work (L x states x box cells) before the
+        DP allocates anything."""
+        t0 = time.monotonic()
         with pytest.raises(BudgetExceededError):
-            exact_cover_probability(CoverTarget.from_points([(1, 0, 0)]), 3, 40)
+            exact_cover_probability(CoverTarget.from_points([(1, 0, 0)]), 3, 2000)
+        assert time.monotonic() - t0 < 0.1
+
+    def test_budget_guard_in_staircase_ranking(self):
+        with pytest.raises(BudgetExceededError):
+            verify_staircase_max(3, 3, 8, 5, budget=10**5)
+
+    @pytest.mark.parametrize("mode", ["trace", "repetitions"])
+    def test_dp_matches_brute_force_d3(self, mode):
+        rng = np.random.default_rng(400)
+        revisits = [validate_path([(0, 0, 0), (1, 0, 0), (0, 0, 0), (1, 0, 0)]),
+                    validate_path([(0, 0, 0), (0, 0, 1), (0, 0, 0), (0, -1, 0),
+                                   (0, 0, 0)])]
+        for L in range(5):
+            paths = revisits + [random_walk_path(rng, 3, int(rng.integers(1, 5)))
+                                for _ in range(4)]
+            for p in paths:
+                t = CoverTarget.of_path(p, mode)
+                needed = {q: t.required(q) for q in t.trace}
+                expect = brute_force_cover_count(3, L, needed)
+                assert exact_cover_probability(t, 3, L).favorable == expect, (p, L)
+
+    def test_pinned_repetitions_count_l22(self):
+        t = CoverTarget.of_path(OYWZ, "repetitions")
+        assert exact_cover_probability(t, 3, 22).favorable == OYWZ_FAVORABLE_22
+
+    def test_python_integer_fallback(self, monkeypatch):
+        """With the int64 threshold lowered, the object-dtype path gives the
+        same counts as the int64 path."""
+        twice = CoverTarget.of_path(validate_path(
+            [(0, 0, 0), (1, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 0)]), "repetitions")
+        oywz = CoverTarget.of_path(OYWZ, "repetitions")
+        int64 = exact_cover_probability(twice, 3, 10).favorable
+        monkeypatch.setattr(ex, "INT64_MAX_WALKS", 0)
+        assert exact_cover_probability(twice, 3, 10).favorable == int64
+        res = exact_cover_probability(oywz, 3, 22)
+        assert type(res.favorable) is int and res.favorable == OYWZ_FAVORABLE_22
+
+    def test_dp_memory(self):
+        tracemalloc.start()
+        try:
+            exact_cover_probability(CoverTarget.of_path(OYWZ, "repetitions"), 3, 22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
     @pytest.mark.parametrize("d,L", [(1, 5), (2, 4), (2, 5)])
     def test_trace_mode_matches_brute_force(self, d, L):
@@ -102,6 +221,34 @@ class TestReflectionSweep:
                                                lengths=(1, 2, 3))
         assert report.passed and report.cases > 0
 
+    @pytest.mark.parametrize("L", range(6))
+    def test_masks_match_reference(self, L):
+        points = list(itertools.product(range(-2, 3), repeat=2)) + [(3, 3), (6, 0)]
+        masks = ex._walk_cover_masks(2, L, points)
+        ref = _reference_walk_cover_masks(2, L, points)
+        for p, row in zip(points, masks):
+            assert int.from_bytes(row.tobytes(), "little") == ref[p], (L, p)
+
+    def test_violations_match_reference(self):
+        """Reflecting toward the origin does help; the recovered violation
+        tuples, and their order, equal the set-at-a-time loop's."""
+        h = FarSide(0, 1, 1)
+        report = reflection_monotonicity_sweep(radius=1, max_set_size=2,
+                                               lengths=(1, 2, 3), h=h)
+        expect = _reference_sweep_violations(2, h, 1, 2, (1, 2, 3))
+        assert len(expect) > 10 and list(report.violations) == expect
+
+    def test_sweep_memory(self):
+        """Criterion 6's sweep holds its cases as compact index tables."""
+        tracemalloc.start()
+        try:
+            report = reflection_monotonicity_sweep(radius=2, max_set_size=2,
+                                                   lengths=(1, 2, 3, 4, 5, 6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.cases == 178_758 and peak <= 2 * 2**20
+
     def test_bitmask_counts_match_dfs(self):
         """The sweep's bit-parallel counts agree with the general counter."""
         report = reflection_monotonicity_sweep(radius=1, max_set_size=2,
@@ -139,6 +286,24 @@ class TestStaircaseRanking:
         assert probs[monotone_paths_d3[4].points] == max(values)
         assert probs[monotone_paths_d3[0].points] == min(values)
         assert report.staircase_is_max
+
+    @pytest.mark.parametrize("N,d,cap", [(3, 2, 7), (3, 3, 5)])
+    def test_canonical_keys_match_reference_classes(self, N, d, cap):
+        """The two benchmark rankings' traces fall into the same classes
+        under the vectorised keys as under the reference."""
+        traces = list({frozenset(p) for p in enumerate_connecting_paths(N, d, cap)})
+        keys = ex._canonical_keys(traces, d)
+        ref = [_reference_canonical_trace(t, d) for t in traces]
+        classes = lambda labels: {frozenset(i for i, x in enumerate(labels) if x == lab)
+                                  for lab in set(labels)}
+        assert classes(keys) == classes(ref)
+        assert len(set(keys)) == {(3, 2, 7): 105, (3, 3, 5): 47}[(N, d, cap)]
+
+    def test_canonical_keys_of_mixed_sizes(self):
+        traces = [frozenset({(1, 0), (0, 1)}), frozenset({(0, 0), (1, 0), (0, 1)}),
+                  frozenset({(0, -1), (-1, 0)}), frozenset({(0, 0)})]
+        keys = ex._canonical_keys(traces, 2)
+        assert keys[0] == keys[2] and len(set(keys)) == 3
 
     def test_enumeration_counts_against_direct_filter(self):
         """Path enumeration agrees with filtering all step sequences."""

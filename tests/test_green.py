@@ -15,8 +15,9 @@ from walkcover.green import (DIAGONAL_DIFFERENCE, GreenValue,
                              diagonal_return_probability, fourier_green,
                              green_value, offdiag_green, offdiagonal_sum,
                              return_probability, simple_walk, stepsum_green)
+import walkcover.green as green_mod
 from walkcover.green import (_alloc_cascade, _bond_targets, _diff_step_terms,
-                             _occupation_density)
+                             _green_cached, _occupation_density)
 
 # classical values, frozen from the high-resolution stepsum oracle and
 # matching the standard references to the digits shown
@@ -352,6 +353,20 @@ class TestGreenContract:
                         (diagonal_difference_walk(5), (-1, 1, 0, 0))]:
             g = green_value(spec, x, tol=1e-3, method="both")
             assert g == fourier_green(spec, x, tol=1e-3)
+
+    def test_both_reuses_cached_fourier_value(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fourier_green(*args, **kwargs)
+
+        monkeypatch.setattr(green_mod, "fourier_green", counted)
+        _green_cached.cache_clear()
+        spec, x = simple_walk(3), (1, 0, 0)
+        a = green_value(spec, x, tol=1e-5, method="fourier")
+        b = green_value(spec, x, tol=1e-5, method="both")
+        assert a == b and len(calls) == 1
 
     def test_stepsum_refuses_uncertifiable_tolerance(self):
         spec = simple_walk(3)
