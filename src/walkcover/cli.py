@@ -104,8 +104,7 @@ def _cmd_exact(args, seed):
 
 def _cmd_mc(args, seed):
     cfg = montecarlo.SimConfig(d=args.d, L=args.L, n_walks=args.walks, seed=seed,
-                               mode=args.mode, early_stop=not args.no_early_stop,
-                               threads=args.threads)
+                               mode=args.mode, threads=args.threads)
     est = montecarlo.mc_cover_probability(_target_from_args(args), cfg)
     notes = ["L-step truncation estimates a lower bound on the infinite-horizon "
              "covering probability"]
@@ -115,7 +114,9 @@ def _cmd_mc(args, seed):
 def _cmd_compare(args, seed):
     with open(args.targets, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    paths = [lattice.validate_path(p) for p in data]
+    if not isinstance(data, list):
+        raise ValueError(f"{args.targets} must hold a JSON array of paths")
+    paths = [lattice.validate_path(lattice.parse_points(p)) for p in data]
     targets = [lattice.CoverTarget.of_path(p, args.mode) for p in paths]
     cfg = montecarlo.SimConfig(d=args.d, L=args.L, n_walks=args.walks, seed=seed,
                                mode=args.mode, threads=args.threads)
@@ -147,9 +148,8 @@ def _cmd_green(args, seed):
 
 def _cmd_hit(args, seed):
     start = tuple(int(v) for v in args.start.split(","))
-    pts = json.loads(args.set)
-    query = hitting.HittingQuery(start, tuple(tuple(int(c) for c in p) for p in pts),
-                                 args.d)
+    targets = tuple(lattice.parse_points(json.loads(args.set)))
+    query = hitting.HittingQuery(start, targets, args.d)
     dist = hitting.first_entry_distribution(query, tol=args.tol)
     results = {"start": list(start),
                "distribution": [{"point": list(p), "probability": v}
@@ -299,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=(lattice.TRACE, lattice.REPETITIONS),
                    default=lattice.TRACE)
     p.add_argument("--threads", help=_THREADS_HELP)
-    p.add_argument("--no-early-stop", action="store_true")
 
     p = add("compare", _cmd_compare, help="estimate several targets on shared walks")
     p.add_argument("--targets", required=True, help="JSON file: list of paths")

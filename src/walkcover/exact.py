@@ -7,8 +7,8 @@ and every cell of a position box, the number of walk prefixes that sit
 in that cell with that many visits still outstanding per target point:
 
 * a requirement state is a mixed-radix index over the outstanding visits
-  per target point (the origin starts one lower, since time 0 counts as
-  a visit);
+  per target point (``lattice.outstanding_visits``: time 0 counts as a
+  visit to the origin);
 * a step sums the 2d shifted copies of the array, and at each target
   cell moves mass from state r to r - e_i when r_i > 0;
 * mass that reaches the all-met state leaves the array for a scalar that
@@ -39,8 +39,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import comb
-from .lattice import (CoverTarget, Path, Point, TRACE, staircase_path,
-                      unit_vector)
+from .lattice import (CoverTarget, Path, Point, TRACE, outstanding_visits,
+                      staircase_path, unit_vector)
 from .reflect import (Hyperplane, apply_configuration, arc_decompose,
                       reflect_point)
 
@@ -88,21 +88,24 @@ def _box_radius(L: int, reach: int) -> int:
 
 def _check_budget(d: int, L: int, states: int, reach: int, budget: int) -> None:
     """Raise unless the DP's work, L x states x box cells, fits `budget`;
-    `reach` is the largest L1 norm among the target points."""
-    work = L * states * (2 * _box_radius(L, reach) + 1) ** d
-    if work > budget:
+    `reach` is the largest L1 norm among the target points.  L counts as
+    at least 1, since the DP allocates states x cells even at L = 0.
+    Bit lengths refuse astronomically large work before any big product
+    is formed: a positive n is at least 2^(n.bit_length() - 1)."""
+    steps, cells = max(L, 1), 2 * _box_radius(L, reach) + 1
+    floor_bits = (steps.bit_length() + states.bit_length() - 2
+                  + d * (cells.bit_length() - 1))
+    if floor_bits >= budget.bit_length() or steps * states * cells**d > budget:
         raise BudgetExceededError(
-            f"DP work L x states x cells = {work} exceeds budget {budget}")
+            f"DP work L x states x box cells exceeds the budget of {budget}")
 
 
-def _favorable_count(d: int, L: int, needed: dict[Point, int],
+def _favorable_count(d: int, L: int, owed: dict[Point, int],
                      budget: int = DEFAULT_BUDGET) -> int:
-    """Walks of length L from the origin meeting every visit requirement;
-    the time-0 position counts as a visit."""
-    origin = (0,) * d
-    outstanding = {p: k - (p == origin) for p, k in needed.items()}
-    points = sorted(p for p, k in outstanding.items() if k > 0)
-    radices = tuple(outstanding[p] + 1 for p in points)
+    """Walks of length L from the origin that make every visit still
+    ``owed`` after time 0 (see ``lattice.outstanding_visits``)."""
+    points = sorted(owed)
+    radices = tuple(owed[p] + 1 for p in points)
     reach = max((sum(map(abs, p)) for p in points), default=0)
     _check_budget(d, L, math.prod(radices), reach, budget)
     if reach > L:
@@ -147,8 +150,8 @@ def exact_cover_probability(target: CoverTarget, d: int, L: int,
         raise ValueError("L must be >= 0")
     if target.dim != d:
         raise ValueError(f"target dimension {target.dim} != {d}")
-    needed = {p: target.required(p) for p in target.trace}
-    return ExactResult(_favorable_count(d, L, needed, budget), (2 * d) ** L)
+    return ExactResult(_favorable_count(d, L, target.outstanding(), budget),
+                       (2 * d) ** L)
 
 
 def count_reflected_pair(A0: Iterable[Point], B0: Iterable[Point], h: Hyperplane,
@@ -166,8 +169,8 @@ def count_reflected_pair(A0: Iterable[Point], B0: Iterable[Point], h: Hyperplane
         if not h.on_origin_side(p):
             raise SideViolationError(f"{p} crosses the hyperplane")
     mirrored = frozenset(reflect_point(p, h) for p in B0)
-    return tuple(_favorable_count(d, L, {p: 1 for p in points}, budget)
-                 for points in (A0 | B0, A0 | mirrored))
+    return tuple(_favorable_count(d, L, outstanding_visits(dict.fromkeys(s, 1)), budget)
+                 for s in (A0 | B0, A0 | mirrored))
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +404,10 @@ def verify_staircase_max(N: int, d: int, L: int, cap: int,
     covering probability within L walk steps.  Covering probability
     depends on the path only through its trace, and is invariant under
     the walk symmetries, so each symmetry class is counted once."""
-    if L < N:
-        raise ValueError("need L >= N")
+    if d < 1 or not 1 <= N <= min(cap, L):
+        raise ValueError("need d >= 1 and 1 <= N <= min(cap, L)")
     # a trace holds at most cap points besides the origin, all of norm <= N
-    _check_budget(d, L, 2**cap, N, budget)
+    _check_budget(d, L, 1 << cap, N, budget)
     paths = list(enumerate_connecting_paths(N, d, cap))
     traces = list(dict.fromkeys(frozenset(pts) for pts in paths))
     cache: dict[tuple[int, ...], Fraction] = {}

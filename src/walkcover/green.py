@@ -315,8 +315,8 @@ def green_value(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4,
     raises unless they agree within the sum of their error bounds, and
     returns the fourier value.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     xt = tuple(int(c) for c in x)

@@ -7,8 +7,8 @@ the first entry point splits the expected visit counts:
 
 a linear system in the Green matrix of S whose solution is the
 first-entry distribution h_x^S; its mass is the probability of ever
-hitting S.  From a start in S, hitting times count from step 1, so the
-distribution is the average over the 2d uniform first steps.
+hitting S.  Entries count from step 1, so a start x in S has its time-0
+visit taken off the left side: G(s_i - x) - [s_i = x].
 
 Chaining entries by the strong Markov property gives the probability
 that the walk from the origin ever covers a finite target.  With r the
@@ -30,7 +30,7 @@ from functools import cache
 import numpy as np
 
 from .green import green_value, simple_walk
-from .lattice import REPETITIONS, CoverTarget, Point, unit_vector, validate_path
+from .lattice import REPETITIONS, CoverTarget, Point, validate_path
 
 
 class SingularSystemError(RuntimeError):
@@ -63,12 +63,11 @@ def first_entry_distribution(query: HittingQuery, tol: float = 1e-5) -> dict[Poi
     """P(the walk's first entry into the target set, counting from step
     1, happens at s) for each target point s.  They lie in [0, 1] and
     sum to the hitting probability of the set (at most 1)."""
-    if query.start in query.targets:
-        return _start_on_set(query, tol)
     sub = lambda a, b: tuple(u - v for u, v in zip(a, b))
     pts = query.targets
     M = np.array([[_green(query.d, sub(si, sj), tol) for sj in pts] for si in pts])
-    b = np.array([_green(query.d, sub(si, query.start), tol) for si in pts])
+    b = np.array([_green(query.d, sub(si, query.start), tol) - (si == query.start)
+                  for si in pts])
     try:
         h = np.linalg.solve(M, b)
     except np.linalg.LinAlgError as exc:
@@ -79,21 +78,6 @@ def first_entry_distribution(query: HittingQuery, tol: float = 1e-5) -> dict[Poi
             f"entry probabilities out of range: {h.tolist()} (sum {h.sum()})")
     h = np.clip(h, 0.0, 1.0)
     return {p: float(v) for p, v in zip(pts, h)}
-
-
-def _start_on_set(query: HittingQuery, tol: float) -> dict[Point, float]:
-    """One-step reduction: average the distribution over the 2d uniform
-    first steps; a step landing in the set is an immediate entry."""
-    d = query.d
-    out = dict.fromkeys(query.targets, 0.0)
-    for axis in range(d):
-        for sign in (1, -1):
-            u = tuple(c + e for c, e in zip(query.start, unit_vector(d, axis, sign)))
-            h = ({u: 1.0} if u in out
-                 else first_entry_distribution(HittingQuery(u, query.targets, d), tol))
-            for p, v in h.items():
-                out[p] += v / (2 * d)
-    return out
 
 
 def hit_probability(query: HittingQuery, tol: float = 1e-5) -> float:
@@ -109,8 +93,8 @@ def infinite_cover_probability(target: CoverTarget, tol: float = 1e-5) -> float:
     d = target.dim
     if d < 3:
         raise ValueError("first-entry calculus requires a transient walk (d >= 3)")
-    points = tuple(sorted(target.trace))
-    origin = (0,) * d
+    owed = target.outstanding()
+    points = tuple(sorted(owed))
 
     @cache
     def cover(pos: Point, rem: tuple[int, ...]) -> float:
@@ -121,7 +105,7 @@ def infinite_cover_probability(target: CoverTarget, tol: float = 1e-5) -> float:
         return sum(h[s] * cover(s, tuple(k - (p == s) for p, k in zip(points, rem)))
                    for s in pending)
 
-    return cover(origin, tuple(target.required(p) - (p == origin) for p in points))
+    return cover((0,) * d, tuple(owed[p] for p in points))
 
 
 #: The counterexample's path (o, y, w, z) in Z^3 and its reflected twin (o, y, w, y).

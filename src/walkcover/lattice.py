@@ -237,14 +237,33 @@ class CoverTarget:
             return self.profile[point]  # type: ignore[index]
         return 1
 
+    def outstanding(self) -> dict[Point, int]:
+        """Visits still owed once time 0 is credited; see
+        :func:`outstanding_visits`."""
+        return outstanding_visits({p: self.required(p) for p in self.trace})
+
+
+def outstanding_visits(required: Mapping[Point, int]) -> dict[Point, int]:
+    """Visits each point still needs after the walk's time-0 position,
+    the origin, has been credited; points that need none are dropped."""
+    # the origin is the one point with no nonzero coordinate
+    owed = {p: k - (not any(p)) for p, k in required.items()}
+    return {p: k for p, k in owed.items() if k > 0}
+
 
 def path_to_json(path: Path) -> str:
     return json.dumps([list(p) for p in path.points])
 
 
+def parse_points(data) -> list[Point]:
+    """Points from parsed JSON, which must be an array of arrays of
+    integers."""
+    if not isinstance(data, list) or not all(
+            isinstance(p, list) and all(type(c) is int for c in p) for p in data):
+        raise ValueError("expected a JSON array of arrays of integers")
+    return [tuple(p) for p in data]
+
+
 def path_from_json(text: str) -> Path:
     """Parse the path file format: a JSON array of arrays of integers."""
-    data = json.loads(text)
-    if not isinstance(data, list) or not all(isinstance(p, list) for p in data):
-        raise ValueError("path file must be a JSON array of arrays of integers")
-    return validate_path(data)
+    return validate_path(parse_points(json.loads(text)))

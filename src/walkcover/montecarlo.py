@@ -1,21 +1,23 @@
 """Monte Carlo estimation of covering probabilities.
 
 Walks are simulated in vectorized tiles of ``batch_walks`` walks, small
-enough for every temporary to stay in cache; each walk's step sequence
-comes from its own counter-based stream (see :mod:`walkcover.rng`), so a
-run is reproducible bit-for-bit from ``(config, seed)`` alone, regardless
-of batch size or worker count.  Positions are packed into single int64
+enough for every temporary to stay in cache.  The tiles form one task
+stream, run in walk order on the calling thread or mapped over a pool of
+``threads`` workers.  Each walk's step sequence comes from its own
+counter-based stream (see :mod:`walkcover.rng`), so a run is
+reproducible bit-for-bit from ``(config, seed)`` alone, regardless of
+batch size or worker count.  Positions are packed into single int64
 keys (coordinate-wise base-2^b encoding) so trajectory bookkeeping and
 target matching are scalar array operations.
 
 Success accounting is per walk: every walk counts its visits to each
-target point (the time-0 position counts), and it covers a target once
-every point of that target has had its required number of visits.
-Success is absorbing, so a walk that has covered every target retires
-early without changing any count; walks that still owe visits run to the
-step budget.  Each tile is reduced to joint success counts (per-target
-counts on the diagonal).  Estimates carry the binomial standard error and
-a Wilson 95% interval.
+target point, and it covers a target once no point of that target is
+owed a visit (``CoverTarget.outstanding``: time 0 counts as a visit to
+the origin).  Success is absorbing, so a walk that has covered every
+target retires without changing any count; walks that still owe visits
+run to the step budget.  The tiles' success rows reduce to joint success
+counts (per-target counts on the diagonal), or are kept per walk.
+Estimates carry the binomial standard error and a Wilson 95% interval.
 
 Truncating at L estimates a lower bound on the L = infinity covering
 probability; the infinite-horizon quantities themselves are computed
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -48,7 +50,6 @@ class SimConfig:
     n_walks: int
     seed: int
     mode: str = TRACE
-    early_stop: bool = True
     threads: int = 1
     batch_walks: int = DEFAULT_BATCH
     chunk_steps: int = DEFAULT_CHUNK
@@ -151,14 +152,9 @@ def _build_requirements(cfg: SimConfig, targets: Sequence[CoverTarget]
         if t.dim != cfg.d:
             raise ValueError(f"target dimension {t.dim} != configured d={cfg.d}")
     union: list[Point] = sorted({p for t in targets for p in t.trace})
-    pts = _PackedTargets(cfg.d, cfg.L, union)
-    origin = tuple([0] * cfg.d)
-    needed = np.zeros((len(targets), len(union)), dtype=np.int64)
-    for ti, t in enumerate(targets):
-        for pi, p in enumerate(union):
-            if p in t.trace:
-                needed[ti, pi] = t.required(p) - (p == origin)
-    return pts, np.maximum(needed, 0)
+    owed = [t.outstanding() for t in targets]
+    needed = np.array([[o.get(p, 0) for p in union] for o in owed], dtype=np.int64)
+    return _PackedTargets(cfg.d, cfg.L, union), needed
 
 
 def _tile(cfg: SimConfig, pts: _PackedTargets, needed: np.ndarray,
@@ -174,9 +170,8 @@ def _tile(cfg: SimConfig, pts: _PackedTargets, needed: np.ndarray,
     while True:
         covered = (visits[:, None, :] >= needed).all(axis=2)
         ok[live] = covered
-        if cfg.early_stop:
-            walking = ~covered.all(axis=1)
-            live, pos, visits = live[walking], pos[walking], visits[walking]
+        walking = ~covered.all(axis=1)
+        live, pos, visits = live[walking], pos[walking], visits[walking]
         if step0 >= cfg.L or not len(live):
             return ok
         C = min(cfg.chunk_steps, cfg.L - step0)
@@ -187,42 +182,27 @@ def _tile(cfg: SimConfig, pts: _PackedTargets, needed: np.ndarray,
         step0 += C
 
 
-def _run_span(cfg: SimConfig, pts: _PackedTargets, needed: np.ndarray,
-              w_lo: int, w_hi: int, out: np.ndarray | None) -> np.ndarray:
-    """Joint success counts of walks [w_lo, w_hi), tile by tile:
-    ``joint[i, j]`` counts walks covering both target i and target j.
-    Each walk's success row also goes to ``out`` when it is given."""
-    joint = np.zeros((needed.shape[0],) * 2, dtype=np.int64)
-    for lo in range(w_lo, w_hi, cfg.batch_walks):
-        hi = min(lo + cfg.batch_walks, w_hi)
-        ok = _tile(cfg, pts, needed, lo, hi)
+def _tiles(cfg: SimConfig, targets: Sequence[CoverTarget]) -> Iterator[np.ndarray]:
+    """Each tile's (walks, n_targets) success rows, in walk order."""
+    pts, needed = _build_requirements(cfg, targets)
+    tile = lambda lo: _tile(cfg, pts, needed, lo, min(lo + cfg.batch_walks, cfg.n_walks))
+    starts = range(0, cfg.n_walks, cfg.batch_walks)
+    if cfg.threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            yield from pool.map(tile, starts)
+    else:
+        yield from map(tile, starts)
+
+
+def _simulate(cfg: SimConfig, targets: Sequence[CoverTarget]) -> np.ndarray:
+    """Joint success counts over all walks (one pass, shared randomness
+    across targets): ``joint[i, j]`` counts walks covering both target i
+    and target j."""
+    joint = np.zeros((len(targets),) * 2, dtype=np.int64)
+    for ok in _tiles(cfg, targets):
         counts = ok.astype(np.int64)
         joint += counts.T @ counts
-        if out is not None:
-            out[lo:hi] = ok
     return joint
-
-
-def _walk_spans(cfg: SimConfig, threads: int) -> list[tuple[int, int]]:
-    """Walk-index ranges per worker, aligned to whole batches (counts are
-    per-walk, so any split yields identical totals)."""
-    width = max(cfg.batch_walks, -(-cfg.n_walks // threads))
-    width = -(-width // cfg.batch_walks) * cfg.batch_walks
-    return [(lo, min(lo + width, cfg.n_walks))
-            for lo in range(0, cfg.n_walks, width)]
-
-
-def _simulate(cfg: SimConfig, targets: Sequence[CoverTarget],
-              out: np.ndarray | None = None) -> np.ndarray:
-    """Joint success counts over all walks (one pass, shared randomness
-    across targets); per-walk success rows go to ``out`` when given."""
-    pts, needed = _build_requirements(cfg, targets)
-    threads = max(1, cfg.threads)
-    if threads == 1:
-        return _run_span(cfg, pts, needed, 0, cfg.n_walks, out)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(lambda s: _run_span(cfg, pts, needed, *s, out),
-                            _walk_spans(cfg, threads)))
 
 
 def mc_cover_probability(target: CoverTarget, cfg: SimConfig) -> Estimate:
@@ -273,6 +253,4 @@ def mc_compare(targets: Sequence[CoverTarget], cfg: SimConfig,
 
 def _per_walk_success(cfg: SimConfig, targets: Sequence[CoverTarget]) -> np.ndarray:
     """(n_walks, n_targets) success indicators, for per-walk comparisons."""
-    out = np.zeros((cfg.n_walks, len(targets)), dtype=bool)
-    _simulate(cfg, targets, out)
-    return out
+    return np.concatenate(list(_tiles(cfg, targets)))

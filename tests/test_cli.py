@@ -237,6 +237,50 @@ class TestExitCodes:
         assert code == 2 and err.count("\n") == 1 and "guard" in err
         assert elapsed < 1
 
+    @pytest.mark.parametrize("option", [["--cap", "20000"], ["--d", "3000000"],
+                                        ["--cap", "100000000"]])
+    def test_thm41_astronomical_work(self, capsys, option):
+        t0 = time.monotonic()
+        code = run(["verify-thm41"] + option)
+        elapsed = time.monotonic() - t0
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and "budget" in err
+        assert elapsed < 0.1
+
+    @pytest.mark.parametrize("option", [["--N", "2", "--cap", "1"], ["--d", "0"],
+                                        ["--N", "-1"]])
+    def test_thm41_no_connecting_path(self, capsys, option):
+        code = run(["verify-thm41"] + option)
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and "input error" in err
+
+    @pytest.mark.parametrize("points", ["[1,2]", "[[1,0,0],[0,1,null]]", "[[1,0,0.5]]"])
+    def test_hit_set_not_integer_arrays(self, capsys, points):
+        code = run(["hit", "--d", "3", "--start", "0,0,0", "--set", points])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and "integers" in err
+
+    @pytest.mark.parametrize("paths", ["[5]", "{}", "[[[0,0],[1,null]]]"])
+    def test_compare_targets_not_paths(self, capsys, tmp_path, paths):
+        f = tmp_path / "targets.json"
+        f.write_text(paths)
+        code = run(["compare", "--targets", str(f), "--d", "2", "--L", "4",
+                    "--walks", "10", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and "input error" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+    @pytest.mark.parametrize("command", [
+        ["green", "--d", "3", "--x", "1,0,0"],
+        ["green", "--d", "3", "--x", "1,0,0", "--method", "stepsum"],
+        ["hit", "--d", "3", "--start", "0,0,0", "--set", "[[1,0,0],[0,1,0]]"],
+        ["sweep", "--dmax", "4"],
+        ["counterexample", "--skip-mc"]])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, command, tol):
+        code = run(command + [f"--tol={tol}"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and "tol" in err
+
     def test_green_method_auto_retired(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["green", "--d", "3", "--x", "0,0,0", "--method", "auto"])

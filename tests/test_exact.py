@@ -115,6 +115,20 @@ class TestExactCoverProbability:
         with pytest.raises(BudgetExceededError):
             verify_staircase_max(3, 3, 8, 5, budget=10**5)
 
+    def test_budget_guard_on_astronomical_work(self):
+        """Work far past 4,300 decimal digits is refused as budget
+        excess, without forming the product."""
+        t0 = time.monotonic()
+        with pytest.raises(BudgetExceededError, match="budget"):
+            ex._check_budget(3, 10, 2**20000, 3, ex.DEFAULT_BUDGET)
+        with pytest.raises(BudgetExceededError, match="budget"):
+            ex._check_budget(3_000_000, 6, 1, 2, ex.DEFAULT_BUDGET)
+        assert time.monotonic() - t0 < 0.1
+        work = 10 * 2**4 * (2 * ex._box_radius(10, 3) + 1) ** 3
+        ex._check_budget(3, 10, 2**4, 3, work)
+        with pytest.raises(BudgetExceededError):
+            ex._check_budget(3, 10, 2**4, 3, work - 1)
+
     @pytest.mark.parametrize("mode", ["trace", "repetitions"])
     def test_dp_matches_brute_force_d3(self, mode):
         rng = np.random.default_rng(400)

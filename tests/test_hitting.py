@@ -8,7 +8,7 @@ from walkcover.hitting import (COUNTEREXAMPLE_PATHS, HittingQuery,
                                first_entry_distribution, hit_probability,
                                infinite_cover_probability,
                                truncation_bias_estimate)
-from walkcover.lattice import REPETITIONS, CoverTarget
+from walkcover.lattice import REPETITIONS, CoverTarget, unit_vector
 from walkcover.montecarlo import SimConfig, mc_cover_probability
 from walkcover.rng import walk_directions
 
@@ -34,6 +34,22 @@ PUBLISHED = {
     "o_of_oy": 0.2538,
     "y_of_oy": 0.2538,
 }
+
+
+def _one_step_reduction(query, tol):
+    """Test-side reference for a start on the set: average the
+    first-entry distribution over the 2d uniform first steps, a step that
+    lands in the set being an immediate entry."""
+    d = query.d
+    out = dict.fromkeys(query.targets, 0.0)
+    for axis in range(d):
+        for sign in (1, -1):
+            u = tuple(c + e for c, e in zip(query.start, unit_vector(d, axis, sign)))
+            h = ({u: 1.0} if u in out
+                 else first_entry_distribution(HittingQuery(u, query.targets, d), tol))
+            for p, v in h.items():
+                out[p] += v / (2 * d)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +101,18 @@ class TestFirstEntryStructure:
     def test_symmetric_pair_splits_evenly(self):
         dist = first_entry_distribution(HittingQuery(O, (Y, Z), 3), tol=1e-5)
         assert abs(dist[Y] - dist[Z]) < 1e-9
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("case", ["o", "oy", "oyw at o", "oyw at y"])
+    def test_start_on_set_matches_one_step_reduction(self, d, case):
+        o, y = (0,) * d, unit_vector(d, 0)
+        w = tuple(a + b for a, b in zip(y, unit_vector(d, 1)))
+        pts, start = {"o": ((o,), o), "oy": ((o, y), o),
+                      "oyw at o": ((o, y, w), o), "oyw at y": ((o, y, w), y)}[case]
+        query = HittingQuery(start, pts, d)
+        got = first_entry_distribution(query, tol=1e-5)
+        expect = _one_step_reduction(query, tol=1e-5)
+        assert all(abs(got[p] - expect[p]) < 1e-12 for p in pts), (got, expect)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -9,9 +9,10 @@ from conftest import random_walk_path
 from walkcover.lattice import (CoverTarget, DimensionMismatchError,
                                NotNearestNeighborError, Path,
                                connects_origin_to_sphere, l1_norm,
-                               path_from_json, path_to_json,
-                               repetition_profile, staircase_path,
-                               straight_path, total_difference, validate_path)
+                               outstanding_visits, path_from_json, path_to_json,
+                               parse_points, repetition_profile,
+                               staircase_path, straight_path, total_difference,
+                               validate_path)
 
 
 class TestValidatePath:
@@ -154,6 +155,18 @@ class TestCoverTarget:
         with pytest.raises(ValueError):
             CoverTarget("bogus", frozenset({(0, 0)}))
 
+    def test_outstanding_credits_the_origin_once(self):
+        o, y = (0, 0, 0), (1, 0, 0)
+        assert outstanding_visits({o: 2, y: 1}) == {o: 1, y: 1}
+        assert outstanding_visits({o: 1, y: 2}) == {y: 2}
+        assert outstanding_visits({(0,): 3}) == {(0,): 2}
+        assert CoverTarget.from_points([o, y]).outstanding() == {y: 1}
+        rep = CoverTarget.of_path(validate_path([o, y, o]), "repetitions")
+        assert rep.outstanding() == {o: 1, y: 1}
+
+    def test_outstanding_of_empty_mapping(self):
+        assert outstanding_visits({}) == {}
+
 
 class TestJson:
     def test_round_trip(self):
@@ -165,6 +178,14 @@ class TestJson:
             path_from_json(json.dumps([[0, 0], [2, 0]]))
         with pytest.raises(ValueError):
             path_from_json(json.dumps({"not": "a path"}))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", "[[0, null]]", "[[0, 1.0]]",
+                                      "[[true, 0]]", '[["1", 0]]', "[[[0], 0]]"])
+    def test_points_must_be_integer_arrays(self, text):
+        with pytest.raises(ValueError):
+            parse_points(json.loads(text))
+        with pytest.raises(ValueError):
+            path_from_json(text)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,12 +2,30 @@ import numpy as np
 import pytest
 
 from walkcover.exact import exact_cover_probability
-from walkcover.lattice import CoverTarget, validate_path
+from walkcover.lattice import REPETITIONS, CoverTarget, unit_vector, validate_path
 from walkcover.montecarlo import (DEFAULT_BATCH, DEFAULT_CHUNK, Estimate, SimConfig,
                                   _PackedTargets, _per_walk_success, mc_compare,
                                   mc_cover_probability)
+from walkcover.rng import walk_directions
 
 NEIGHBOR = CoverTarget.from_points([(1, 0)])
+
+
+def _replay_success(cfg, targets):
+    """Test-side reference: replay every walk's steps to L with no
+    retiring, count its visits to each target point from time 0, and
+    test every requirement.  (n_walks, n_targets) booleans."""
+    ids = np.arange(cfg.n_walks, dtype=np.uint64)
+    dirs = walk_directions(cfg.seed, ids, 0, cfg.L, 2 * cfg.d)
+    steps = np.zeros((cfg.n_walks, cfg.L + 1, cfg.d), dtype=np.int64)
+    for axis in range(cfg.d):
+        steps[:, 1:, axis] = np.where(dirs >> 1 == axis, 1 - 2 * (dirs & 1), 0)
+    traj = np.cumsum(steps, axis=1)
+    rows = []
+    for t in targets:
+        visits = {p: (traj == p).all(axis=2).sum(axis=1) for p in t.trace}
+        rows.append(np.all([visits[p] >= t.required(p) for p in t.trace], axis=0))
+    return np.stack(rows, axis=1)
 
 
 class TestEstimate:
@@ -52,16 +70,25 @@ class TestDeterminism:
         assert all(p == pairs[0] for p in pairs)
         assert pairs[0][1][0] == runs[0]
 
-    def test_early_stop_does_not_change_counts(self):
-        tgt = CoverTarget.from_points([(1, 0)])
-        a = mc_cover_probability(tgt, SimConfig(2, 50, 20000, 5, early_stop=True))
-        b = mc_cover_probability(tgt, SimConfig(2, 50, 20000, 5, early_stop=False))
-        assert a.successes == b.successes
-        # the compare path retires finished walks too
-        pair = [tgt, CoverTarget.from_points([(0, 1), (1, 1)])]
-        a = mc_compare(pair, SimConfig(2, 50, 20000, 5, early_stop=True))
-        b = mc_compare(pair, SimConfig(2, 50, 20000, 5, early_stop=False))
-        assert a.joint.tolist() == b.joint.tolist()
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_per_walk_rows_match_replay(self, d, threads):
+        """Retiring covered walks, odd tile and step-window sizes and the
+        worker pool leave every walk's success row as a plain replay of
+        its steps gives it."""
+        o, e1, e2 = (0,) * d, unit_vector(d, 0), unit_vector(d, 1)
+        e12 = tuple(a + b for a, b in zip(e1, e2))
+        targets = [CoverTarget.from_points([o, e1, e12]),
+                   CoverTarget(REPETITIONS, frozenset([e1, unit_vector(d, 1, -1)]),
+                               {e1: 2, unit_vector(d, 1, -1): 1}),
+                   CoverTarget(REPETITIONS, frozenset([o, e12]), {o: 2, e12: 1})]
+        cfg = SimConfig(d=d, L=60, n_walks=1001, seed=4242, threads=threads,
+                        batch_walks=97, chunk_steps=13)
+        expect = _replay_success(cfg, targets)
+        assert (0 < expect.sum(axis=0)).all() and (expect.sum(axis=0) < cfg.n_walks).all()
+        assert (_per_walk_success(cfg, targets) == expect).all()
+        counts = expect.astype(np.int64)
+        assert mc_compare(targets, cfg).joint.tolist() == (counts.T @ counts).tolist()
 
     def test_trajectories_exact_when_tile_sum_wraps(self):
         """The tile-wide cumulative sum exceeds int64 here (2/3 of 512 *
