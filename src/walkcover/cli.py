@@ -104,7 +104,7 @@ def _cmd_exact(args, seed):
 
 def _cmd_mc(args, seed):
     cfg = montecarlo.SimConfig(d=args.d, L=args.L, n_walks=args.walks, seed=seed,
-                               mode=args.mode, threads=args.threads)
+                               threads=args.threads)
     est = montecarlo.mc_cover_probability(_target_from_args(args), cfg)
     notes = ["L-step truncation estimates a lower bound on the infinite-horizon "
              "covering probability"]
@@ -119,7 +119,7 @@ def _cmd_compare(args, seed):
     paths = [lattice.validate_path(lattice.parse_points(p)) for p in data]
     targets = [lattice.CoverTarget.of_path(p, args.mode) for p in paths]
     cfg = montecarlo.SimConfig(d=args.d, L=args.L, n_walks=args.walks, seed=seed,
-                               mode=args.mode, threads=args.threads)
+                               threads=args.threads)
     cmp_res = montecarlo.mc_compare(targets, cfg, common_rng=args.common_rng)
     rows = []
     for k, (p, est) in enumerate(zip(paths, cmp_res.estimates)):
@@ -169,7 +169,7 @@ def _cmd_counterexample(args, seed):
     code = 0 if ce.p_original > ce.p_reflected else 1
     if not args.skip_mc:
         cfg = montecarlo.SimConfig(d=3, L=args.L, n_walks=args.walks, seed=seed,
-                                   mode=lattice.REPETITIONS, threads=args.threads)
+                                   threads=args.threads)
         cmp_res = montecarlo.mc_compare(
             [lattice.CoverTarget.of_path(p, lattice.REPETITIONS)
              for p in hitting.COUNTEREXAMPLE_PATHS], cfg)

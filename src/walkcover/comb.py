@@ -140,15 +140,18 @@ def _signed_unions(masks: Sequence[int]) -> list[tuple[int, int]]:
     return out
 
 
+def _covering(unions: Sequence[tuple[int, int]], a_mask: int, full: int) -> int:
+    """Sign choices, given by their (positive, negative) unions, whose
+    positive arcs cover A and negative arcs cover its complement."""
+    comp = full ^ a_mask
+    return sum(1 for pos, neg in unions if (a_mask & ~pos) == 0 and (comp & ~neg) == 0)
+
+
 def cover_count(V: ArcCollection, A: Iterable[int]) -> int:
     """Number of configurations covering the reflection of A, by
     exhaustive enumeration over all 2^m sign choices."""
     check_work(V.n, V.m)
-    a_mask = _mask_of(A, V.n)
-    full = (1 << V.n) - 1
-    comp = full ^ a_mask
-    return sum(1 for pos, neg in _signed_unions(V.masks())
-               if (a_mask & ~pos) == 0 and (comp & ~neg) == 0)
+    return _covering(_signed_unions(V.masks()), _mask_of(A, V.n), (1 << V.n) - 1)
 
 
 def cover_count_split(V: ArcCollection, A: Iterable[int]) -> int:
@@ -192,12 +195,9 @@ def check_cover_inequality(V: ArcCollection) -> tuple[bool, frozenset[int] | Non
     check_work(n, V.m)
     unions = _signed_unions(V.masks())
     full = (1 << n) - 1
-    top = sum(1 for pos, _ in unions if (full & ~pos) == 0)
+    top = _covering(unions, full, full)
     for a_mask in range(1 << n):
-        comp = full ^ a_mask
-        c = sum(1 for pos, neg in unions
-                if (a_mask & ~pos) == 0 and (comp & ~neg) == 0)
-        if c > top:
+        if _covering(unions, a_mask, full) > top:
             witness = frozenset(e + 1 for e in range(n) if a_mask >> e & 1)
             return False, witness
     return True, None

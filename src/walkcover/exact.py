@@ -39,8 +39,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import comb
-from .lattice import (CoverTarget, Path, Point, TRACE, outstanding_visits,
-                      staircase_path, unit_vector)
+from .lattice import (CoverTarget, Path, Point, outstanding_visits, staircase_path,
+                      unit_vector)
 from .reflect import (Hyperplane, apply_configuration, arc_decompose,
                       reflect_point)
 
@@ -144,8 +144,7 @@ def _favorable_count(d: int, L: int, owed: dict[Point, int],
 def exact_cover_probability(target: CoverTarget, d: int, L: int,
                             budget: int = DEFAULT_BUDGET) -> ExactResult:
     """Exact probability that the first L steps of the d-dimensional
-    simple walk cover the target (trace containment, or visit
-    multiplicities in repetitions mode)."""
+    simple walk meet every visit requirement of the target."""
     if L < 0:
         raise ValueError("L must be >= 0")
     if target.dim != d:
@@ -415,7 +414,7 @@ def verify_staircase_max(N: int, d: int, L: int, cap: int,
     for trace, key in zip(traces, _canonical_keys(traces, d)):
         if key not in cache:
             cache[key] = exact_cover_probability(
-                CoverTarget(TRACE, trace), d, L, budget).probability
+                CoverTarget.from_points(trace), d, L, budget).probability
         prob_of[trace] = cache[key]
     stair_points = staircase_path(N, d).points
     rows = [RankedPath(pts, prob_of[frozenset(pts)], pts == stair_points)

@@ -19,7 +19,7 @@ that the reflection machinery decreases) and the repetition profile
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -190,57 +190,53 @@ _MODES = (TRACE, REPETITIONS)
 
 @dataclass(frozen=True)
 class CoverTarget:
-    """A coverage specification: a point set, optionally with required
-    visit multiplicities.
+    """A coverage requirement: the number of visits each point needs.
 
-    In ``repetitions`` mode a walk covers the target once its n-th visit
-    to every point has occurred, n being that point's multiplicity; the
-    walk's position at time 0 counts as a visit.
+    A walk covers the target once its n-th visit to every point has
+    occurred, n being ``visits[point]``; the walk's position at time 0
+    counts as a visit.  Covering a path's trace asks one visit per
+    point, covering it with repetitions asks each point's multiplicity
+    on the path (see :meth:`of_path`).
     """
 
-    mode: str
-    trace: frozenset[Point]
-    profile: Mapping[Point, int] | None = None
-    dim: int = field(default=0)
+    visits: Mapping[Point, int]
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
-        if not self.trace:
+        if not self.visits:
             raise ValueError("target must be nonempty")
-        dims = {len(p) for p in self.trace}
-        if len(dims) != 1:
+        if len({len(p) for p in self.visits}) != 1:
             raise DimensionMismatchError("target points have mixed dimensions")
-        object.__setattr__(self, "dim", dims.pop())
-        if self.mode == REPETITIONS:
-            if self.profile is None:
-                raise ValueError("repetitions mode requires a profile")
-            if set(self.profile) != set(self.trace):
-                raise ValueError("profile keys must equal the trace")
-            if any(v < 1 for v in self.profile.values()):
-                raise ValueError("multiplicities must be positive")
-        elif self.profile is not None:
-            raise ValueError("trace mode carries no profile")
+        if any(k < 1 for k in self.visits.values()):
+            raise ValueError("visit counts must be positive")
+
+    @property
+    def trace(self) -> frozenset[Point]:
+        return frozenset(self.visits)
+
+    @property
+    def dim(self) -> int:
+        return len(next(iter(self.visits)))
 
     @classmethod
     def from_points(cls, points: Iterable[Sequence[int]]) -> "CoverTarget":
-        return cls(TRACE, frozenset(tuple(int(c) for c in p) for p in points))
+        return cls(dict.fromkeys((tuple(int(c) for c in p) for p in points), 1))
 
     @classmethod
     def of_path(cls, path: Path, mode: str = TRACE) -> "CoverTarget":
-        if mode == TRACE:
-            return cls(TRACE, path.trace)
-        return cls(REPETITIONS, path.trace, repetition_profile(path))
+        """Cover the trace of ``path`` (``TRACE``) or every point as often
+        as the path visits it (``REPETITIONS``)."""
+        if mode not in _MODES:
+            raise ValueError(f"mode must be one of {_MODES}")
+        return cls(repetition_profile(path) if mode == REPETITIONS
+                   else dict.fromkeys(path.trace, 1))
 
     def required(self, point: Point) -> int:
-        if self.mode == REPETITIONS:
-            return self.profile[point]  # type: ignore[index]
-        return 1
+        return self.visits[point]
 
     def outstanding(self) -> dict[Point, int]:
         """Visits still owed once time 0 is credited; see
         :func:`outstanding_visits`."""
-        return outstanding_visits({p: self.required(p) for p in self.trace})
+        return outstanding_visits(self.visits)
 
 
 def outstanding_visits(required: Mapping[Point, int]) -> dict[Point, int]:

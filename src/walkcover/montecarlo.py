@@ -1,7 +1,8 @@
 """Monte Carlo estimation of covering probabilities.
 
-Walks are simulated in vectorized tiles of ``batch_walks`` walks, small
-enough for every temporary to stay in cache.  The tiles form one task
+Walks are simulated in vectorized tiles of ``DEFAULT_BATCH`` walks,
+small enough for every temporary to stay in cache, each drawn
+``DEFAULT_CHUNK`` steps at a time.  The tiles form one task
 stream, run in walk order on the calling thread or mapped over a pool of
 ``threads`` workers.  Each walk's step sequence comes from its own
 counter-based stream (see :mod:`walkcover.rng`), so a run is
@@ -33,7 +34,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .lattice import CoverTarget, Point, REPETITIONS, TRACE
+from .lattice import CoverTarget, Point
 from .rng import walk_directions
 
 DEFAULT_BATCH = 512
@@ -49,16 +50,11 @@ class SimConfig:
     L: int
     n_walks: int
     seed: int
-    mode: str = TRACE
     threads: int = 1
-    batch_walks: int = DEFAULT_BATCH
-    chunk_steps: int = DEFAULT_CHUNK
 
     def __post_init__(self):
         if self.d < 1 or self.n_walks < 1 or self.L < 0:
             raise ValueError("need d >= 1, n_walks >= 1, L >= 0")
-        if self.mode not in (TRACE, REPETITIONS):
-            raise ValueError("mode must be trace or repetitions")
 
 
 @dataclass(frozen=True)
@@ -160,7 +156,7 @@ def _build_requirements(cfg: SimConfig, targets: Sequence[CoverTarget]
 def _tile(cfg: SimConfig, pts: _PackedTargets, needed: np.ndarray,
           lo: int, hi: int) -> np.ndarray:
     """(hi - lo, n_targets) success indicators of walks [lo, hi), drawn
-    ``chunk_steps`` steps at a time."""
+    ``DEFAULT_CHUNK`` steps at a time."""
     ids = np.arange(lo, hi, dtype=np.uint64)
     ok = np.zeros((hi - lo, needed.shape[0]), dtype=bool)
     live = np.arange(hi - lo)  # rows of ``ok`` still walking
@@ -174,7 +170,7 @@ def _tile(cfg: SimConfig, pts: _PackedTargets, needed: np.ndarray,
         live, pos, visits = live[walking], pos[walking], visits[walking]
         if step0 >= cfg.L or not len(live):
             return ok
-        C = min(cfg.chunk_steps, cfg.L - step0)
+        C = min(DEFAULT_CHUNK, cfg.L - step0)
         dirs = walk_directions(cfg.seed, ids[live], step0, C, 2 * cfg.d)
         traj = pts.trajectories(pos, dirs)
         np.add.at(visits, pts.hits(traj), 1)
@@ -185,8 +181,8 @@ def _tile(cfg: SimConfig, pts: _PackedTargets, needed: np.ndarray,
 def _tiles(cfg: SimConfig, targets: Sequence[CoverTarget]) -> Iterator[np.ndarray]:
     """Each tile's (walks, n_targets) success rows, in walk order."""
     pts, needed = _build_requirements(cfg, targets)
-    tile = lambda lo: _tile(cfg, pts, needed, lo, min(lo + cfg.batch_walks, cfg.n_walks))
-    starts = range(0, cfg.n_walks, cfg.batch_walks)
+    tile = lambda lo: _tile(cfg, pts, needed, lo, min(lo + DEFAULT_BATCH, cfg.n_walks))
+    starts = range(0, cfg.n_walks, DEFAULT_BATCH)
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             yield from pool.map(tile, starts)

@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .lattice import Path, Point, l1_norm, staircase_path, total_difference
+from .lattice import (Path, Point, connects_origin_to_sphere, l1_norm, staircase_path,
+                      total_difference)
 
 SignVector = tuple[int, ...]
 
@@ -168,11 +169,10 @@ def normalize_to_positive_orthant(path: Path) -> Path:
 
 
 def _check_connecting(path: Path) -> int:
-    if any(c != 0 for c in path.points[0]):
-        raise NotConnectingError("path must start at the origin")
     N = l1_norm(path.points[-1])
-    if N < 1 or any(l1_norm(p) == N for p in path.points[:-1]):
-        raise NotConnectingError("path must first attain its endpoint norm at the endpoint")
+    if N < 1 or not connects_origin_to_sphere(path, N):
+        raise NotConnectingError(
+            "path must start at the origin and first attain its endpoint norm at the endpoint")
     return N
 
 
@@ -204,23 +204,16 @@ def reduce_path(path: Path) -> list[tuple[Hyperplane, Path]]:
 
     # stage 1: pull everything inside the unit-width diagonal region
     while True:
-        fired = False
-        for i in range(d):
-            for j in range(d):
-                if i == j:
-                    continue
-                if any(p[i] - p[j] >= 2 for p in current.trace):
-                    before = total_difference(current)
-                    fire(Hyperplane(i, j, 1))
-                    if total_difference(current) >= before:  # else stage 1 never ends
-                        raise ReductionInvariantError(
-                            f"firing x[{i}] = x[{j}] + 1 did not lower the total difference")
-                    fired = True
-                    break
-            if fired:
-                break
-        if not fired:
+        # the first plane (i, j, 1) in row-major order with a point beyond it
+        h = next((Hyperplane(i, j, 1) for i in range(d) for j in range(d)
+                  if i != j and any(p[i] - p[j] >= 2 for p in current.trace)), None)
+        if h is None:
             break
+        before = total_difference(current)
+        fire(h)
+        if total_difference(current) >= before:  # else stage 1 never ends
+            raise ReductionInvariantError(
+                f"firing x[{h.i}] = x[{h.j}] + 1 did not lower the total difference")
 
     # stage 2: orient within the region, largest coordinate first
     for pivot in range(d - 1):

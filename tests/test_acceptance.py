@@ -83,8 +83,7 @@ def test_criterion_03_hitting_values():
 @pytest.fixture(scope="module")
 def counterexample_mc_8threads():
     t0 = time.monotonic()
-    cfg = SimConfig(d=3, L=10_000, n_walks=100_000, seed=COUNTEREXAMPLE_SEED,
-                    mode="repetitions", threads=8)
+    cfg = SimConfig(d=3, L=10_000, n_walks=100_000, seed=COUNTEREXAMPLE_SEED, threads=8)
     targets = [CoverTarget.of_path(validate_path([O, Y, W, Z]), "repetitions"),
                CoverTarget.of_path(validate_path([O, Y, W, Y]), "repetitions")]
     return mc_compare(targets, cfg), time.monotonic() - t0
@@ -213,8 +212,7 @@ def test_criterion_10_monotone_path_experiment(monotone_paths_d3):
 def test_criterion_11_thread_determinism(counterexample_mc_8threads,
                                          monotone_paths_d3):
     # criterion 4 rerun with 1 thread must match the 8-thread successes
-    cfg1 = SimConfig(d=3, L=10_000, n_walks=100_000, seed=COUNTEREXAMPLE_SEED,
-                     mode="repetitions", threads=1)
+    cfg1 = SimConfig(d=3, L=10_000, n_walks=100_000, seed=COUNTEREXAMPLE_SEED, threads=1)
     targets = [CoverTarget.of_path(validate_path([O, Y, W, Z]), "repetitions"),
                CoverTarget.of_path(validate_path([O, Y, W, Y]), "repetitions")]
     res1 = mc_compare(targets, cfg1)

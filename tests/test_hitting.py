@@ -130,7 +130,7 @@ class TestInfiniteCover:
         assert abs(p - g(Y) / g(O)) < 1e-12
 
     def test_origin_twice_is_return_probability(self):
-        target = CoverTarget(REPETITIONS, frozenset([O]), {O: 2})
+        target = CoverTarget({O: 2})
         p = infinite_cover_probability(target, tol=1e-5)
         assert abs(p - return_probability(3, tol=1e-5)) < 1e-12
 

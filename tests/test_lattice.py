@@ -142,18 +142,30 @@ class TestRepetitionProfile:
 
 
 class TestCoverTarget:
-    def test_repetitions_requires_matching_profile(self):
-        with pytest.raises(ValueError):
-            CoverTarget("repetitions", frozenset({(0, 0)}), {(1, 0): 1})
-
     def test_of_path(self):
         p = validate_path([(0, 0), (1, 0), (0, 0)])
+        assert CoverTarget.of_path(p, "repetitions").visits == {(0, 0): 2, (1, 0): 1}
+        assert CoverTarget.of_path(p, "trace").visits == {(0, 0): 1, (1, 0): 1}
+        assert CoverTarget.of_path(p) == CoverTarget.of_path(p, "trace")
         t = CoverTarget.of_path(p, "repetitions")
         assert t.required((0, 0)) == 2 and t.required((1, 0)) == 1
+        assert t.trace == p.trace and t.dim == 2
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
-            CoverTarget("bogus", frozenset({(0, 0)}))
+            CoverTarget.of_path(validate_path([(0, 0)]), "bogus")
+
+    def test_all_ones_visits_equal_from_points(self):
+        pts = [(0, 0, 0), (1, 0, 0), (1, 1, 0)]
+        assert CoverTarget(dict.fromkeys(pts, 1)) == CoverTarget.from_points(pts)
+
+    def test_visits_validation(self):
+        with pytest.raises(ValueError):
+            CoverTarget({})
+        with pytest.raises(DimensionMismatchError):
+            CoverTarget({(0, 0): 1, (1, 0, 0): 1})
+        with pytest.raises(ValueError):
+            CoverTarget({(0, 0): 1, (1, 0): 0})
 
     def test_outstanding_credits_the_origin_once(self):
         o, y = (0, 0, 0), (1, 0, 0)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from walkcover.exact import exact_cover_probability
-from walkcover.lattice import REPETITIONS, CoverTarget, unit_vector, validate_path
+from walkcover import montecarlo
+from walkcover.lattice import CoverTarget, unit_vector, validate_path
 from walkcover.montecarlo import (DEFAULT_BATCH, DEFAULT_CHUNK, Estimate, SimConfig,
                                   _PackedTargets, _per_walk_success, mc_compare,
                                   mc_cover_probability)
@@ -53,7 +54,7 @@ class TestAnalyticCase:
 
 
 class TestDeterminism:
-    def test_threads_and_batching_invariant(self):
+    def test_threads_and_batching_invariant(self, monkeypatch):
         """Tile and step-window boundaries change nothing: chunk 17 makes
         windows that start and end inside the 12-step values at d=3."""
         tgt = CoverTarget.from_points([(1, 0, 0), (1, 1, 0)])
@@ -61,8 +62,9 @@ class TestDeterminism:
         runs, pairs = [], []
         for threads, batch, chunk in [(1, 8192, 256), (8, 512, 64), (3, 1000, 17),
                                       (2, DEFAULT_BATCH, DEFAULT_CHUNK)]:
-            cfg = SimConfig(d=3, L=150, n_walks=30_000, seed=90210,
-                            threads=threads, batch_walks=batch, chunk_steps=chunk)
+            monkeypatch.setattr(montecarlo, "DEFAULT_BATCH", batch)
+            monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", chunk)
+            cfg = SimConfig(d=3, L=150, n_walks=30_000, seed=90210, threads=threads)
             runs.append(mc_cover_probability(tgt, cfg).successes)
             res = mc_compare([tgt, other], cfg)
             pairs.append((res.joint.tolist(), [e.successes for e in res.estimates]))
@@ -72,18 +74,18 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("threads", [1, 3])
-    def test_per_walk_rows_match_replay(self, d, threads):
+    def test_per_walk_rows_match_replay(self, d, threads, monkeypatch):
         """Retiring covered walks, odd tile and step-window sizes and the
         worker pool leave every walk's success row as a plain replay of
         its steps gives it."""
         o, e1, e2 = (0,) * d, unit_vector(d, 0), unit_vector(d, 1)
         e12 = tuple(a + b for a, b in zip(e1, e2))
         targets = [CoverTarget.from_points([o, e1, e12]),
-                   CoverTarget(REPETITIONS, frozenset([e1, unit_vector(d, 1, -1)]),
-                               {e1: 2, unit_vector(d, 1, -1): 1}),
-                   CoverTarget(REPETITIONS, frozenset([o, e12]), {o: 2, e12: 1})]
-        cfg = SimConfig(d=d, L=60, n_walks=1001, seed=4242, threads=threads,
-                        batch_walks=97, chunk_steps=13)
+                   CoverTarget({e1: 2, unit_vector(d, 1, -1): 1}),
+                   CoverTarget({o: 2, e12: 1})]
+        monkeypatch.setattr(montecarlo, "DEFAULT_BATCH", 97)
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 13)
+        cfg = SimConfig(d=d, L=60, n_walks=1001, seed=4242, threads=threads)
         expect = _replay_success(cfg, targets)
         assert (0 < expect.sum(axis=0)).all() and (expect.sum(axis=0) < cfg.n_walks).all()
         assert (_per_walk_success(cfg, targets) == expect).all()
@@ -119,7 +121,7 @@ class TestDeterminism:
 class TestModeAndHorizonMonotonicity:
     def test_trace_dominates_repetitions_per_walk(self):
         p = validate_path([(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 0, 0)])
-        cfg = SimConfig(d=3, L=300, n_walks=20_000, seed=8, mode="repetitions")
+        cfg = SimConfig(d=3, L=300, n_walks=20_000, seed=8)
         rep = _per_walk_success(cfg, [CoverTarget.of_path(p, "repetitions")])
         tr = _per_walk_success(cfg, [CoverTarget.of_path(p, "trace")])
         assert (tr[:, 0] >= rep[:, 0]).all()
@@ -190,7 +192,3 @@ class TestValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             mc_cover_probability(NEIGHBOR, SimConfig(d=3, L=5, n_walks=10, seed=1))
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            SimConfig(d=2, L=1, n_walks=1, seed=0, mode="sometimes")
