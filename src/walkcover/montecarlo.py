@@ -1,15 +1,13 @@
 """Monte Carlo estimation of covering probabilities.
 
-Walks are simulated in vectorized tiles of ``DEFAULT_BATCH`` walks,
-small enough for every temporary to stay in cache, each drawn
-``DEFAULT_CHUNK`` steps at a time.  The tiles form one task
-stream, run in walk order on the calling thread or mapped over a pool of
-``threads`` workers.  Each walk's step sequence comes from its own
-counter-based stream (see :mod:`walkcover.rng`), so a run is
-reproducible bit-for-bit from ``(config, seed)`` alone, regardless of
-batch size or worker count.  Positions are packed into single int64
-keys (coordinate-wise base-2^b encoding) so trajectory bookkeeping and
-target matching are scalar array operations.
+Walks run in tiles of ``DEFAULT_BATCH``, in walk order on the calling
+thread or on up to ``threads`` workers (at most one per tile and per
+usable CPU).  Each walk draws from its own counter-based stream (see
+:mod:`walkcover.rng`), so results depend on ``(config, seed)`` alone.
+Positions are packed into int64 keys.  A walk moves one stream value, k
+steps, per table lookup, about ``DEFAULT_CHUNK`` steps per window; only
+values that start within L1 distance k of the targets' box, and a
+partial last value, are replayed step by step to count visits.
 
 Success accounting is per walk: every walk counts its visits to each
 target point, and it covers a target once no point of that target is
@@ -28,6 +26,7 @@ exactly by the Green's-function modules, not here.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
@@ -35,10 +34,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .lattice import CoverTarget, Point
-from .rng import walk_directions
+from .rng import steps_per_value, value_digits, walk_directions, walk_values
 
-DEFAULT_BATCH = 512
-DEFAULT_CHUNK = 256
+DEFAULT_BATCH = 1024
+DEFAULT_CHUNK = 336
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ def _pack_bits(d: int, L: int) -> int:
 
 
 class _PackedTargets:
-    """Targets and step increments in packed-key space."""
+    """Targets, steps and k-step displacements in packed-key space."""
 
     def __init__(self, d: int, L: int, points: Sequence[Point]):
         bits = _pack_bits(d, L)
@@ -106,23 +105,48 @@ class _PackedTargets:
             [sum((c + offset) * w for c, w in zip(p, weights))
              if sum(map(abs, p)) <= L else -1 - i for i, p in enumerate(points)],
             dtype=np.int64)
-        incr = []
-        for axis in range(d):
-            for sign in (1, -1):
-                incr.append(sign * weights[axis])
-        self.step_keys = np.array(incr, dtype=np.int64)
+        self.step_keys = np.array([s * w for w in weights for s in (1, -1)], dtype=np.int64)
         self._order = np.argsort(point_keys)
         self._sorted = point_keys[self._order]
         self._span = np.uint64(self._sorted[-1] - self._sorted[0])
+        # the box of the reachable points (any box serves when there are
+        # none) as 2 * centre and width per axis, in packed coordinates
+        box = np.array([p for p, key in zip(points, point_keys) if key >= 0] or [(0,) * d]).T
+        self._box = (box.min(1, keepdims=True) + box.max(1, keepdims=True) + 2 * offset,
+                     np.ptp(box, 1, keepdims=True))
+        self._shifts, self._mask = bits * np.arange(d, dtype=np.int64)[:, None], np.int64(base - 1)
+        # displacement of a k-step string, summed over parts of at most
+        # 2**16 strings each; the top part's missing digits read as step 0
+        self.k = steps_per_value(2 * d)
+        m = max(j for j in range(1, self.k + 1) if (2 * d) ** j <= 1 << 16)
+        self._parts, self._base = -(-self.k // m), (2 * d) ** m
+        self._table = self.step_keys[value_digits(np.arange(self._base), 2 * d, m)].sum(1)
+        self._pad = (self._parts * m - self.k) * self.step_keys[0]
 
-    def trajectories(self, pos: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        """(n, C) packed positions after each of the steps ``dirs`` (n, C)
-        of walks starting at ``pos`` (n,)."""
-        n, C = dirs.shape
+    def displacement(self, q: np.ndarray) -> np.ndarray:
+        """Packed displacement of each k-step string of :func:`walk_values`."""
+        disp = -self._pad
+        for _ in range(self._parts - 1):
+            q, part = np.divmod(q, self._base)
+            disp = disp + np.take(self._table, part)
+        return disp + np.take(self._table, q)
+
+    def near(self, keys: np.ndarray) -> np.ndarray:
+        """Flat indices of the ``keys`` within L1 distance k of the reachable points' box."""
+        # twice each coordinate's distance outside the box, in place
+        outside = 2 * ((keys.ravel() >> self._shifts) & self._mask) - self._box[0]
+        np.abs(outside, out=outside)
+        outside -= self._box[1]
+        return np.flatnonzero(np.maximum(outside, 0, out=outside).sum(axis=0) <= 2 * self.k)
+
+    def trajectories(self, pos: np.ndarray, incr: np.ndarray) -> np.ndarray:
+        """(n, C) packed positions after each of the packed increments
+        ``incr`` (n, C) of walks starting at ``pos`` (n,)."""
+        n, C = incr.shape
         # one cumulative sum over the whole tile keeps the operation large;
         # it may wrap modulo 2**64, but each row's offsets from the row
         # before stay exact, since every true position fits in int64
-        traj = np.cumsum(np.take(self.step_keys, dirs).ravel()).reshape(n, C)
+        traj = np.cumsum(incr.ravel()).reshape(n, C)
         before = np.zeros(n, dtype=np.int64)
         before[1:] = traj[:-1, -1]
         traj += (pos - before)[:, None]
@@ -155,13 +179,13 @@ def _build_requirements(cfg: SimConfig, targets: Sequence[CoverTarget]
 
 def _tile(cfg: SimConfig, pts: _PackedTargets, needed: np.ndarray,
           lo: int, hi: int) -> np.ndarray:
-    """(hi - lo, n_targets) success indicators of walks [lo, hi), drawn
-    ``DEFAULT_CHUNK`` steps at a time."""
+    """(hi - lo, n_targets) success indicators of walks [lo, hi)."""
     ids = np.arange(lo, hi, dtype=np.uint64)
     ok = np.zeros((hi - lo, needed.shape[0]), dtype=bool)
     live = np.arange(hi - lo)  # rows of ``ok`` still walking
     pos = np.full(hi - lo, pts.origin_key, dtype=np.int64)
     visits = np.zeros((hi - lo, needed.shape[1]), dtype=np.int64)
+    nsides, k = 2 * cfg.d, pts.k
     step0 = 0
     while True:
         covered = (visits[:, None, :] >= needed).all(axis=2)
@@ -170,21 +194,35 @@ def _tile(cfg: SimConfig, pts: _PackedTargets, needed: np.ndarray,
         live, pos, visits = live[walking], pos[walking], visits[walking]
         if step0 >= cfg.L or not len(live):
             return ok
-        C = min(DEFAULT_CHUNK, cfg.L - step0)
-        dirs = walk_directions(cfg.seed, ids[live], step0, C, 2 * cfg.d)
-        traj = pts.trajectories(pos, dirs)
-        np.add.at(visits, pts.hits(traj), 1)
-        pos = traj[:, -1].copy()
-        step0 += C
+        if cfg.L - step0 < k:  # the partial last value, step by step
+            dirs = walk_directions(cfg.seed, ids[live], step0, cfg.L - step0, nsides)
+            np.add.at(visits, pts.hits(pts.trajectories(pos, np.take(pts.step_keys, dirs))), 1)
+            step0 = cfg.L
+            continue
+        W = min(max(1, DEFAULT_CHUNK // k), (cfg.L - step0) // k)
+        q = walk_values(cfg.seed, ids[live], step0 // k, W, nsides)
+        ends = pts.trajectories(pos, pts.displacement(q))
+        starts = np.concatenate((pos[:, None], ends[:, :-1]), axis=1)
+        # replay the values that start near the targets, a tile's worth at a time
+        near = pts.near(starts)
+        for at in np.split(near, range(DEFAULT_BATCH, len(near), DEFAULT_BATCH)):
+            steps = np.take(pts.step_keys, value_digits(q.ravel()[at], nsides, k))
+            hit, points = pts.hits(pts.trajectories(starts.ravel()[at], steps))
+            np.add.at(visits, (at[hit] // W, points), 1)
+        pos = ends[:, -1].copy()
+        step0 += W * k
 
 
 def _tiles(cfg: SimConfig, targets: Sequence[CoverTarget]) -> Iterator[np.ndarray]:
-    """Each tile's (walks, n_targets) success rows, in walk order."""
+    """Each tile's (walks, n_targets) success rows, in walk order, on at
+    most one thread per tile and per usable CPU."""
     pts, needed = _build_requirements(cfg, targets)
     tile = lambda lo: _tile(cfg, pts, needed, lo, min(lo + DEFAULT_BATCH, cfg.n_walks))
     starts = range(0, cfg.n_walks, DEFAULT_BATCH)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cfg.threads, len(starts), cpus or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(tile, starts)
     else:
         yield from map(tile, starts)

@@ -1,7 +1,7 @@
 """Counter-based random streams for reproducible parallel simulation.
 
 Philox-4x32 (10 rounds), vectorized with numpy integer arithmetic.  The
-64-bit seed forms the key; the 256-bit counter encodes ``(block, walk)``,
+64-bit seed forms the key; the 128-bit counter encodes ``(block, walk)``,
 so every walk owns an independent stream addressed purely by its index.
 Draws therefore depend only on ``(seed, walk, position-in-stream)`` and
 results are identical under any batching or thread schedule.
@@ -9,12 +9,13 @@ results are identical under any batching or thread schedule.
 Walk steps follow stream version 2 (:data:`STREAM_VERSION`).  With
 ``n = nsides`` and ``k`` the largest integer such that ``n**k <= 2**32``
 (12 for n = 6), value ``v`` of a walk is the 64-bit number whose high and
-low halves are words ``2v`` and ``2v + 1`` of its stream, and step ``s``
-is base-n digit ``s mod k``, most significant first, of
-``floor(value * n**k / 2**64)`` for value ``s div k``: the first k base-n
-digits of the fraction ``value / 2**64``.  Each k-step string then has
-probability ``n**-k`` within a relative error of ``n**k / 2**64 <=
-2**-32``, and exactly ``n**-k`` when n is a power of two.
+low halves are words ``2v`` and ``2v + 1`` of its stream.  Its k-step
+string ``floor(value * n**k / 2**64)`` (:func:`walk_values`) holds steps
+``k v .. k v + k - 1`` as its k base-n digits, most significant first
+(:func:`value_digits`): the first k base-n digits of the fraction
+``value / 2**64``.  Each k-step string then has probability ``n**-k``
+within a relative error of ``n**k / 2**64 <= 2**-32``, and exactly
+``n**-k`` when n is a power of two.
 """
 
 from __future__ import annotations
@@ -79,6 +80,31 @@ def steps_per_value(nsides: int) -> int:
     return k
 
 
+def walk_values(seed: int, walk_ids: np.ndarray, v0: int, nvalues: int,
+                nsides: int) -> np.ndarray:
+    """Values ``v0 .. v0+nvalues-1`` of each walk as k-step strings ``floor(value *
+    nsides**k / 2**64)`` (stream version 2); uint32, shape (len(walk_ids), nvalues)."""
+    block0, odd = divmod(v0, 2)  # two values per Philox block
+    words = walk_words(seed, walk_ids, block0, (odd + nvalues + 1) // 2)
+    words = words[:, 2 * odd:2 * (odd + nvalues)].astype(np.uint64)
+    hi, lo = words[:, 0::2], words[:, 1::2]
+    scale = np.uint64(nsides ** steps_per_value(nsides))
+    # floor(value * scale / 2**64), exact: with scale <= 2**32 the sum
+    # below is at most 2**64 - 1
+    return ((hi * scale + ((lo * scale) >> _SHIFT32)) >> _SHIFT32).astype(np.uint32)
+
+
+def value_digits(q: np.ndarray, nsides: int, k: int) -> np.ndarray:
+    """The k base-``nsides`` digits (steps) of each q, most significant first."""
+    digits = np.empty(q.shape + (k,), np.min_scalar_type(nsides - 1))
+    base = np.uint32(nsides)
+    for j in range(k - 1, -1, -1):
+        rest = q // base
+        digits[..., j] = q - rest * base
+        q = rest
+    return digits
+
+
 def walk_directions(seed: int, walk_ids: np.ndarray, step0: int, nsteps: int,
                     nsides: int) -> np.ndarray:
     """Steps ``step0 .. step0+nsteps-1`` of each walk as int64 values in
@@ -87,23 +113,9 @@ def walk_directions(seed: int, walk_ids: np.ndarray, step0: int, nsteps: int,
     k = steps_per_value(nsides)
     v0, skip = divmod(step0, k)
     nvalues = -(-(skip + nsteps) // k)
-    # values v0 .. v0 + nvalues - 1; each Philox block holds two
-    block0, odd = divmod(v0, 2)
-    words = walk_words(seed, walk_ids, block0, (odd + nvalues + 1) // 2)
-    words = words[:, 2 * odd:2 * (odd + nvalues)].astype(np.uint64)
-    hi, lo = words[:, 0::2], words[:, 1::2]
-    scale = np.uint64(nsides ** k)
-    # floor(value * scale / 2**64), exact: with scale <= 2**32 the sum
-    # below is at most 2**64 - 1
-    q = ((hi * scale + ((lo * scale) >> _SHIFT32)) >> _SHIFT32).astype(np.uint32)
-    digits = np.empty(q.shape + (k,), np.min_scalar_type(nsides - 1))
-    base = np.uint32(nsides)
-    for j in range(k - 1, -1, -1):
-        rest = q // base
-        digits[:, :, j] = q - rest * base
-        q = rest
+    digits = value_digits(walk_values(seed, walk_ids, v0, nvalues, nsides), nsides, k)
     # a contiguous result: gathers indexed by it run several times faster
-    return digits.reshape(len(q), nvalues * k)[:, skip:skip + nsteps].astype(np.int64)
+    return digits.reshape(len(walk_ids), nvalues * k)[:, skip:skip + nsteps].astype(np.int64)
 
 
 def fresh_seed() -> int:

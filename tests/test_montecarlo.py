@@ -1,3 +1,6 @@
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from walkcover.lattice import CoverTarget, unit_vector, validate_path
 from walkcover.montecarlo import (DEFAULT_BATCH, DEFAULT_CHUNK, Estimate, SimConfig,
                                   _PackedTargets, _per_walk_success, mc_compare,
                                   mc_cover_probability)
-from walkcover.rng import walk_directions
+from walkcover.rng import steps_per_value, value_digits, walk_directions, walk_values
 
 NEIGHBOR = CoverTarget.from_points([(1, 0)])
 
@@ -55,8 +58,9 @@ class TestAnalyticCase:
 
 class TestDeterminism:
     def test_threads_and_batching_invariant(self, monkeypatch):
-        """Tile and step-window boundaries change nothing: chunk 17 makes
-        windows that start and end inside the 12-step values at d=3."""
+        """Tile and window boundaries change nothing: chunk 17 and 64 give
+        windows of one and five 12-step values at d=3, and L = 150 ends
+        inside a value."""
         tgt = CoverTarget.from_points([(1, 0, 0), (1, 1, 0)])
         other = CoverTarget.from_points([(0, 1, 0), (-1, 1, 0), (0, 0, 1)])
         runs, pairs = [], []
@@ -72,25 +76,52 @@ class TestDeterminism:
         assert all(p == pairs[0] for p in pairs)
         assert pairs[0][1][0] == runs[0]
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
     @pytest.mark.parametrize("threads", [1, 3])
     def test_per_walk_rows_match_replay(self, d, threads, monkeypatch):
-        """Retiring covered walks, odd tile and step-window sizes and the
-        worker pool leave every walk's success row as a plain replay of
-        its steps gives it."""
-        o, e1, e2 = (0,) * d, unit_vector(d, 0), unit_vector(d, 1)
+        """Retiring covered walks, odd tile and window sizes and the worker
+        pool leave every walk's success row as a plain replay of its steps
+        gives it.  k = 32, 16, 12, 9, 7 steps per value for d = 1, 2, 3, 5,
+        10: an odd k, and displacement tables split in two or three parts."""
+        o, e1, e2 = (0,) * d, unit_vector(d, 0), unit_vector(d, min(1, d - 1))
         e12 = tuple(a + b for a, b in zip(e1, e2))
         targets = [CoverTarget.from_points([o, e1, e12]),
-                   CoverTarget({e1: 2, unit_vector(d, 1, -1): 1}),
+                   CoverTarget({e1: 2, tuple(-c for c in e2): 1}),
                    CoverTarget({o: 2, e12: 1})]
+        if d == 10:  # visits are rare there: ask fewer
+            targets = [CoverTarget.from_points([o, e1]), CoverTarget({e1: 2}),
+                       CoverTarget({o: 2, e1: 1})]
         monkeypatch.setattr(montecarlo, "DEFAULT_BATCH", 97)
         monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 13)
-        cfg = SimConfig(d=d, L=60, n_walks=1001, seed=4242, threads=threads)
+        # at d = 10 the packed keys reach only L = 30
+        cfg = SimConfig(d=d, L=60 if d < 10 else 30, n_walks=1001 if d < 5 else 4001,
+                        seed=4242, threads=threads)
         expect = _replay_success(cfg, targets)
         assert (0 < expect.sum(axis=0)).all() and (expect.sum(axis=0) < cfg.n_walks).all()
         assert (_per_walk_success(cfg, targets) == expect).all()
         counts = expect.astype(np.int64)
         assert mc_compare(targets, cfg).joint.tolist() == (counts.T @ counts).tolist()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("L", [0, 5, 61, 400])
+    def test_rows_match_replay_at_any_horizon(self, d, L):
+        """No step, fewer steps than one value, and a partial last value,
+        against targets away from the origin: a box that excludes it, a
+        point k + 3 steps out that walks first come near mid-walk, a point
+        out of reach beside a reachable one, and the origin alone."""
+        k = steps_per_value(2 * d)
+        at = lambda *c: tuple(c) + (0,) * (d - len(c))
+        targets = [CoverTarget.from_points([at(2, 1), at(3, 1)]),
+                   CoverTarget.from_points([at(k + 3)]),
+                   CoverTarget.from_points([at(1), at(L + 1)]),
+                   CoverTarget.from_points([at(0)])]
+        cfg = SimConfig(d=d, L=L, n_walks=1001, seed=777, threads=2)
+        expect = _replay_success(cfg, targets)
+        got = _per_walk_success(cfg, targets)
+        assert (got == expect).all()
+        assert got[:, 3].all() and not got[:, 2].any()
+        if L == 400:
+            assert got[:, :2].any(axis=0).all()
 
     def test_trajectories_exact_when_tile_sum_wraps(self):
         """The tile-wide cumulative sum exceeds int64 here (2/3 of 512 *
@@ -100,7 +131,67 @@ class TestDeterminism:
         dirs[::3] = 9
         pos = np.full(512, pts.origin_key, dtype=np.int64)
         expect = pos[:, None] + np.cumsum(pts.step_keys[dirs], axis=1)
-        assert (pts.trajectories(pos, dirs) == expect).all()
+        assert (pts.trajectories(pos, pts.step_keys[dirs]) == expect).all()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
+    def test_displacement_tables_sum_the_steps(self, d):
+        """The table lookups give each value's summed step keys, for
+        stream values and for random strings, 0 and n**k - 1 included."""
+        n, k = 2 * d, steps_per_value(2 * d)
+        pts = _PackedTargets(d, 30, [unit_vector(d, 0)])
+        ids = np.arange(50, dtype=np.uint64)
+        dirs = walk_directions(3, ids, 0, 20 * k, n).reshape(50, 20, k)
+        assert (pts.displacement(walk_values(3, ids, 0, 20, n))
+                == pts.step_keys[dirs].sum(axis=2)).all()
+        q = np.random.default_rng(d).integers(0, n**k, 10_000, dtype=np.uint64)
+        q = np.concatenate([q, [0, n**k - 1]]).astype(np.uint32)
+        assert (pts.displacement(q) == pts.step_keys[value_digits(q, n, k)].sum(axis=1)).all()
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_near_is_the_l1_distance_to_the_box(self, d):
+        """``near`` keeps exactly the positions within L1 distance k of
+        the box of the reachable points."""
+        L, k = 100, steps_per_value(2 * d)
+        points = [tuple(int(c) for c in row) for row in
+                  np.random.default_rng(d).integers(-3, 6, (3, d))] + [(L + 1,) * d]
+        pts = _PackedTargets(d, L, points)
+        lo, hi = np.min(points[:3], axis=0), np.max(points[:3], axis=0)
+        coords = np.random.default_rng(7).integers(-40, 41, (20_000, d))
+        dist = (np.maximum(lo - coords, 0) + np.maximum(coords - hi, 0)).sum(axis=1)
+        bits = montecarlo._pack_bits(d, L)
+        keys = ((coords + (1 << bits - 1)) << (bits * np.arange(d))).sum(axis=1)
+        assert (pts.near(keys) == np.flatnonzero(dist <= k)).all()
+
+    def test_workers_capped_by_tiles_and_cpus(self, monkeypatch):
+        """A huge thread count starts one worker per tile at most, and
+        one per usable CPU at most; a fake pool records the request and
+        starts no thread."""
+        requested = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", FakePool)
+        cfg = SimConfig(d=2, L=3, n_walks=5 * DEFAULT_BATCH, seed=1, threads=10**6)
+        expect = _per_walk_success(replace(cfg, threads=1), [NEIGHBOR])
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert (_per_walk_success(cfg, [NEIGHBOR]) == expect).all()
+        assert requested == ([min(5, cpus)] if min(5, cpus) > 1 else [])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4096)), raising=False)
+        assert (_per_walk_success(cfg, [NEIGHBOR]) == expect).all()
+        assert requested[-1] == 5
+        _per_walk_success(replace(cfg, n_walks=DEFAULT_BATCH), [NEIGHBOR])
+        assert requested[-1] == 5  # one tile runs on the calling thread
 
     def test_unreachable_points_never_hit(self):
         """(8, -1) lies beyond L = 2 steps; its key must not alias a
