@@ -168,12 +168,12 @@ def _cmd_counterexample(args, seed):
     notes = list(ce.notes)
     code = 0 if ce.p_original > ce.p_reflected else 1
     if not args.skip_mc:
+        bias = hitting.truncation_bias_estimate(args.L, ce.p_original)
         cfg = montecarlo.SimConfig(d=3, L=args.L, n_walks=args.walks, seed=seed,
                                    threads=args.threads)
         cmp_res = montecarlo.mc_compare(
             [lattice.CoverTarget.of_path(p, lattice.REPETITIONS)
              for p in hitting.COUNTEREXAMPLE_PATHS], cfg)
-        bias = hitting.truncation_bias_estimate(args.L, ce.p_original)
         results["mc"] = {
             "L": args.L, "walks": args.walks,
             "original": _estimate_dict(cmp_res.estimates[0]),

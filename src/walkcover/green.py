@@ -1,24 +1,30 @@
 """Lattice Green's functions for the simple walk and the
 coordinate-difference walk, with return-probability asymptotics.
 
+Both walks run on one slot engine (``_slot_targets``): a walk sits at x
+when each of its independent +/-1 "slot" walks sits at its target, for
+some winding level.  The simple walk has one level, and its slots are
+its d coordinates.  The coordinate-difference walk (the d-1 dimensional
+walk of consecutive coordinate gaps, whose returns to 0 are the ambient
+walk's returns to the diagonal) has the d "bond" walks as slots, all at
+a common integer winding level k, shifted along the segment between the
+probed bonds for off-diagonal values.
+
 * **fourier** - the method of record: the defining torus integral with
   theta integrated out, G(x) = Int_0^inf prod_i ive(|x_i|, t/d) dt
   (Montroll 1956; Guttmann, J. Phys. A 43 (2010) 305205), by
-  Gauss-Legendre in log t plus a fitted tail.  Its stated bound is
-  about 1e-12 in every dimension.  For the coordinate-difference walk
-  (the d-1 dimensional walk of consecutive coordinate gaps, whose
-  returns to 0 are the ambient walk's returns to the diagonal) the d
-  "bond" processes must each land on a common integer winding level k,
-  shifted along the segment between the probed bonds for off-diagonal
-  values; the integrand sums over k one panel of t at a time.
+  Gauss-Legendre in log t plus a fitted tail, the integrand summed over
+  the levels one panel of t at a time.  Its stated bound is about 1e-12
+  in every dimension.
 
 * **stepsum** - the independent cross-check.  G(x) = sum_n P(X_n = x) is
   summed exactly to a step horizon and closed with one analytic
   local-CLT tail for both walks.  The n-step probabilities come from
-  splitting the n steps multinomially over the d coordinate axes (or
-  bonds), each then an independent +/-1 walk: a cascade of
-  binomial-mixture convolutions, through which all winding levels of
-  the difference walk run together, sharing their binomial rows.
+  splitting the n steps multinomially over the slots, each then an
+  independent +/-1 walk: a cascade of binomial-mixture convolutions,
+  through which all winding levels run together, sharing their binomial
+  rows.  The same cascade gives the character moments of the difference
+  walk by Fourier inversion, in any dimension.
 
 Return probabilities follow as ``1 - 1/G(0)`` for each walk; the sweep
 tabulates how ``2d x (return probability)`` descends toward its
@@ -153,23 +159,25 @@ def _alloc_cascade(targets: np.ndarray, n_max: int) -> np.ndarray:
     return h
 
 
-def _bond_targets(d: int, y: Sequence[int], horizon: float) -> np.ndarray:
-    """Row r: where the d bond walks of the difference walk at y must sit
-    at the r-th common winding level k, bond h at k - partial[h] (column 0
-    is k).  After n steps (or time t) k has variance about n/d^2, so the
-    levels run 10 sd + 10 beyond the bond offsets."""
-    partial = np.concatenate([[0], np.cumsum(np.asarray(y, dtype=int))])
-    if partial.shape[0] != d:
-        raise ValueError("y must have dimension d-1")
-    reach = int(10 * math.sqrt(horizon) / d) + 10
+def _slot_targets(spec: WalkSpectrum, x: Sequence[int], horizon: float) -> np.ndarray:
+    """Row r: where the slot walks must sit at the r-th winding level for
+    the walk to sit at x.  The difference walk's level k puts bond h at
+    k - partial[h] (column 0 is k); after n steps (or time t) k has
+    variance about n/d^2, so the levels run 10 sd + 10 beyond the bond
+    offsets."""
+    if len(x) != spec.dim:
+        raise ValueError(f"x must have dimension {spec.dim}")
+    if spec.kind == SIMPLE:
+        return np.asarray(x, dtype=int)[None, :]
+    partial = np.concatenate([[0], np.cumsum(np.asarray(x, dtype=int))])
+    reach = int(10 * math.sqrt(horizon) / spec.d) + 10
     levels = np.arange(partial.min() - reach, partial.max() + reach + 1)
     return levels[:, None] - partial
 
 
-def _diff_step_terms(d: int, y: Sequence[int], n_max: int) -> np.ndarray:
-    """n-step probabilities of the coordinate-difference walk at y, by
-    summing over the common winding level of the d bond walks."""
-    return _alloc_cascade(_bond_targets(d, y, n_max), n_max).sum(axis=0)
+def _step_terms(spec: WalkSpectrum, x: Sequence[int], n_max: int) -> np.ndarray:
+    """P(X_n = x) for n = 0..n_max, summed over the slots' winding levels."""
+    return _alloc_cascade(_slot_targets(spec, x, n_max), n_max).sum(axis=0)
 
 
 def _lclt_amplitude(spec: WalkSpectrum) -> float:
@@ -223,9 +231,7 @@ def stepsum_green(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4,
     if checked and bound > tol:
         raise ToleranceUnreachableError(
             f"stepsum bound {bound:.2e} at {n_max} steps exceeds tol {tol:.2e}")
-    terms = (_alloc_cascade(x, n_max) if spec.kind == SIMPLE
-             else _diff_step_terms(spec.d, x, n_max))
-    return GreenValue(float(terms.sum() + tail), bound, "stepsum")
+    return GreenValue(float(_step_terms(spec, x, n_max).sum() + tail), bound, "stepsum")
 
 
 # ---------------------------------------------------------------------------
@@ -234,19 +240,17 @@ def stepsum_green(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4,
 
 def _occupation_density(spec: WalkSpectrum, x: Sequence[int], t: np.ndarray) -> np.ndarray:
     """P(Y_t = x) for the walk at rate 1 in continuous time, t of shape
-    (panels, nodes): each coordinate (bond) is an independent rate-1/d
-    +/-1 walk, at n with probability ive(n, t/d).  Bonds sum over their
-    winding level as in _diff_step_terms, one panel at a time over the
-    levels its largest t reaches, so memory stays at one panel's table."""
+    (panels, nodes): each slot is an independent rate-1/d +/-1 walk, at n
+    with probability ive(n, t/d).  Slots sum over their winding levels as
+    in _step_terms, one panel at a time over the levels its largest t
+    reaches, so memory stays at one panel's table."""
     s = t / spec.d
-    if spec.kind == SIMPLE:
-        return np.prod([ive(abs(c), s) for c in x], axis=0)
     out = np.empty(t.shape)
     for row, tp, sp in zip(out, t, s):
-        bonds = np.abs(_bond_targets(spec.d, x, tp.max()))
-        table = ive(np.arange(bonds.max() + 1), sp[:, None])
-        prod = table[:, bonds[:, 0]]
-        for b in bonds.T[1:]:
+        slots = np.abs(_slot_targets(spec, x, tp.max()))
+        table = ive(np.arange(slots.max() + 1), sp[:, None])
+        prod = table[:, slots[:, 0]]
+        for b in slots.T[1:]:
             prod *= table[:, b]
         row[:] = prod.sum(axis=1)
     return out
@@ -258,8 +262,6 @@ def fourier_green(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4) -> Gr
     Bound: twice the gap of two quadrature orders plus the last tail term."""
     if not spec.transient:
         raise RecurrentWalkError(f"G diverges for {spec.kind} with dim {spec.dim}")
-    if len(x) != spec.dim:
-        raise ValueError(f"x must have dimension {spec.dim}")
     panels = 12  # Gauss-Legendre on [0, 1] in t, then on unit panels in log t
     body = []
     for order in (12, 16):
@@ -370,30 +372,19 @@ def offdiagonal_sum(d: int, tol: float = 1e-4) -> float:
     return sum(offdiag_green(d, 0, j, tol) for j in range(d)) - 1.0
 
 
-def character_power_moment(d: int, i: int, j: int, k: int,
-                           grid: int | None = None) -> float:
+def character_power_moment(d: int, i: int, j: int, k: int) -> float:
     """Raw integral of cos(theta_j - theta_i) * phihat^k over
-    [-pi, pi]^(d-1), by a trig-exact uniform grid.
+    [-pi, pi]^(d-1): by Fourier inversion, (2pi)^(d-1) times the k-step
+    probability of the difference walk landing at e_j - e_i.
 
     A k-step difference walk cannot bridge a cyclic index gap larger than
-    k, so the integral vanishes exactly whenever d(i,j) > k; with the gap
+    k, so the integral is exactly 0 whenever d(i,j) > k; with the gap
     reachable it is positive (e.g. (2pi)^(d-1) / (2d) at gap 1, k = 1).
     """
-    dim = d - 1
-    if dim > 6:
-        raise ValueError("uniform-grid evaluation kept to d <= 7")
-    if grid is None:
-        grid = 2 * (k + 2)
-    if grid ** dim > 8_000_000:
-        raise ValueError(f"grid {grid}^{dim} too large; lower k or d")
-    theta1 = 2 * math.pi * np.arange(grid) / grid - math.pi
-    spec = diagonal_difference_walk(d)
-    axes = np.meshgrid(*([theta1] * dim), indexing="ij")
-    theta = np.stack(axes, axis=-1)
-    ti = axes[i - 1] if i >= 1 else 0.0
-    tj = axes[j - 1] if j >= 1 else 0.0
-    vals = np.cos(tj - ti) * spec.character(theta) ** k
-    return float(vals.mean() * (2 * math.pi) ** dim)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    y = _difference_vector(d, i, j)
+    return (2 * math.pi) ** (d - 1) * float(_step_terms(diagonal_difference_walk(d), y, k)[k])
 
 
 # ---------------------------------------------------------------------------

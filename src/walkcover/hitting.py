@@ -147,6 +147,8 @@ def truncation_bias_estimate(L: int, p_cover: float,
     correlated, so this is an estimate, not a bound; the crude union
     bound is the same sum without the covering factor).
     """
+    if L < 1:
+        raise ValueError(f"the truncation bias estimate needs L >= 1, got {L}")
     d = 3
     tail = (d / (2 * math.pi)) ** (d / 2) * 2.0 / math.sqrt(L) / _green(d, (0,) * d, tol)
     return p_cover * tail * sum(math.exp(-d * sum(c * c for c in p) / 2.0 / L)

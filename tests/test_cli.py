@@ -281,6 +281,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2 and err.count("\n") == 1 and "tol" in err
 
+    @pytest.mark.parametrize("L", ["0", "-1"])
+    def test_counterexample_needs_a_step(self, capsys, L):
+        t0 = time.monotonic()
+        code = run(["counterexample", "--L", L, "--walks", "10", "--seed", "1"])
+        elapsed = time.monotonic() - t0
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and "L >= 1" in err
+        assert elapsed < 5
+
     def test_green_method_auto_retired(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["green", "--d", "3", "--x", "0,0,0", "--method", "auto"])

@@ -16,8 +16,8 @@ from walkcover.green import (DIAGONAL_DIFFERENCE, GreenValue,
                              green_value, offdiag_green, offdiagonal_sum,
                              return_probability, simple_walk, stepsum_green)
 import walkcover.green as green_mod
-from walkcover.green import (_alloc_cascade, _bond_targets, _diff_step_terms,
-                             _green_cached, _occupation_density)
+from walkcover.green import (_alloc_cascade, _difference_vector, _green_cached,
+                             _occupation_density, _slot_targets, _step_terms)
 
 # classical values, frozen from the high-resolution stepsum oracle and
 # matching the standard references to the digits shown
@@ -197,11 +197,26 @@ class TestOffDiagonal:
             assert offdiagonal_sum(d, tol=1e-3) <= 28 / d
 
 
+def _grid_moment(d, i, j, k):
+    """Reference for the moments: the integral of cos(theta_j - theta_i)
+    phihat^k over [-pi, pi]^(d-1) as the mean over a uniform grid of
+    2(k + 2) points per axis, exact for trigonometric polynomials of
+    degree below that.  Its memory grows as (2k + 4)^(d-1), so keep d
+    and k small."""
+    dim, grid = d - 1, 2 * (k + 2)
+    theta1 = 2 * math.pi * np.arange(grid) / grid - math.pi
+    axes = np.meshgrid(*([theta1] * dim), indexing="ij")
+    phi = diagonal_difference_walk(d).character(np.stack(axes, axis=-1))
+    ti = axes[i - 1] if i >= 1 else 0.0
+    tj = axes[j - 1] if j >= 1 else 0.0
+    return float((np.cos(tj - ti) * phi ** k).mean() * (2 * math.pi) ** dim)
+
+
 class TestCharacterMoments:
     @pytest.mark.parametrize("i,j,k", [(0, 3, 1), (0, 3, 2), (1, 4, 2), (0, 2, 1)])
     def test_unreachable_gap_vanishes(self, i, j, k):
         # all have cyclic index distance > k
-        assert abs(character_power_moment(6, i, j, k)) <= 1e-6
+        assert character_power_moment(6, i, j, k) == 0.0
 
     def test_wraparound_gap_does_not_vanish(self):
         """Index distance is cyclic: at d=6 the labels 0 and 4 are two
@@ -221,10 +236,30 @@ class TestCharacterMoments:
         """The moment equals (2pi)^(d-1) x the k-step probability of the
         difference walk landing at e_j - e_i."""
         d, i, j, k = 5, 0, 2, 4
-        from walkcover.green import _diff_step_terms, _difference_vector
-        terms = _diff_step_terms(d, _difference_vector(d, i, j), k)
+        terms = _step_terms(diagonal_difference_walk(d), _difference_vector(d, i, j), k)
         expect = terms[k] * (2 * math.pi) ** (d - 1)
         assert abs(character_power_moment(d, i, j, k) - expect) < 1e-8 * max(expect, 1)
+
+    @pytest.mark.parametrize("d,i,j,k", [(6, 0, 3, 1), (6, 0, 3, 2), (6, 0, 4, 2),
+                                         (6, 0, 1, 1), (5, 0, 2, 4)])
+    def test_matches_grid_integral(self, d, i, j, k):
+        ref = _grid_moment(d, i, j, k)
+        assert abs(character_power_moment(d, i, j, k) - ref) <= 1e-12 * (2 * math.pi) ** (d - 1)
+
+    @pytest.mark.parametrize("d", [8, 10])
+    def test_high_dimension(self, d):
+        """Past the reach of a grid: gaps beyond k vanish exactly, and a
+        one-step move to a neighbouring label has probability 1/(2d)."""
+        half = d // 2
+        for i, j, k in [(0, half, half - 1), (1, half + 1, 2), (0, 2, 1), (d - 1, 1, 1)]:
+            assert character_power_moment(d, i, j, k) == 0.0, (i, j, k)
+        expect = (2 * math.pi) ** (d - 1) / (2 * d)
+        for i, j in [(0, 1), (3, 4), (d - 1, 0)]:
+            assert abs(character_power_moment(d, i, j, 1) - expect) <= 1e-13 * expect
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            character_power_moment(6, 0, 1, -1)
 
 
 def _per_level_diff_terms(d, y, n_max):
@@ -249,8 +284,9 @@ class TestBatchedLevels:
     def test_matches_per_level_loop(self, d, n_max):
         for y in [(0,) * (d - 1), (1, -1) + (0,) * (d - 3), (2, -1) + (0,) * (d - 3)]:
             ref, k_last = _per_level_diff_terms(d, y, n_max)
-            assert np.abs(_diff_step_terms(d, y, n_max) - ref).max() <= 1e-15
-            levels = _bond_targets(d, y, n_max)[:, 0]
+            spec = diagonal_difference_walk(d)
+            assert np.abs(_step_terms(spec, y, n_max) - ref).max() <= 1e-15
+            levels = _slot_targets(spec, y, n_max)[:, 0]
             assert levels.min() <= -k_last and k_last <= levels.max()
 
 
@@ -292,7 +328,7 @@ def _one_shot_density(spec, x, t):
     """Reference for the panel-wise difference-walk density: every t at
     once, over the levels the largest t reaches."""
     s = t / spec.d
-    bonds = np.abs(_bond_targets(spec.d, x, t.max()))
+    bonds = np.abs(_slot_targets(spec, x, t.max()))
     table = ive(np.arange(bonds.max() + 1), s[:, None])
     return np.prod([table[:, b] for b in bonds.T], axis=0).sum(axis=1)
 
@@ -378,6 +414,13 @@ class TestGreenContract:
         assert abs(g.value - ORACLE_D3[(0, 0, 0)]) <= g.abs_error_bound
         with pytest.raises(ToleranceUnreachableError):
             green_value(spec, (0, 0, 0), tol=1e-8, method="both")
+
+    @pytest.mark.parametrize("spec", [simple_walk(3), diagonal_difference_walk(4)])
+    @pytest.mark.parametrize("route", [fourier_green, stepsum_green])
+    def test_point_of_wrong_dimension_rejected(self, spec, route):
+        for x in [(1,) * (spec.dim - 1), (1,) * (spec.dim + 1)]:
+            with pytest.raises(ValueError, match="dimension"):
+                route(spec, x)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

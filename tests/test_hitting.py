@@ -184,39 +184,39 @@ class TestCounterexample:
         bias = truncation_bias_estimate(10_000, ce.p_original)
         assert 0 < bias < 2e-3
 
+    @pytest.mark.parametrize("L", [0, -3])
+    def test_truncation_bias_needs_a_step(self, L):
+        with pytest.raises(ValueError, match="L >= 1"):
+            truncation_bias_estimate(L, 0.5)
+
 
 def _mc_first_entry(seed, n_walks, L, targets):
-    """Minimal vectorized first-entry frequencies (test-side oracle)."""
+    """Minimal vectorized first-entry frequencies (test-side oracle).
+
+    Each walk's position is one int64 key x0 B^2 + x1 B + x2, exact while
+    every |coordinate| < B/2; a chunk of steps is one cumulative sum of
+    step keys, and a walk leaves the batch once it enters the targets."""
+    B = 1 << 20
+    assert L < B // 2
+    step_keys = np.array([B * B, -B * B, B, -B, 1, -1], dtype=np.int64)
+    target_keys = np.array([(x0 * B + x1) * B + x2 for x0, x1, x2 in targets],
+                           dtype=np.int64)
     wins = np.zeros(len(targets), dtype=np.int64)
-    t_arr = np.array(targets, dtype=np.int64)
     for lo in range(0, n_walks, 4096):
         ids = np.arange(lo, min(lo + 4096, n_walks), dtype=np.uint64)
-        pos = np.zeros((len(ids), 3), dtype=np.int64)
-        first = np.full(len(ids), -1, dtype=np.int64)
+        pos = np.zeros(len(ids), dtype=np.int64)
         t0 = 0
-        alive = np.ones(len(ids), dtype=bool)
-        while t0 < L and alive.any():
+        while t0 < L and len(ids):
             C = min(512, L - t0)
-            dirs = walk_directions(7_777_777 + seed, ids, t0, C, 6)
-            steps = np.zeros((len(ids), C, 3), dtype=np.int64)
-            ax, sg = dirs >> 1, 1 - 2 * (dirs & 1)
-            for a in range(3):
-                steps[:, :, a] = np.where(ax == a, sg, 0)
-            traj = pos[:, None, :] + np.cumsum(steps, axis=1)
-            hit_time = np.full((len(ids), len(targets)), C + 1, dtype=np.int64)
-            for k in range(len(targets)):
-                m = (traj == t_arr[k]).all(axis=2)
-                any_hit = m.any(axis=1)
-                hit_time[any_hit, k] = m[any_hit].argmax(axis=1)
-            best = hit_time.min(axis=1)
-            newly = alive & (best <= C)
-            if newly.any():
-                first[newly] = hit_time[newly].argmin(axis=1)
-                alive &= ~newly
-            pos = traj[:, -1, :]
+            keys = np.cumsum(step_keys[walk_directions(7_777_777 + seed, ids, t0, C, 6)],
+                             axis=1)
+            keys += pos[:, None]
+            inside = np.isin(keys, target_keys)
+            entered = inside.any(axis=1)
+            first = keys[entered, inside[entered].argmax(axis=1)]
+            wins += (first[:, None] == target_keys).sum(axis=0)
+            ids, pos = ids[~entered], keys[~entered, -1]
             t0 += C
-        for k in range(len(targets)):
-            wins[k] += int((first == k).sum())
     return wins / n_walks
 
 
