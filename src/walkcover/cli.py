@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Every command emits a JSON envelope (schema shipped as
-``output.schema.json``); tabular results (sweep, compare) can be emitted
-as CSV instead.  A run is reproducible from the echoed parameters and
-seed: exact and Monte Carlo results bit-identically, Green values within
-their stated error bounds.
+``output.schema.json``) as one compact line; tabular results (sweep,
+compare) can be emitted as CSV instead.  A run is reproducible from the
+echoed parameters and seed: exact and Monte Carlo results
+bit-identically, Green values within their stated error bounds.
 
 Exit codes: 0 success; 1 a theorem-shaped check found a violation (a bug
 signal, not a usage problem); 2 usage, input or numerical error.
@@ -15,13 +15,14 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import io
 import json
 import os
 import sys
 from typing import Any
 
-from . import __version__, exact, green, hitting, lattice, montecarlo, reflect
+from . import __version__, comb, exact, green, hitting, lattice, montecarlo, reflect
 from .rng import STREAM_VERSION, fresh_seed
 
 
@@ -219,20 +220,16 @@ def _cmd_reduce(args, seed):
 
 
 def _cmd_comb(args, seed):
-    from .comb import all_collections, check_cover_inequality, check_work
-    check_work(args.n, args.m, log2_instances=args.n * args.m)
-    violations = []
-    cases = 0
-    for V in all_collections(args.n, args.m):
-        cases += 1
-        ok, witness = check_cover_inequality(V)
-        if not ok:
-            violations.append({"arcs": [sorted(a) for a in V.arcs],
-                               "witness": sorted(witness)})
-    results = {"n": args.n, "m": args.m, "collections": cases,
-               "subsets_each": 2 ** args.n, "violations": violations}
+    n, m = args.n, args.m
+    witnesses = comb.inequality_witnesses(n, m)
+    violations = [{"arcs": [sorted(a) for a in comb.collection_at(n, m, c).arcs],
+                   "witness": sorted(comb.mask_elements(int(witnesses[c])))}
+                  for c in (witnesses >= 0).nonzero()[0].tolist()]
+    cases = len(witnesses)
+    results = {"n": n, "m": m, "collections": cases, "subsets_each": 2 ** n,
+               "violations": violations}
     note = (f"cover-count inequality: {len(violations)} violations over "
-            f"{cases} collections x {2**args.n} subsets")
+            f"{cases} collections x {2**n} subsets")
     return results, [note], 0 if not violations else 1, None
 
 
@@ -267,7 +264,10 @@ _NEEDS_SEED = {"mc", "compare", "counterexample"}
 _THREADS_HELP = "worker threads (default: WALKCOVER_THREADS, else 1)"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing and
+    ``_apply_config`` only read it."""
     parser = argparse.ArgumentParser(
         prog="walkcover",
         description="covering probabilities of lattice sets under simple random walk")
@@ -433,21 +433,23 @@ def run(argv: list[str]) -> int:
     if args.command in _NEEDS_SEED:
         params["rng_stream"] = STREAM_VERSION
     doc = _envelope(args.command, params, seed, started, results, notes, code)
+    envelope = json.dumps(doc)
+    text = envelope
     if args.format == "csv":
         if not csv_rows:
             print("csv format unavailable for this command", file=sys.stderr)
             return 2
         text = _csv_text(csv_rows)
-    else:
-        text = json.dumps(doc, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
+    try:
+        for path, content in ((args.out, text), (args.record, envelope)):
+            if path:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(content + "\n")
+    except OSError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    if not args.out:
         print(text)
-    if args.record:
-        with open(args.record, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
     return code
 
 

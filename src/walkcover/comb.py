@@ -10,16 +10,21 @@ negatively.
 
 ``cover_count`` enumerates the configurations achieving this.  The key
 inequality, verified here by brute force, is that no reflection target A
-admits more covering configurations than A = ground set itself.  These
-counts are the combinatorial shadow of path-reflection classes: arcs play
-the role of which target points an arc of a walk visits, signs the role
-of reflecting that arc.
+admits more covering configurations than A = ground set itself.
+``check_cover_inequality`` checks one collection in pure Python;
+``inequality_witnesses`` checks every collection of one shape in batched
+numpy.  These counts are the combinatorial shadow of path-reflection
+classes: arcs play the role of which target points an arc of a walk
+visits, signs the role of reflecting that arc.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 #: Work allowed in one enumeration, counted as 2^m (2^n + m) per
 #: instance of m arcs over n elements: the 2^m signed unions, each built
@@ -47,6 +52,12 @@ def check_work(n: int, m: int, log2_instances: int = 0) -> None:
         raise TooLargeError(f"2^{log2_instances} collection(s) of {m} arcs over {n} "
                             f"elements exceed the enumeration guard of "
                             f"{MAX_ENUM_WORK} work units")
+
+
+#: (collection, sign choice, subset) triples that ``inequality_witnesses``
+#: tests in one batch.  It bounds the kernel's temporaries at 64 KB an
+#: array for every shape inside the guard.
+_BATCH = 1 << 13
 
 
 def _mask_of(elements: Iterable[int], n: int) -> int:
@@ -198,15 +209,104 @@ def check_cover_inequality(V: ArcCollection) -> tuple[bool, frozenset[int] | Non
     top = _covering(unions, full, full)
     for a_mask in range(1 << n):
         if _covering(unions, a_mask, full) > top:
-            witness = frozenset(e + 1 for e in range(n) if a_mask >> e & 1)
-            return False, witness
+            return False, mask_elements(a_mask)
     return True, None
+
+
+def mask_elements(mask: int) -> frozenset[int]:
+    """The elements of a subset mask: e for each set bit e - 1."""
+    return frozenset(e + 1 for e in range(mask.bit_length()) if mask >> e & 1)
 
 
 def all_collections(n: int, m: int):
     """Every arc collection with the given shape (2^(n*m) of them)."""
-    subsets = [frozenset(e + 1 for e in range(n) if bits >> e & 1)
-               for bits in range(1 << n)]
-    import itertools
+    subsets = [mask_elements(bits) for bits in range(1 << n)]
     for combo in itertools.product(subsets, repeat=m):
         yield ArcCollection(n, combo)
+
+
+def collection_at(n: int, m: int, index: int) -> ArcCollection:
+    """The collection at position ``index`` of ``all_collections(n, m)``."""
+    return ArcCollection(n, tuple(mask_elements(int(a))
+                                  for a in _arc_masks(n, m, index, index + 1)[0]))
+
+
+# ---------------------------------------------------------------------------
+# batched check of every collection of one shape
+# ---------------------------------------------------------------------------
+
+def _arc_masks(n: int, m: int, first: int, stop: int) -> np.ndarray:
+    """Arc masks of collections first..stop-1 in ``all_collections``
+    order, one row each: arc k of collection c is base-2^n digit m-1-k
+    of c.
+
+    The masks stay int64, the dtype of the package's other numpy code:
+    bitwise loops on a narrower dtype would page in numpy code that
+    nothing else runs, which costs more resident memory than the
+    kernel's batches."""
+    index = np.arange(first, stop, dtype=np.int64)[:, None]
+    shifts = n * np.arange(m - 1, -1, -1, dtype=np.int64)
+    return (index >> shifts) & ((1 << n) - 1)
+
+
+def _union_masks(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positive and negative unions of every sign choice for each row of
+    arc masks; column b flips arc k negative when bit k of b is set, the
+    order of ``_signed_unions``."""
+    pos = neg = np.zeros((arcs.shape[0], 1), dtype=arcs.dtype)
+    for k in range(arcs.shape[1]):
+        arc = arcs[:, k:k + 1]
+        pos, neg = np.hstack([pos | arc, pos]), np.hstack([neg, neg | arc])
+    return pos, neg
+
+
+def _cover_counts(pos: np.ndarray, neg: np.ndarray, subsets: np.ndarray,
+                  full: int) -> np.ndarray:
+    """Covering count of each subset mask (columns) for each row of
+    signed unions: the sign choices whose positive union holds A and
+    whose negative union holds its complement."""
+    a = subsets[None, None, :]
+    ok = (a & ~pos[:, :, None]) == 0
+    ok &= ((full ^ a) & ~neg[:, :, None]) == 0
+    return _count(ok)
+
+
+def _count(flags: np.ndarray) -> np.ndarray:
+    """True flags along axis 1, summed as bytes: the uint8 reduction the
+    sweep's bit counts already run, where a bool sum casts first."""
+    return flags.view(np.uint8).sum(axis=1)
+
+
+def _first_excess(counts: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Per row, the first column whose count exceeds ``top``, or -1."""
+    bad = counts > top[:, None]
+    return np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
+
+
+def inequality_witnesses(n: int, m: int) -> np.ndarray:
+    """``check_cover_inequality`` for every collection of m arcs over n
+    elements, in batched numpy.
+
+    Entry c is for the c-th collection of ``all_collections(n, m)``: -1
+    when it satisfies the inequality, else the mask (bit e-1 for element
+    e) of its first violating A in increasing mask order, the witness
+    ``check_cover_inequality`` returns.  Collections and subsets are
+    taken in batches of at most ``_BATCH`` triples, so memory stays flat
+    up to the guard.
+    """
+    check_work(n, m, log2_instances=n * m)
+    full = (1 << n) - 1
+    total, choices = 1 << n * m, 1 << m
+    span = min(1 << n, max(1, _BATCH // choices))
+    rows = max(1, _BATCH // (choices * span))
+    witnesses = np.full(total, -1, dtype=np.int32)
+    for first in range(0, total, rows):
+        pos, neg = _union_masks(_arc_masks(n, m, first, min(total, first + rows)))
+        top = _count(pos == full)  # A = ground set: positive part is everything
+        found = witnesses[first:first + rows]
+        for start in range(0, 1 << n, span):
+            subsets = np.arange(start, min(1 << n, start + span), dtype=pos.dtype)
+            hit = _first_excess(_cover_counts(pos, neg, subsets, full), top)
+            new = (found < 0) & (hit >= 0)
+            found[new] = start + hit[new]
+    return witnesses

@@ -3,10 +3,11 @@ import pathlib
 import time
 
 import jsonschema
+import numpy as np
 import pytest
 
 import walkcover
-from walkcover.cli import run
+from walkcover.cli import build_parser, run
 from walkcover.lattice import validate_path
 
 SCHEMA = json.loads(
@@ -23,6 +24,7 @@ def corner_path(tmp_path):
 def run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith("\n")  # one compact line
     doc = json.loads(out)
     jsonschema.validate(doc, SCHEMA)
     return code, doc
@@ -81,6 +83,9 @@ class TestEnvelope:
         assert tds == sorted(tds, reverse=True)
         code, doc = run_json(capsys, ["comb", "--n", "2", "--m", "3"])
         assert code == 0 and doc["results"]["violations"] == []
+        assert doc["results"]["collections"] == 64
+        code, doc = run_json(capsys, ["comb", "--n", "1", "--m", "0"])
+        assert code == 0 and doc["results"]["collections"] == 1
 
     def test_verify_commands(self, capsys):
         code, doc = run_json(capsys, ["verify-thm11", "--radius", "1",
@@ -158,10 +163,8 @@ class TestFormatsAndFiles:
         assert code == 0
         doc = json.loads(out.read_text())
         jsonschema.validate(doc, SCHEMA)
-        record = json.loads(rec.read_text())
-        assert record["command"] == "exact"
-        assert record == doc
-        jsonschema.validate(record, SCHEMA)
+        assert rec.read_text() == out.read_text()
+        assert json.loads(rec.read_text())["command"] == "exact"
 
     def test_config_file_defaults_and_flag_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -185,11 +188,58 @@ class TestFormatsAndFiles:
         assert err.count("\n") == 1 and "'walks'" in err
 
 
+class TestParserReuse:
+    """The parser is built once per process; runs must not leak into
+    each other through it."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_config_defaults_do_not_stick(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": 1e-3, "method": "stepsum"}))
+        argv = ["green", "--d", "3", "--x", "1,0,0"]
+        _, doc = run_json(capsys, ["--config", str(cfg)] + argv)
+        assert doc["parameters"]["tol"] == 1e-3 and doc["results"]["method"] == "stepsum"
+        _, doc = run_json(capsys, argv)
+        assert doc["parameters"]["tol"] == 1e-4 and doc["results"]["method"] == "fourier"
+
+    def test_usage_error_then_valid_run(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["staircase", "--N", "2"])
+        assert exc.value.code == 2
+        code, doc = run_json(capsys, ["staircase", "--N", "2", "--d", "2"])
+        assert code == 0 and doc["results"]["points"] == [[0, 0], [1, 0], [1, 1]]
+
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--d", "2", "--L", "4", "--walks", "200", "--seed", "3"],
+        ["comb", "--n", "2", "--m", "2"],
+        ["verify-thm41", "--N", "2", "--d", "2", "--L", "4", "--cap", "2"]])
+    def test_repeat_runs_give_equal_envelopes(self, capsys, corner_path, argv):
+        if argv[0] == "mc":
+            argv = argv + ["--target", corner_path]
+        docs = [run_json(capsys, argv)[1] for _ in range(2)]
+        for doc in docs:
+            del doc["started"], doc["finished"]
+        assert docs[0] == docs[1]
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["exact", "--d", "2"])  # argparse: missing required args
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["staircase", "--N", "2", "--d", "2", "--out"],
+        ["staircase", "--N", "2", "--d", "2", "--record"],
+        ["sweep", "--dmax", "4", "--format", "csv", "--out"],
+        ["sweep", "--dmax", "4", "--format", "csv", "--record"]])
+    def test_unwritable_output_path(self, capsys, tmp_path, argv):
+        code = run(argv + [str(tmp_path / "missing" / "x.json")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("input error:")
 
     def test_bad_input_file(self, tmp_path, capsys):
         f = tmp_path / "bad.json"
@@ -210,6 +260,23 @@ class TestExitCodes:
                             lambda **kw: fake)
         code = run(["verify-thm11", "--radius", "1", "--max-size", "1", "--L", "1"])
         assert code == 1
+
+    def test_comb_violation_reported(self, capsys, monkeypatch):
+        """A collection failing the inequality exits 1 and names its arcs
+        and witness: collection 6 of shape (2, 2) is ({1}, {2})."""
+        import walkcover.comb as comb
+        planted = -np.ones(16, dtype=np.int32)
+        planted[6] = 0b10
+        monkeypatch.setattr(comb, "inequality_witnesses", lambda n, m: planted)
+        code, doc = run_json(capsys, ["comb", "--n", "2", "--m", "2"])
+        assert code == 1 and doc["exit_code"] == 1
+        assert doc["results"]["violations"] == [{"arcs": [[1], [2]], "witness": [2]}]
+
+    @pytest.mark.parametrize("L", ["0", "-3"])
+    def test_thm11_needs_a_length(self, capsys, L):
+        code = run(["verify-thm11", "--L", L])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and "lengths >= 1" in err
 
     def test_exact_budget_guard(self, capsys, corner_path):
         t0 = time.monotonic()

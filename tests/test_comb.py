@@ -1,13 +1,17 @@
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import walkcover.comb as comb
 from walkcover.comb import (ArcCollection, LengthMismatchError, TooLargeError,
                             all_collections, check_cover_inequality,
-                            cover_count, cover_count_split, covers,
-                            inner_product)
+                            collection_at, cover_count, cover_count_split,
+                            covers, inequality_witnesses, inner_product,
+                            mask_elements)
 
 
 class TestInnerProduct:
@@ -124,6 +128,72 @@ class TestInvariants:
                 for V in all_collections(n, m):
                     ok, witness = check_cover_inequality(V)
                     assert ok, f"violation at {V}: {witness}"
+
+
+class TestBatchedKernel:
+    """``inequality_witnesses`` against the per-collection references."""
+
+    def test_counts_match_split_route(self):
+        for n in (1, 2):
+            for m in (0, 1, 2, 3):
+                full = (1 << n) - 1
+                arcs = comb._arc_masks(n, m, 0, 1 << n * m)
+                pos, neg = comb._union_masks(arcs)
+                subsets = np.arange(1 << n, dtype=arcs.dtype)
+                counts = comb._cover_counts(pos, neg, subsets, full)
+                for c, V in enumerate(all_collections(n, m)):
+                    assert collection_at(n, m, c) == V
+                    for a in range(1 << n):
+                        assert counts[c, a] == cover_count_split(V, mask_elements(a))
+
+    def test_verdicts_match_reference_on_criterion_5(self):
+        cases = 0
+        for n in (1, 2, 3):
+            for m in (1, 2, 3, 4):
+                witnesses = inequality_witnesses(n, m)
+                expected = [check_cover_inequality(V) for V in all_collections(n, m)]
+                got = [(True, None) if w < 0 else (False, mask_elements(int(w)))
+                       for w in witnesses]
+                assert got == expected
+                cases += len(witnesses)
+        assert cases == 5050
+
+    def test_empty_collection(self):
+        assert inequality_witnesses(1, 0).tolist() == [-1]
+
+    def test_first_excess_finds_the_first_violation(self):
+        """No real collection violates the inequality, so plant some: the
+        last column is A = ground set."""
+        counts = np.array([[2, 1, 0, 2], [1, 3, 4, 2], [0, 0, 5, 0], [0, 0, 0, 0]])
+        assert comb._first_excess(counts, counts[:, -1]).tolist() == [-1, 1, 2, -1]
+
+    def test_witness_kept_across_subset_batches(self, monkeypatch):
+        """With one subset pair per batch, a planted excess at A = {1, 2}
+        and A = {1, 3} reports {1, 2}, the first in mask order."""
+        real = comb._cover_counts
+
+        def planted(pos, neg, subsets, full):
+            counts = real(pos, neg, subsets, full)
+            counts[:, np.isin(subsets, (0b011, 0b101))] += 1 << pos.shape[1]
+            return counts
+
+        monkeypatch.setattr(comb, "_BATCH", 4)
+        monkeypatch.setattr(comb, "_cover_counts", planted)
+        assert inequality_witnesses(3, 1).tolist() == [0b011] * 8
+
+    @pytest.mark.parametrize("n, m", [(24, 0), (1, 10), (3, 5), (11, 1)])
+    def test_memory_flat_up_to_the_guard(self, n, m):
+        tracemalloc.start()
+        try:
+            witnesses = inequality_witnesses(n, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(witnesses) == 2 ** (n * m) and peak <= 2 * 2**20
+
+    def test_guard_before_allocation(self):
+        with pytest.raises(TooLargeError):
+            inequality_witnesses(1, 11)
 
 
 @settings(max_examples=200, deadline=None)

@@ -235,6 +235,12 @@ class TestReflectionSweep:
                                                lengths=(1, 2, 3))
         assert report.passed and report.cases > 0
 
+    @pytest.mark.parametrize("lengths", [(), range(1, 1), (0, 1), (2, -3)])
+    def test_needs_a_positive_length(self, lengths):
+        """No length, or a length < 1, would make a vacuous pass."""
+        with pytest.raises(ValueError, match="lengths >= 1"):
+            reflection_monotonicity_sweep(radius=1, max_set_size=1, lengths=lengths)
+
     @pytest.mark.parametrize("L", range(6))
     def test_masks_match_reference(self, L):
         points = list(itertools.product(range(-2, 3), repeat=2)) + [(3, 3), (6, 0)]
