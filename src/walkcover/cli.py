@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Every command emits a JSON envelope (schema shipped as
-``output.schema.json``) as one compact line; tabular results (sweep,
-compare) can be emitted as CSV instead.  A run is reproducible from the
-echoed parameters and seed: exact and Monte Carlo results
-bit-identically, Green values within their stated error bounds.
+``output.schema.json``) as one compact line; the commands with a results
+table (sweep, compare, verify-thm41) can emit that table as CSV instead.
+A run is reproducible from the echoed parameters and seed: exact and
+Monte Carlo results bit-identically, Green values within their stated
+error bounds.
 
 Exit codes: 0 success; 1 a theorem-shaped check found a violation (a bug
 signal, not a usage problem); 2 usage, input or numerical error.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import functools
 import io
@@ -81,11 +83,6 @@ def _csv_text(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _estimate_dict(est: montecarlo.Estimate) -> dict:
-    return {"successes": est.successes, "n": est.n, "p_hat": est.p_hat,
-            "stderr": est.stderr, "ci95": list(est.ci95)}
-
-
 def _exact_dict(res: exact.ExactResult) -> dict:
     return {"favorable": str(res.favorable), "total": str(res.total),
             "probability_num": str(res.probability.numerator),
@@ -94,34 +91,34 @@ def _exact_dict(res: exact.ExactResult) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# command implementations: each returns (results, notes, exit_code, csv_rows)
+# command implementations: each returns (results, notes, exit_code)
 # ---------------------------------------------------------------------------
 
-def _cmd_exact(args, seed):
+def _cmd_exact(args):
     res = exact.exact_cover_probability(_target_from_args(args), args.d, args.L,
                                         args.budget)
-    return _exact_dict(res), [], 0, None
+    return _exact_dict(res), [], 0
 
 
-def _cmd_mc(args, seed):
-    cfg = montecarlo.SimConfig(d=args.d, L=args.L, n_walks=args.walks, seed=seed,
+def _cmd_mc(args):
+    cfg = montecarlo.SimConfig(d=args.d, L=args.L, n_walks=args.walks, seed=args.seed,
                                threads=args.threads)
     est = montecarlo.mc_cover_probability(_target_from_args(args), cfg)
     notes = ["L-step truncation estimates a lower bound on the infinite-horizon "
              "covering probability"]
-    return _estimate_dict(est), notes, 0, None
+    return dataclasses.asdict(est), notes, 0
 
 
-def _cmd_compare(args, seed):
+def _cmd_compare(args):
     with open(args.targets, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, list):
         raise ValueError(f"{args.targets} must hold a JSON array of paths")
     paths = [lattice.validate_path(lattice.parse_points(p)) for p in data]
     targets = [lattice.CoverTarget.of_path(p, args.mode) for p in paths]
-    cfg = montecarlo.SimConfig(d=args.d, L=args.L, n_walks=args.walks, seed=seed,
+    cfg = montecarlo.SimConfig(d=args.d, L=args.L, n_walks=args.walks, seed=args.seed,
                                threads=args.threads)
-    cmp_res = montecarlo.mc_compare(targets, cfg, common_rng=args.common_rng)
+    cmp_res = montecarlo.mc_compare(targets, cfg)
     rows = []
     for k, (p, est) in enumerate(zip(paths, cmp_res.estimates)):
         rows.append({"index": k, "path": json.dumps([list(q) for q in p.points]),
@@ -132,22 +129,20 @@ def _cmd_compare(args, seed):
         for b in range(a + 1, len(targets)):
             delta, se = cmp_res.paired_diff(a, b)
             diffs.append({"i": a, "j": b, "diff": delta, "paired_stderr": se})
-    results = {"estimates": rows, "paired_differences": diffs,
-               "common_rng": args.common_rng}
-    return results, [], 0, rows
+    return {"estimates": rows, "paired_differences": diffs}, [], 0
 
 
-def _cmd_green(args, seed):
+def _cmd_green(args):
     spec = (green.simple_walk(args.d) if args.walk == "simple"
             else green.diagonal_difference_walk(args.d))
     x = tuple(int(v) for v in args.x.split(","))
     gv = green.green_value(spec, x, tol=args.tol, method=args.method)
     results = {"walk": args.walk, "d": args.d, "x": list(x), "value": gv.value,
                "abs_error_bound": gv.abs_error_bound, "method": gv.method}
-    return results, [], 0, None
+    return results, [], 0
 
 
-def _cmd_hit(args, seed):
+def _cmd_hit(args):
     start = tuple(int(v) for v in args.start.split(","))
     targets = tuple(lattice.parse_points(json.loads(args.set)))
     query = hitting.HittingQuery(start, targets, args.d)
@@ -156,10 +151,10 @@ def _cmd_hit(args, seed):
                "distribution": [{"point": list(p), "probability": v}
                                 for p, v in dist.items()],
                "hit_probability": sum(dist.values())}
-    return results, [], 0, None
+    return results, [], 0
 
 
-def _cmd_counterexample(args, seed):
+def _cmd_counterexample(args):
     ce = hitting.counterexample_probabilities(tol=args.tol)
     results: dict[str, Any] = {
         "p_original": ce.p_original,
@@ -169,46 +164,38 @@ def _cmd_counterexample(args, seed):
     notes = list(ce.notes)
     code = 0 if ce.p_original > ce.p_reflected else 1
     if not args.skip_mc:
-        bias = hitting.truncation_bias_estimate(args.L, ce.p_original)
-        cfg = montecarlo.SimConfig(d=3, L=args.L, n_walks=args.walks, seed=seed,
+        bias = hitting.truncation_bias_estimate(args.L, ce.p_original, tol=args.tol)
+        cfg = montecarlo.SimConfig(d=3, L=args.L, n_walks=args.walks, seed=args.seed,
                                    threads=args.threads)
         cmp_res = montecarlo.mc_compare(
             [lattice.CoverTarget.of_path(p, lattice.REPETITIONS)
              for p in hitting.COUNTEREXAMPLE_PATHS], cfg)
         results["mc"] = {
             "L": args.L, "walks": args.walks,
-            "original": _estimate_dict(cmp_res.estimates[0]),
-            "reflected": _estimate_dict(cmp_res.estimates[1]),
+            "original": dataclasses.asdict(cmp_res.estimates[0]),
+            "reflected": dataclasses.asdict(cmp_res.estimates[1]),
             "truncation_bias_estimate": bias,
         }
         notes.append(
             f"MC truncation bias estimate {bias:.2e} (covering completed only "
             "after step L; conditional-product form of the Green tail)")
-    return results, notes, code, None
+    return results, notes, code
 
 
-def _cmd_sweep(args, seed):
+def _cmd_sweep(args):
     table = green.asymptotic_sweep(args.dmin, args.dmax, tol=args.tol)
-    rows = []
-    for r in table.rows:
-        rows.append({"d": r.d, "p_return": r.p_return,
-                     "scaled_return": r.scaled_return,
-                     "p_diagonal": r.p_diagonal,
-                     "scaled_diagonal": r.scaled_diagonal,
-                     "excess": r.excess, "scaled_excess": r.scaled_excess})
-    results = {"rows": rows, "trend_failures": list(table.trend_failures)}
-    return results, [table.note], 0 if table.trends_ok else 1, rows
+    results = {"rows": [dataclasses.asdict(r) for r in table.rows],
+               "trend_failures": list(table.trend_failures)}
+    return results, [table.note], 0 if table.trends_ok else 1
 
 
-def _cmd_staircase(args, seed):
+def _cmd_staircase(args):
     p = lattice.staircase_path(args.N, args.d)
-    return {"points": [list(q) for q in p.points]}, [], 0, None
+    return {"points": [list(q) for q in p.points]}, [], 0
 
 
-def _cmd_reduce(args, seed):
-    path = _read_path_file(args.target)
-    if not args.no_normalize:
-        path = reflect.normalize_to_positive_orthant(path)
+def _cmd_reduce(args):
+    path = reflect.normalize_to_positive_orthant(_read_path_file(args.target))
     chain = reflect.reduce_path(path)
     steps = [{"hyperplane": {"i": h.i, "j": h.j, "offset": h.offset},
               "points": [list(q) for q in p.points],
@@ -216,10 +203,10 @@ def _cmd_reduce(args, seed):
              for h, p in chain]
     results = {"start_total_difference": lattice.total_difference(path),
                "steps": steps}
-    return results, [], 0, None
+    return results, [], 0
 
 
-def _cmd_comb(args, seed):
+def _cmd_comb(args):
     n, m = args.n, args.m
     witnesses = comb.inequality_witnesses(n, m)
     violations = [{"arcs": [sorted(a) for a in comb.collection_at(n, m, c).arcs],
@@ -230,20 +217,20 @@ def _cmd_comb(args, seed):
                "violations": violations}
     note = (f"cover-count inequality: {len(violations)} violations over "
             f"{cases} collections x {2**n} subsets")
-    return results, [note], 0 if not violations else 1, None
+    return results, [note], 0 if not violations else 1
 
 
-def _cmd_verify_thm11(args, seed):
+def _cmd_verify_thm11(args):
     report = exact.reflection_monotonicity_sweep(
         radius=args.radius, max_set_size=args.max_size,
         lengths=range(1, args.L + 1))
     results = {"cases": report.cases, "lengths": list(report.lengths),
                "radius": report.radius, "max_set_size": report.max_set_size,
                "violations": [list(map(str, v)) for v in report.violations]}
-    return results, [], 0 if report.passed else 1, None
+    return results, [], 0 if report.passed else 1
 
 
-def _cmd_verify_thm41(args, seed):
+def _cmd_verify_thm41(args):
     report = exact.verify_staircase_max(args.N, args.d, args.L, args.cap)
     rows = [{"points": json.dumps([list(q) for q in r.points]),
              "probability_num": str(r.probability.numerator),
@@ -255,31 +242,40 @@ def _cmd_verify_thm41(args, seed):
                "staircase_is_max": report.staircase_is_max}
     notes = [f"enumeration capped at {report.cap} steps; the maximality claim "
              "ranges over connecting paths of any length"]
-    return results, notes, 0 if report.staircase_is_max else 1, rows
+    return results, notes, 0 if report.staircase_is_max else 1
 
 
-# the Monte Carlo commands: each takes a seed and a thread count and
-# echoes the random-stream version it drew from
-_NEEDS_SEED = {"mc", "compare", "counterexample"}
-_THREADS_HELP = "worker threads (default: WALKCOVER_THREADS, else 1)"
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with one stderr line, like every other failure
+    (``--help`` still prints the usage)."""
+
+    def error(self, message):
+        self.exit(2, f"usage error: {self.prog}: {message}\n")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing and
     ``_apply_config`` only read it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="walkcover",
         description="covering probabilities of lattice sets under simple random walk")
     parser.add_argument("--config", help="JSON file of default option values")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=fn)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def add(name, fn, help, table=None, sampling=False):
+        """A command: ``table`` names the results list ``--format csv``
+        writes; a ``sampling`` command draws walks from a seed on threads."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=fn, table=table)
+        if table:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", help="write output here instead of stdout")
         p.add_argument("--record", help="also write the JSON envelope to this path")
+        if sampling:
+            p.add_argument("--seed", type=int)
+            p.add_argument("--threads",
+                           help="worker threads (default: WALKCOVER_THREADS, else 1)")
         return p
 
     p = add("exact", _cmd_exact, help="exact covering probability by enumeration")
@@ -290,28 +286,22 @@ def build_parser() -> argparse.ArgumentParser:
                    default=lattice.TRACE)
     p.add_argument("--budget", type=int, default=exact.DEFAULT_BUDGET)
 
-    p = add("mc", _cmd_mc, help="Monte Carlo covering probability")
+    p = add("mc", _cmd_mc, help="Monte Carlo covering probability", sampling=True)
     p.add_argument("--target", required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--walks", type=int, required=True)
-    p.add_argument("--seed", type=int)
     p.add_argument("--mode", choices=(lattice.TRACE, lattice.REPETITIONS),
                    default=lattice.TRACE)
-    p.add_argument("--threads", help=_THREADS_HELP)
 
-    p = add("compare", _cmd_compare, help="estimate several targets on shared walks")
+    p = add("compare", _cmd_compare, help="estimate several targets on shared walks",
+            table="estimates", sampling=True)
     p.add_argument("--targets", required=True, help="JSON file: list of paths")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--walks", type=int, required=True)
-    p.add_argument("--seed", type=int)
     p.add_argument("--mode", choices=(lattice.TRACE, lattice.REPETITIONS),
                    default=lattice.TRACE)
-    p.add_argument("--threads", help=_THREADS_HELP)
-    p.add_argument("--common-rng", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="evaluate every target on the same walks (paired errors)")
 
     p = add("green", _cmd_green, help="lattice Green's function value")
     p.add_argument("--walk", choices=("simple", "diagdiff"), default="simple")
@@ -327,15 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-5)
 
     p = add("counterexample", _cmd_counterexample,
-            help="covering-with-repetitions counterexample pipeline")
+            help="covering-with-repetitions counterexample pipeline", sampling=True)
     p.add_argument("--walks", type=int, default=100_000)
     p.add_argument("--L", type=int, default=10_000)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", help=_THREADS_HELP)
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--skip-mc", action="store_true")
 
-    p = add("sweep", _cmd_sweep, help="return-probability asymptotics table")
+    p = add("sweep", _cmd_sweep, help="return-probability asymptotics table",
+            table="rows")
     p.add_argument("--dmin", type=int, default=3)
     p.add_argument("--dmax", type=int, default=10)
     p.add_argument("--tol", type=float, default=1e-3)
@@ -346,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("reduce", _cmd_reduce, help="reflection chain to the diagonal region")
     p.add_argument("--target", required=True)
-    p.add_argument("--no-normalize", action="store_true",
-                   help="fail instead of sign-flipping a negative endpoint")
 
     p = add("comb", _cmd_comb, help="exhaustive cover-count inequality check")
     p.add_argument("--n", type=int, required=True)
@@ -360,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, default=6)
 
     p = add("verify-thm41", _cmd_verify_thm41,
-            help="staircase maximality ranking over short connecting paths")
+            help="staircase maximality ranking over short connecting paths",
+            table="paths_ranked")
     p.add_argument("--N", type=int, default=2)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--L", type=int, default=6)
@@ -412,12 +400,13 @@ def run(argv: list[str]) -> int:
         return 2
     args = parser.parse_args(argv)
     started = _now()
-    seed = None
+    sampling = "seed" in vars(args)
     try:
-        if args.command in _NEEDS_SEED:
+        if sampling:
             args.threads = _thread_count(args.threads)
-            seed = args.seed if args.seed is not None else fresh_seed()
-        results, notes, code, csv_rows = args.func(args, seed)
+            if args.seed is None:
+                args.seed = fresh_seed()
+        results, notes, code = args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -429,27 +418,31 @@ def run(argv: list[str]) -> int:
         return 1
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "command", "config", "out", "record", "format",
-                           "seed") and v is not None}
-    if args.command in _NEEDS_SEED:
+                           "table", "seed") and v is not None}
+    if sampling:
         params["rng_stream"] = STREAM_VERSION
-    doc = _envelope(args.command, params, seed, started, results, notes, code)
+    doc = _envelope(args.command, params, getattr(args, "seed", None), started, results,
+                    notes, code)
     envelope = json.dumps(doc)
     text = envelope
-    if args.format == "csv":
-        if not csv_rows:
-            print("csv format unavailable for this command", file=sys.stderr)
-            return 2
-        text = _csv_text(csv_rows)
+    if args.table and args.format == "csv":
+        text = _csv_text(results[args.table])
     try:
         for path, content in ((args.out, text), (args.record, envelope)):
             if path:
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(content + "\n")
+        if not args.out:
+            print(text, flush=True)
+    except BrokenPipeError as exc:
+        # the reader of stdout is gone: point stdout at the null device so
+        # that the flush at interpreter exit has nothing left to report
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    if not args.out:
-        print(text)
     return code
 
 

@@ -131,7 +131,7 @@ def counterexample_probabilities(tol: float = 1e-5) -> CounterexampleResult:
         for p in COUNTEREXAMPLE_PATHS)
     return CounterexampleResult(p_original, p_reflected, tol, (
         "truncating the walk at L steps can only lower these probabilities; "
-        "see the counterexample command for the quantitative tail estimate",))
+        "truncation_bias_estimate sizes the deficit",))
 
 
 def truncation_bias_estimate(L: int, p_cover: float,

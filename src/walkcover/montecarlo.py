@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -54,6 +54,8 @@ class SimConfig:
     def __post_init__(self):
         if self.d < 1 or self.n_walks < 1 or self.L < 0:
             raise ValueError("need d >= 1, n_walks >= 1, L >= 0")
+        if not 0 <= self.seed < 2**64:  # the Philox key holds 64 bits
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -267,19 +269,12 @@ class CompareResult:
         return (si - sj) / n, math.sqrt(n2_var / n**3)
 
 
-def mc_compare(targets: Sequence[CoverTarget], cfg: SimConfig,
-               common_rng: bool = True) -> CompareResult:
-    """Estimate several targets; with common random numbers every target
-    is evaluated on the same walks, so differences are paired."""
+def mc_compare(targets: Sequence[CoverTarget], cfg: SimConfig) -> CompareResult:
+    """Estimate several targets on common random numbers: every target is
+    evaluated on the same walks, so differences are paired."""
     if not targets:
         raise ValueError("no targets")
-    if common_rng:
-        joint = _simulate(cfg, targets)
-    else:
-        per_walk = np.stack(
-            [_per_walk_success(replace(cfg, seed=cfg.seed + k + 1), [t])[:, 0]
-             for k, t in enumerate(targets)], axis=1).astype(np.int64)
-        joint = per_walk.T @ per_walk
+    joint = _simulate(cfg, targets)
     estimates = tuple(Estimate(int(joint[k, k]), cfg.n_walks)
                       for k in range(len(targets)))
     return CompareResult(estimates, joint, cfg.n_walks)

@@ -193,7 +193,7 @@ def test_criterion_10_monotone_path_experiment(monotone_paths_d3):
     t0 = time.monotonic()
     targets = [CoverTarget.of_path(p) for p in monotone_paths_d3]
     cfg = SimConfig(d=3, L=400, n_walks=500_000, seed=PATHS_SEED, threads=8)
-    res = mc_compare(targets, cfg, common_rng=True)
+    res = mc_compare(targets, cfg)
     p_hats = [e.p_hat for e in res.estimates]
     assert min(p_hats) == p_hats[0], p_hats
     margins = []
@@ -222,7 +222,7 @@ def test_criterion_11_thread_determinism(counterexample_mc_8threads,
     # criterion 10 rerun with 1 thread
     t10 = [CoverTarget.of_path(p) for p in monotone_paths_d3]
     cfg10 = SimConfig(d=3, L=400, n_walks=500_000, seed=PATHS_SEED, threads=1)
-    res10 = mc_compare(t10, cfg10, common_rng=True)
+    res10 = mc_compare(t10, cfg10)
     expected = globals().get("_crit10_successes")
     assert expected is not None, "criterion 10 must run first"
     assert tuple(e.successes for e in res10.estimates) == expected

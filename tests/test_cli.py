@@ -1,5 +1,9 @@
+import argparse
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import jsonschema
@@ -19,6 +23,12 @@ def corner_path(tmp_path):
     f = tmp_path / "corner.json"
     f.write_text("[[0,0],[1,0],[1,1]]")
     return str(f)
+
+
+def _commands():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
 
 
 def run_json(capsys, argv):
@@ -113,16 +123,19 @@ class TestEnvelope:
         assert "rng_stream" not in doc["parameters"]
 
     def test_compare_common_rng_flag(self, capsys, tmp_path):
+        """Comparisons always run on common random numbers; the flag that
+        selected independent streams is gone."""
         f = tmp_path / "paths.json"
         f.write_text(json.dumps([[[0, 0], [1, 0]], [[0, 0], [0, 1]]]))
         argv = ["compare", "--targets", str(f), "--d", "2", "--L", "10",
                 "--walks", "2000", "--seed", "4"]
         code, doc = run_json(capsys, argv)
-        assert code == 0 and doc["results"]["common_rng"] is True
+        assert code == 0 and "common_rng" not in doc["results"]
         assert len(doc["results"]["estimates"]) == 2
         assert len(doc["results"]["paired_differences"]) == 1
-        code, doc = run_json(capsys, argv + ["--no-common-rng"])
-        assert doc["results"]["common_rng"] is False
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--no-common-rng"])
+        assert exc.value.code == 2
 
     def test_monotone_paths_file(self, capsys, monotone_paths_d3):
         f = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "monotone_paths_d3.json"
@@ -136,11 +149,61 @@ class TestEnvelope:
         assert code == 0
         assert doc["results"]["p_original"] > doc["results"]["p_reflected"]
 
+    def test_counterexample_tol_reaches_bias(self, capsys, monkeypatch):
+        import walkcover.hitting as hitting
+        bias, seen = hitting.truncation_bias_estimate, []
+        monkeypatch.setattr(hitting, "truncation_bias_estimate",
+                            lambda L, p, **kw: seen.append(kw) or bias(L, p, **kw))
+        code, doc = run_json(capsys, ["counterexample", "--L", "20", "--walks", "10",
+                                      "--seed", "1", "--tol", "1e-4"])
+        assert code == 0 and seen == [{"tol": 1e-4}]
+        assert doc["results"]["mc"]["truncation_bias_estimate"] == bias(
+            20, doc["results"]["p_original"], tol=1e-4)
+
     def test_sweep(self, capsys):
         code, doc = run_json(capsys, ["sweep", "--dmin", "3", "--dmax", "5",
                                       "--tol", "1e-3"])
         assert code == 0 and doc["results"]["trend_failures"] == []
         assert any("desk scale" in n for n in doc["notes"])
+
+
+class TestOptionInventory:
+    """Every command's options, pinned: a new option needs an edit here."""
+
+    SHARED = ("--out", "--record")
+    OPTIONS = {
+        "exact": ("--target", "--d", "--L", "--mode", "--budget"),
+        "mc": ("--seed", "--threads", "--target", "--d", "--L", "--walks", "--mode"),
+        "compare": ("--format", "--seed", "--threads", "--targets", "--d", "--L",
+                    "--walks", "--mode"),
+        "green": ("--walk", "--d", "--x", "--tol", "--method"),
+        "hit": ("--d", "--start", "--set", "--tol"),
+        "counterexample": ("--seed", "--threads", "--walks", "--L", "--tol",
+                           "--skip-mc"),
+        "sweep": ("--format", "--dmin", "--dmax", "--tol"),
+        "staircase": ("--N", "--d"),
+        "reduce": ("--target",),
+        "comb": ("--n", "--m"),
+        "verify-thm11": ("--radius", "--max-size", "--L"),
+        "verify-thm41": ("--format", "--N", "--d", "--L", "--cap"),
+    }
+    TABLES = {"sweep": "rows", "compare": "estimates", "verify-thm41": "paths_ranked"}
+    SAMPLING = {"mc", "compare", "counterexample"}
+
+    def test_options_per_command(self):
+        got = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+               for name, p in _commands().items()}
+        assert got == {name: set(self.SHARED + opts)
+                       for name, opts in self.OPTIONS.items()}
+        assert sum(map(len, got.values())) == 76
+
+    def test_format_and_seed_commands(self):
+        commands = _commands()
+        fmt = {n for n, p in commands.items() if "--format" in p._option_string_actions}
+        seeded = {n for n, p in commands.items() if "--seed" in p._option_string_actions}
+        assert fmt == set(self.TABLES) and seeded == self.SAMPLING
+        for name, p in commands.items():
+            assert p.get_default("table") == self.TABLES.get(name)
 
 
 class TestFormatsAndFiles:
@@ -152,8 +215,36 @@ class TestFormatsAndFiles:
         assert header.startswith("d,") and len(rows) == 2
 
     def test_csv_unavailable(self, capsys):
-        code = run(["green", "--d", "3", "--x", "0,0,0", "--format", "csv"])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["green", "--d", "3", "--x", "0,0,0", "--format", "csv"])
+        assert exc.value.code == 2
+
+    def test_csv_refused_before_work(self, capsys, monkeypatch):
+        """``comb`` has no table: ``--format csv`` is a usage error raised
+        while parsing, before the enumeration starts."""
+        import walkcover.comb as comb
+
+        def never(n, m):
+            raise AssertionError("comb enumeration ran")
+        monkeypatch.setattr(comb, "inequality_witnesses", never)
+        with pytest.raises(SystemExit) as exc:
+            run(["comb", "--n", "3", "--m", "4", "--format", "csv"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unrecognized arguments: --format csv" in err
+
+    def test_compare_and_thm41_csv(self, capsys, tmp_path):
+        f = tmp_path / "paths.json"
+        f.write_text(json.dumps([[[0, 0], [1, 0]], [[0, 0], [0, 1]]]))
+        for argv, header, count in (
+                (["compare", "--targets", str(f), "--d", "2", "--L", "6",
+                  "--walks", "100", "--seed", "1"], "index,path,", 2),
+                (["verify-thm41", "--N", "2", "--d", "2", "--L", "4", "--cap", "2"],
+                 "points,", None)):
+            assert run(argv + ["--format", "csv"]) == 0
+            first, *rows = capsys.readouterr().out.strip().splitlines()
+            assert first.startswith(header) and rows
+            assert count is None or len(rows) == count
 
     def test_out_and_record(self, tmp_path, corner_path, capsys):
         out = tmp_path / "res.json"
@@ -229,6 +320,8 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run(["exact", "--d", "2"])  # argparse: missing required args
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("usage error: walkcover exact:")
 
     @pytest.mark.parametrize("argv", [
         ["staircase", "--N", "2", "--d", "2", "--out"],
@@ -240,6 +333,37 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("input error:")
+
+    def test_closed_stdout(self, tmp_path):
+        """A stdout pipe whose reader has gone exits 2 with one stderr line
+        and no traceback."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(walkcover.__file__).parents[1]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "walkcover.cli", "staircase", "--N", "2", "--d", "2"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2, err
+        assert err.count("\n") == 1 and err.startswith("output error:")
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**65 - 1)])
+    def test_seed_outside_64_bits(self, capsys, corner_path, seed):
+        """Seeds wrapped modulo 2**64 once, so these drew the walks of
+        2**64 - 1 while echoing a different seed."""
+        code = run(["mc", "--target", corner_path, "--d", "2", "--L", "10",
+                    "--walks", "100", "--seed", seed])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and "seed" in err
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_accepted(self, capsys, corner_path, seed):
+        code, doc = run_json(capsys, ["mc", "--target", corner_path, "--d", "2",
+                                      "--L", "10", "--walks", "100", "--seed", str(seed)])
+        assert code == 0 and doc["seed"] == seed
 
     def test_bad_input_file(self, tmp_path, capsys):
         f = tmp_path / "bad.json"
