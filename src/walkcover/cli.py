@@ -8,7 +8,8 @@ Monte Carlo results bit-identically, Green values within their stated
 error bounds.
 
 Exit codes: 0 success; 1 a theorem-shaped check found a violation (a bug
-signal, not a usage problem); 2 usage, input or numerical error.
+signal, not a usage problem); 2 usage, input or numerical error (an
+arithmetic overflow or a non-finite Green value among them).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import io
 import json
 import os
 import sys
+from fractions import Fraction
 from typing import Any
 
 from . import __version__, comb, exact, green, hitting, lattice, montecarlo, reflect
@@ -83,11 +85,10 @@ def _csv_text(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _exact_dict(res: exact.ExactResult) -> dict:
-    return {"favorable": str(res.favorable), "total": str(res.total),
-            "probability_num": str(res.probability.numerator),
-            "probability_den": str(res.probability.denominator),
-            "probability": float(res.probability)}
+def _probability_fields(p: Fraction) -> dict:
+    """An exact probability as numerator and denominator strings, plus its float."""
+    return {"probability_num": str(p.numerator), "probability_den": str(p.denominator),
+            "probability": float(p)}
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +98,8 @@ def _exact_dict(res: exact.ExactResult) -> dict:
 def _cmd_exact(args):
     res = exact.exact_cover_probability(_target_from_args(args), args.d, args.L,
                                         args.budget)
-    return _exact_dict(res), [], 0
+    return {"favorable": str(res.favorable), "total": str(res.total),
+            **_probability_fields(res.probability)}, [], 0
 
 
 def _cmd_mc(args):
@@ -233,9 +235,7 @@ def _cmd_verify_thm11(args):
 def _cmd_verify_thm41(args):
     report = exact.verify_staircase_max(args.N, args.d, args.L, args.cap)
     rows = [{"points": json.dumps([list(q) for q in r.points]),
-             "probability_num": str(r.probability.numerator),
-             "probability_den": str(r.probability.denominator),
-             "probability": float(r.probability),
+             **_probability_fields(r.probability),
              "is_staircase": r.is_staircase} for r in report.rows]
     results = {"N": report.N, "d": report.d, "L": report.L, "cap": report.cap,
                "paths_ranked": rows,
@@ -410,7 +410,8 @@ def run(argv: list[str]) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (green.ToleranceUnreachableError, hitting.SingularSystemError) as exc:
+    except (green.ToleranceUnreachableError, hitting.SingularSystemError,
+            ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     except reflect.ReductionInvariantError as exc:

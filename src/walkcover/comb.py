@@ -125,16 +125,10 @@ def inner_product(V: ArcCollection, signs: Sequence[int]) -> SignedSet:
 def covers(V: ArcCollection, signs: Sequence[int], A: Iterable[int]) -> bool:
     """True iff A lands in the positive part and its complement in the
     negative part."""
-    _check_config(V, signs)
-    a_mask = _mask_of(A, V.n)
-    pos = neg = 0
-    for mask, s in zip(V.masks(), signs):
-        if s == 1:
-            pos |= mask
-        else:
-            neg |= mask
-    full = (1 << V.n) - 1
-    return (a_mask & ~pos) == 0 and ((full ^ a_mask) & ~neg) == 0
+    union = inner_product(V, signs)
+    A = frozenset(A)
+    _mask_of(A, V.n)  # raises for an element outside the ground set
+    return A <= union.positive and frozenset(range(1, V.n + 1)) - A <= union.negative
 
 
 def _signed_unions(masks: Sequence[int]) -> list[tuple[int, int]]:

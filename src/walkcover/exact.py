@@ -275,8 +275,8 @@ def reflection_monotonicity_sweep(d: int = 2, h: Hyperplane = Hyperplane(0, 1, 1
     origin-side sets (up to the given size, inside the sup-norm box)
     against the pair with the second set reflected.  Any case where the
     reflected pair is covered by strictly more walks is a violation."""
-    if max_set_size < 1:
-        raise ValueError("need max_set_size >= 1")
+    if max_set_size < 1 or radius < 0:
+        raise ValueError("need max_set_size >= 1 and radius >= 0")
     # the origin side holds at least half the box: it contains x_i <= x_j or x_i >= x_j
     _check_sweep_work(d, ((2 * radius + 1) ** d + 1) // 2, max_set_size, lengths)
     if not lengths or min(lengths) < 1:

@@ -29,7 +29,7 @@ from functools import cache
 
 import numpy as np
 
-from .green import green_value, simple_walk
+from .green import _lclt_amplitude, green_value, simple_walk
 from .lattice import REPETITIONS, CoverTarget, Point, validate_path
 
 
@@ -51,8 +51,6 @@ class HittingQuery:
             raise ValueError("target points must be distinct")
         if any(len(p) != self.d for p in (self.start,) + self.targets):
             raise ValueError("dimension mismatch")
-        if self.d < 3:
-            raise ValueError("first-entry calculus requires a transient walk (d >= 3)")
 
 
 def _green(d: int, x: tuple[int, ...], tol: float) -> float:
@@ -91,8 +89,6 @@ def infinite_cover_probability(target: CoverTarget, tol: float = 1e-5) -> float:
     (position, visits still needed), so the work grows with the number
     of requirement states, not of entry orders."""
     d = target.dim
-    if d < 3:
-        raise ValueError("first-entry calculus requires a transient walk (d >= 3)")
     owed = target.outstanding()
     points = tuple(sorted(owed))
 
@@ -134,13 +130,11 @@ def counterexample_probabilities(tol: float = 1e-5) -> CounterexampleResult:
         "truncation_bias_estimate sizes the deficit",))
 
 
-def truncation_bias_estimate(L: int, p_cover: float,
-                             points: tuple[Point, ...] = ((1, 0, 0), (0, 1, 0), (1, 1, 0)),
-                             tol: float = 1e-5) -> float:
+def truncation_bias_estimate(L: int, p_cover: float, tol: float = 1e-5) -> float:
     """Estimated covering-probability deficit from stopping at L steps.
 
-    A covering that completes only after L requires a visit to some
-    target point in (L, inf); the expected number of such visits is the
+    A covering of (o, y, w, z) that completes only after L requires a
+    visit to y, w or z in (L, inf); the expected number of such visits is the
     Green tail, and dividing by G(0) converts expected visits into a
     visit probability.  Multiplying by the covering probability itself
     approximates the joint requirement (the factors are positively
@@ -149,7 +143,8 @@ def truncation_bias_estimate(L: int, p_cover: float,
     """
     if L < 1:
         raise ValueError(f"the truncation bias estimate needs L >= 1, got {L}")
-    d = 3
-    tail = (d / (2 * math.pi)) ** (d / 2) * 2.0 / math.sqrt(L) / _green(d, (0,) * d, tol)
+    path = COUNTEREXAMPLE_PATHS[0]
+    d, origin = path.dim, path.points[0]
+    tail = _lclt_amplitude(simple_walk(d)) * 2.0 / math.sqrt(L) / _green(d, origin, tol)
     return p_cover * tail * sum(math.exp(-d * sum(c * c for c in p) / 2.0 / L)
-                                for p in points)
+                                for p in sorted(path.trace - {origin}))

@@ -34,7 +34,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .lattice import CoverTarget, Point
-from .rng import steps_per_value, value_digits, walk_directions, walk_values
+from .rng import check_seed, steps_per_value, value_digits, walk_directions, walk_values
 
 DEFAULT_BATCH = 1024
 DEFAULT_CHUNK = 336
@@ -54,8 +54,7 @@ class SimConfig:
     def __post_init__(self):
         if self.d < 1 or self.n_walks < 1 or self.L < 0:
             raise ValueError("need d >= 1, n_walks >= 1, L >= 0")
-        if not 0 <= self.seed < 2**64:  # the Philox key holds 64 bits
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

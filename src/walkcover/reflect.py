@@ -122,16 +122,6 @@ def arc_decompose(path: Path, h: Hyperplane) -> ArcDecomposition:
     return ArcDecomposition(tuple(path.points[: visits[0]]), tuple(arcs), tuple(visits))
 
 
-def arc_side(arc: Sequence[Point], h: Hyperplane) -> int:
-    """-1/+1 for the strict side the arc's off-plane points lie on, 0 for
-    an arc that never leaves the plane."""
-    for p in arc:
-        g = h.signed_gap(p)
-        if g != 0:
-            return 1 if g > 0 else -1
-    return 0
-
-
 def apply_configuration(path: Path, h: Hyperplane, signs: Sequence[int]) -> Path:
     """Keep (+1) or reflect (-1) each arc; the prefix is never touched.
 
@@ -155,8 +145,7 @@ def canonical_representative(path: Path, h: Hyperplane) -> tuple[Path, SignVecto
     sign vector that maps it back to ``path`` via
     :func:`apply_configuration`."""
     dec = arc_decompose(path, h)
-    wrong = h.origin_sign() * -1
-    signs = tuple(-1 if arc_side(arc, h) == wrong else 1 for arc in dec.arcs)
+    signs = tuple(1 if all(map(h.on_origin_side, arc)) else -1 for arc in dec.arcs)
     return apply_configuration(path, h, signs), signs
 
 

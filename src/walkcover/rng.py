@@ -58,10 +58,17 @@ def philox4x32(c0, c1, c2, c3, k0, k1, rounds: int = 10):
     return x0, x1, x2, x3
 
 
+def check_seed(seed: int) -> int:
+    """The seed as a Philox key; a seed outside [0, 2**64) would alias another."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return int(seed)
+
+
 def walk_words(seed: int, walk_ids: np.ndarray, block0: int, nblocks: int) -> np.ndarray:
     """Raw uint32 words for each walk: words ``4*block0 .. 4*(block0 +
     nblocks) - 1`` of each walk's stream; shape (len(walk_ids), 4*nblocks)."""
-    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+    seed = check_seed(seed)
     ids = np.asarray(walk_ids, np.uint64)[:, None]
     blocks = block0 + np.arange(nblocks, dtype=np.uint64)[None, :]
     words = philox4x32(blocks & _MASK32, blocks >> _SHIFT32, ids & _MASK32, ids >> _SHIFT32,

@@ -481,6 +481,27 @@ class TestExitCodes:
         assert code == 2 and err.count("\n") == 1 and "L >= 1" in err
         assert elapsed < 5
 
+    def test_negative_radius(self, capsys):
+        """An empty box would pass vacuously, with 6 cases of empty sets."""
+        code = run(["verify-thm11", "--radius", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "radius >= 0" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["green", "--walk", "simple", "--d", "200", "--x", ",".join(["0"] * 200)],
+        ["hit", "--d", "130", "--start", ",".join(["0"] * 130),
+         "--set", json.dumps([[1] + [0] * 129])],
+        ["sweep", "--dmin", "115", "--dmax", "121"],
+        ["green", "--method", "stepsum", "--d", "400", "--x", ",".join(["0"] * 400)]])
+    def test_high_dimension_overflow(self, capsys, argv):
+        """The tail fit overflows from dim 119 on, and stepsum's horizon
+        at d = 400: a numerical error, never a NaN in the envelope."""
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("numerical error:")
+
     def test_green_method_auto_retired(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["green", "--d", "3", "--x", "0,0,0", "--method", "auto"])

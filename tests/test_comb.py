@@ -44,6 +44,20 @@ class TestCovers:
         V = ArcCollection.of(2, {1, 2}, {1})
         assert covers(V, (-1, 1), {1})
 
+    def test_counts_agree_with_mask_route(self):
+        """Summed over sign vectors, the set-wise test gives cover_count."""
+        V = ArcCollection.of(3, {1, 2}, {2, 3}, {1}, set(), {3})
+        for A in ({1, 2, 3}, {2}, set(), {1, 3}):
+            hits = sum(covers(V, s, A) for s in itertools.product((1, -1), repeat=V.m))
+            assert hits == cover_count(V, A), A
+
+    def test_rejects_bad_input(self):
+        V = ArcCollection.of(2, {1, 2}, {1})
+        with pytest.raises(ValueError, match="outside ground set"):
+            covers(V, (1, 1), {3})
+        with pytest.raises(LengthMismatchError):
+            covers(V, (1,), {1})
+
 
 def brute_count(V: ArcCollection, A) -> int:
     """Oracle: try all sign vectors via the definition, set-wise."""

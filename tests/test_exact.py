@@ -270,7 +270,8 @@ class TestReflectionSweep:
         assert report.cases == 178_758 and peak <= 2 * 2**20
 
     def test_bitmask_counts_match_dfs(self):
-        """The sweep's bit-parallel counts agree with the general counter."""
+        """The sweep's bit-parallel counts agree with the general counter,
+        on both tables, in every case at radius 1, sets of size <= 2, L = 3."""
         report = reflection_monotonicity_sweep(radius=1, max_set_size=2,
                                                lengths=(3,))
         assert report.passed
@@ -279,6 +280,23 @@ class TestReflectionSweep:
             c1, c2 = count_reflected_pair(A0, B0, H21, 2, 3)
             brute1 = brute_force_cover_count(2, 3, {p: 1 for p in set(A0) | set(B0)} or {(0, 0): 1})
             assert c1 == brute1
+        side = [p for p in itertools.product(range(-1, 2), repeat=2) if H21.on_origin_side(p)]
+        n = len(side)
+        masks = ex._walk_cover_masks(2, 3, side + [reflect_point(p, H21) for p in side]
+                                     + [(0, 0)])
+        original, reflected = ex._sweep_cases(n, 2)
+        counts = np.empty((2, len(original)), dtype=np.int64)
+        ex._covered_counts(masks, original, counts[0])
+        ex._covered_counts(masks, reflected, counts[1])
+        assert len(original) == report.cases == 885
+        for row, c1, c2 in zip(original, *counts):
+            A0, B0 = ([side[i] for i in half if i < n] for half in (row[:2], row[2:]))
+            assert (c1, c2) == count_reflected_pair(A0, B0, H21, 2, 3), (A0, B0)
+
+    def test_negative_radius_rejected(self):
+        """An empty box would make a vacuous pass."""
+        with pytest.raises(ValueError, match="radius >= 0"):
+            reflection_monotonicity_sweep(radius=-1)
 
 
 class TestStaircaseRanking:

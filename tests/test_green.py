@@ -422,6 +422,19 @@ class TestGreenContract:
             with pytest.raises(ValueError, match="dimension"):
                 route(spec, x)
 
+    def test_fourier_finite_below_the_fit_overflow(self):
+        """At dim 100 the tail fit's T^(dim/2) is still finite; G(0) lies
+        just above 1 + 1/(2d)."""
+        g = fourier_green(simple_walk(100), (0,) * 100, tol=1e-4)
+        assert math.isfinite(g.value) and g.abs_error_bound <= 1e-4
+        assert 1.005 < g.value < 1.0051
+
+    @pytest.mark.parametrize("value,bound", [(math.nan, 0.0), (1.0, math.nan),
+                                             (math.inf, 0.0), (1.0, math.inf)])
+    def test_non_finite_value_rejected(self, value, bound):
+        with pytest.raises(ArithmeticError, match="not finite"):
+            GreenValue(value, bound, "fourier")
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             green_value(simple_walk(3), (0, 0, 0), method="auto")

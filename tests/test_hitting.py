@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from walkcover.exact import exact_cover_probability
-from walkcover.green import green_value, return_probability, simple_walk
+from walkcover.green import (RecurrentWalkError, green_value, return_probability,
+                             simple_walk)
 from walkcover.hitting import (COUNTEREXAMPLE_PATHS, HittingQuery,
                                counterexample_probabilities,
                                first_entry_distribution, hit_probability,
@@ -119,8 +122,8 @@ class TestFirstEntryStructure:
             HittingQuery(O, (), 3)
         with pytest.raises(ValueError):
             HittingQuery(O, (Y, Y), 3)
-        with pytest.raises(ValueError):
-            HittingQuery((0, 0), ((1, 0),), 2)
+        with pytest.raises(RecurrentWalkError):
+            first_entry_distribution(HittingQuery((0, 0), ((1, 0),), 2))
 
 
 class TestInfiniteCover:
@@ -183,6 +186,15 @@ class TestCounterexample:
         ce = counterexample_probabilities(tol=1e-5)
         bias = truncation_bias_estimate(10_000, ce.p_original)
         assert 0 < bias < 2e-3
+
+    @pytest.mark.parametrize("L,p_cover", [(1, 1.0), (10_000, 0.08084), (4000, 0.5)])
+    def test_truncation_bias_closed_form(self, L, p_cover):
+        """The three non-origin points of (o, y, w, z) in the local-CLT tail."""
+        tail = (3 / (2 * math.pi)) ** 1.5 * 2.0 / math.sqrt(L) / green_value(
+            simple_walk(3), O, 1e-5).value
+        expect = p_cover * tail * sum(math.exp(-3 * sum(c * c for c in p) / 2.0 / L)
+                                      for p in ((1, 0, 0), (0, 1, 0), (1, 1, 0)))
+        assert truncation_bias_estimate(L, p_cover) == expect
 
     @pytest.mark.parametrize("L", [0, -3])
     def test_truncation_bias_needs_a_step(self, L):

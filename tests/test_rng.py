@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from walkcover.rng import (STREAM_VERSION, philox4x32, steps_per_value,
-                           walk_directions, walk_words)
+                           walk_directions, walk_values, walk_words)
 
 
 def _block(c, k):
@@ -37,6 +37,19 @@ class TestStreams:
         first = walk_words(99, ids, 0, 3)
         rest = walk_words(99, ids, 3, 5)
         assert (np.concatenate([first, rest], axis=1) == whole).all()
+
+    @pytest.mark.parametrize("draw", [
+        lambda seed, ids: walk_words(seed, ids, 0, 2),
+        lambda seed, ids: walk_values(seed, ids, 0, 3, 6),
+        lambda seed, ids: walk_directions(seed, ids, 0, 50, 6)],
+        ids=["words", "values", "directions"])
+    def test_seed_holds_64_bits(self, draw):
+        """A seed outside [0, 2**64) would alias another seed's streams."""
+        ids = np.arange(4, dtype=np.uint64)
+        for seed in (-1, 2**64, 2**65 - 1):
+            with pytest.raises(ValueError, match="seed"):
+                draw(seed, ids)
+        assert not (draw(0, ids) == draw(2**64 - 1, ids)).all()
 
     def test_step_windows_consistent(self):
         ids = np.array([7, 123456], dtype=np.uint64)
