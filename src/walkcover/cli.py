@@ -7,9 +7,13 @@ A run is reproducible from the echoed parameters and seed: exact and
 Monte Carlo results bit-identically, Green values within their stated
 error bounds.
 
+Options can also come from an argument file: ``walkcover <command> @FILE``
+reads one argument per line from FILE, and a flag after ``@FILE`` wins.
+
 Exit codes: 0 success; 1 a theorem-shaped check found a violation (a bug
 signal, not a usage problem); 2 usage, input or numerical error (an
-arithmetic overflow or a non-finite Green value among them).
+arithmetic overflow, a non-finite Green value or exhausted memory among
+them).
 """
 
 from __future__ import annotations
@@ -48,23 +52,6 @@ def _envelope(command: str, params: dict, seed: int | None, started: str,
         "notes": notes,
         "exit_code": exit_code,
     }
-
-
-def _thread_count(value: str | None) -> int:
-    """Worker threads: ``--threads`` when given, else ``WALKCOVER_THREADS``,
-    else 1.  Anything but a positive integer is an input error."""
-    source = "--threads"
-    if value is None:
-        value, source = os.environ.get("WALKCOVER_THREADS"), "WALKCOVER_THREADS"
-        if not value:
-            return 1
-    try:
-        threads = int(value)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"{source} must be a positive integer, got {value!r}")
-    return threads
 
 
 def _read_path_file(path: str) -> lattice.Path:
@@ -123,7 +110,7 @@ def _cmd_compare(args):
     cmp_res = montecarlo.mc_compare(targets, cfg)
     rows = []
     for k, (p, est) in enumerate(zip(paths, cmp_res.estimates)):
-        rows.append({"index": k, "path": json.dumps([list(q) for q in p.points]),
+        rows.append({"index": k, "path": lattice.path_to_json(p),
                      "successes": est.successes, "n": est.n,
                      "p_hat": est.p_hat, "stderr": est.stderr})
     diffs = []
@@ -234,7 +221,7 @@ def _cmd_verify_thm11(args):
 
 def _cmd_verify_thm41(args):
     report = exact.verify_staircase_max(args.N, args.d, args.L, args.cap)
-    rows = [{"points": json.dumps([list(q) for q in r.points]),
+    rows = [{"points": lattice.path_to_json(r.points),
              **_probability_fields(r.probability),
              "is_staircase": r.is_staircase} for r in report.rows]
     results = {"N": report.N, "d": report.d, "L": report.L, "cap": report.cap,
@@ -255,12 +242,10 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing and
-    ``_apply_config`` only read it."""
+    """The command-line parser, built once per process: parsing only reads it."""
     parser = _Parser(
-        prog="walkcover",
+        prog="walkcover", fromfile_prefix_chars="@",
         description="covering probabilities of lattice sets under simple random walk")
-    parser.add_argument("--config", help="JSON file of default option values")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help, table=None, sampling=False):
@@ -274,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--record", help="also write the JSON envelope to this path")
         if sampling:
             p.add_argument("--seed", type=int)
-            p.add_argument("--threads",
-                           help="worker threads (default: WALKCOVER_THREADS, else 1)")
+            p.add_argument("--threads", type=int, default=1, help="worker threads")
         return p
 
     p = add("exact", _cmd_exact, help="exact covering probability by enumeration")
@@ -357,69 +341,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Config-file values become defaults; explicit flags win.  Each key
-    must name an option of the chosen command."""
-    argv = [part for a in argv
-            for part in (a.split("=", 1) if a.startswith("--config=") else [a])]
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    cfg_path = argv[idx + 1]
-    with open(cfg_path, "r", encoding="utf-8") as fh:
-        defaults = json.load(fh)
-    if not isinstance(defaults, dict):
-        raise ValueError(f"{cfg_path} must hold a JSON object")
-    rest = argv[:idx] + argv[idx + 2:]
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    command = next((a for a in rest if a in sub.choices), None)
-    flags = ({f for a in sub.choices[command]._actions for f in a.option_strings}
-             if command else ())
-    out = list(rest)
-    given = {a.split("=")[0] for a in rest if a.startswith("--")}
-    for key, value in defaults.items():
-        flag = "--" + key.replace("_", "-")
-        if flag not in flags:
-            raise ValueError(f"key {key!r} is not an option of command {command!r}")
-        if flag in given:
-            continue
-        if isinstance(value, bool):
-            if value:
-                out.append(flag)
-        else:
-            out.extend([flag, str(value)])
-    return out
-
-
 def run(argv: list[str]) -> int:
-    parser = build_parser()
-    try:
-        argv = _apply_config(parser, argv)
-    except (OSError, ValueError, IndexError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = _now()
     sampling = "seed" in vars(args)
+    if sampling and args.seed is None:
+        args.seed = fresh_seed()
     try:
-        if sampling:
-            args.threads = _thread_count(args.threads)
-            if args.seed is None:
-                args.seed = fresh_seed()
         results, notes, code = args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (green.ToleranceUnreachableError, hitting.SingularSystemError,
             ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"memory error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     except reflect.ReductionInvariantError as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1
     params = {k: v for k, v in vars(args).items()
-              if k not in ("func", "command", "config", "out", "record", "format",
-                           "table", "seed") and v is not None}
+              if k not in ("func", "command", "out", "record", "format", "table", "seed")
+              and v is not None}
     if sampling:
         params["rng_stream"] = STREAM_VERSION
     doc = _envelope(args.command, params, getattr(args, "seed", None), started, results,

@@ -407,8 +407,9 @@ def verify_staircase_max(N: int, d: int, L: int, cap: int,
     the walk symmetries, so each symmetry class is counted once."""
     if d < 1 or not 1 <= N <= min(cap, L):
         raise ValueError("need d >= 1 and 1 <= N <= min(cap, L)")
-    # a trace holds at most cap points besides the origin, all of norm <= N
-    _check_budget(d, L, 1 << cap, N, budget)
+    # a trace holds at most cap points besides the origin, all of norm <= N;
+    # a cap past the budget's bit length is refused alike, without forming 2^cap
+    _check_budget(d, L, 1 << min(cap, budget.bit_length()), N, budget)
     paths = list(enumerate_connecting_paths(N, d, cap))
     traces = list(dict.fromkeys(frozenset(pts) for pts in paths))
     cache: dict[tuple[int, ...], Fraction] = {}

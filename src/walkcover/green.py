@@ -15,11 +15,11 @@ probed bonds for off-diagonal values.
   (Montroll 1956; Guttmann, J. Phys. A 43 (2010) 305205), by
   Gauss-Legendre in log t plus a fitted tail, the integrand summed over
   the levels one panel of t at a time.  Its stated bound is about 1e-12
-  in every dimension below 119, where its tail fit overflows.
+  in every dimension.
 
-* **stepsum** - the independent cross-check.  G(x) = sum_n P(X_n = x) is
-  summed exactly to a step horizon and closed with one analytic
-  local-CLT tail for both walks.  The n-step probabilities come from
+* **stepsum** - the independent cross-check, up to dimension
+  ``STEPSUM_MAX_DIM``.  G(x) = sum_n P(X_n = x) is summed exactly to a
+  step horizon and closed with one analytic local-CLT tail for both walks.  The n-step probabilities come from
   splitting the n steps multinomially over the slots, each then an
   independent +/-1 walk: a cascade of binomial-mixture convolutions,
   through which all winding levels run together, sharing their binomial
@@ -186,10 +186,8 @@ def _step_terms(spec: WalkSpectrum, x: Sequence[int], n_max: int) -> np.ndarray:
 def _lclt_amplitude(spec: WalkSpectrum) -> float:
     """A = (2 pi)^-s det(Sigma)^-1/2 in the parity-averaged local CLT, for the
     step covariance Sigma = I/d (simple) or T/d (difference, det T = d)."""
-    s = spec.dim / 2.0
-    if spec.kind == SIMPLE:
-        return (spec.d / (2 * math.pi)) ** s
-    return spec.d ** ((spec.d - 2) / 2.0) / (2 * math.pi) ** s
+    amp = (spec.d / (2 * math.pi)) ** (spec.dim / 2.0)
+    return amp if spec.kind == SIMPLE else amp / math.sqrt(spec.d)
 
 
 def _lclt_tail(spec: WalkSpectrum, x: Sequence[int], n_max: int) -> tuple[float, float]:
@@ -214,9 +212,18 @@ def _lclt_tail(spec: WalkSpectrum, x: Sequence[int], n_max: int) -> tuple[float,
     return tail, 2.0 * amp * n_max ** (-s)
 
 
+#: Past this dimension Gamma(dim/2 - 1) in the local-CLT tail overflows a float.
+STEPSUM_MAX_DIM = 345
+
+
 def _stepsum_n_max(spec: WalkSpectrum, tol: float) -> int:
-    """The first horizon whose tail bound is at most tol/2, within [400, 25000]."""
-    n = (4.0 * _lclt_amplitude(spec) / tol) ** (2.0 / spec.dim)
+    """The first horizon whose tail bound is at most tol/2, within [400, 25000].
+    Raises past STEPSUM_MAX_DIM, before any tail term is formed."""
+    if spec.dim > STEPSUM_MAX_DIM:
+        raise ToleranceUnreachableError(
+            f"stepsum reaches dimension {STEPSUM_MAX_DIM} at most; the {spec.kind} "
+            f"walk at d = {spec.d} has dimension {spec.dim}")
+    n = math.exp((math.log(4.0 * _lclt_amplitude(spec)) - math.log(tol)) * 2.0 / spec.dim)
     return min(max(math.ceil(n), 400), 25000)
 
 
@@ -272,16 +279,15 @@ def fourier_green(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4) -> Gr
         t = np.exp(np.add.outer(np.arange(panels), (z + 1) / 2))
         f = _occupation_density(spec, x, np.vstack([(z + 1) / 2, t])).ravel()
         body.append(float(f @ np.r_[w, np.tile(w, panels) * t.ravel()]) / 2)
-    # beyond T, t^m f(t) = a0 + a1/t + a2/t^2 + ...; fit at T/4, T/2 and T.
-    # From dim 119 on T^m overflows and the fit gives NaN, which the gate refuses
+    # beyond T, (t/T)^m f(t) = b0 + b1 (T/t) + b2 (T/t)^2 + ...; fit at T/t =
+    # 4, 2 and 1.  Scaled by T, the fit forms no power of T, which would overflow
     T, m = math.exp(panels), spec.dim / 2.0
-    ts = T / np.array([4.0, 2.0, 1.0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        a2, a1, a0 = np.linalg.solve(np.vander(1 / ts, 3),
-                                     _occupation_density(spec, x, ts[None])[0] * ts**m)
-        last = a2 * T ** (-m - 1) / (m + 1)
-        tail = a0 * T ** (1 - m) / (m - 1) + a1 * T**-m / m + last
-        bound = float(2.0 * abs(body[1] - body[0]) + abs(last) + 1e-12)
+    u = np.array([4.0, 2.0, 1.0])
+    b2, b1, b0 = np.linalg.solve(np.vander(u, 3),
+                                 _occupation_density(spec, x, T / u[None])[0] * u**-m)
+    last = T * b2 / (m + 1)
+    tail = T * (b0 / (m - 1) + b1 / m) + last
+    bound = float(2.0 * abs(body[1] - body[0]) + abs(last) + 1e-12)
     if not bound <= tol:
         raise ToleranceUnreachableError(f"fourier bound {bound:.2e} exceeds tol {tol:.2e}")
     return GreenValue(float(body[1] + tail), bound, "fourier")

@@ -129,26 +129,16 @@ def connects_origin_to_sphere(path: Path, N: int) -> bool:
 
 
 def staircase_path(N: int, d: int) -> Path:
-    """The monotone diagonal-hugging path of length N+1 in Z^d.
-
-    Built from full arcs ``(k-1)(e_1+...+e_d) + (0, e_1, e_1+e_2, ...,
-    e_1+...+e_{d-1})`` for k = 1..floor(N/d), followed by the truncated
-    arc holding the remaining ``N mod d`` steps.  When d divides N the
-    final arc is the single diagonal point ``(N/d)(e_1+...+e_d)``.
-    """
+    """The monotone diagonal-hugging path of length N+1 in Z^d: point t
+    has its first ``t mod d`` coordinates equal to ``t//d + 1`` and the
+    rest equal to ``t//d``.  It runs through the arcs ``k(e_1+...+e_d) +
+    (0, e_1, e_1+e_2, ..., e_1+...+e_{d-1})``, the last one truncated to
+    the remaining ``N mod d`` steps (a single diagonal point when d
+    divides N)."""
     if N < 1 or d < 1:
         raise ValueError("need N >= 1 and d >= 1")
-    full, rem = divmod(N, d)
-    points: list[Point] = []
-    for k in range(full + 1):
-        base = [k] * d
-        arc_len = d if k < full else rem + 1  # last arc truncated
-        for r in range(arc_len):
-            p = base.copy()
-            for i in range(r):
-                p[i] += 1
-            points.append(tuple(p))
-    return Path(tuple(points))
+    return Path(tuple(tuple([t // d + 1] * (t % d) + [t // d] * (d - t % d))
+                      for t in range(N + 1)))
 
 
 def straight_path(N: int, d: int) -> Path:
@@ -247,8 +237,9 @@ def outstanding_visits(required: Mapping[Point, int]) -> dict[Point, int]:
     return {p: k for p, k in owed.items() if k > 0}
 
 
-def path_to_json(path: Path) -> str:
-    return json.dumps([list(p) for p in path.points])
+def path_to_json(points: Iterable[Point]) -> str:
+    """The path file format for a :class:`Path` or a sequence of points."""
+    return json.dumps([list(p) for p in points])
 
 
 def parse_points(data) -> list[Point]:

@@ -52,8 +52,8 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.d < 1 or self.n_walks < 1 or self.L < 0:
-            raise ValueError("need d >= 1, n_walks >= 1, L >= 0")
+        if self.d < 1 or self.n_walks < 1 or self.L < 0 or self.threads < 1:
+            raise ValueError("need d >= 1, n_walks >= 1, L >= 0, threads >= 1")
         check_seed(self.seed)
 
 

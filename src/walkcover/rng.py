@@ -32,8 +32,8 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 
-def philox4x32(c0, c1, c2, c3, k0, k1, rounds: int = 10):
-    """One Philox-4x32 block per element of the counter words ``c0..c3``
+def philox4x32(c0, c1, c2, c3, k0, k1):
+    """One Philox-4x32-10 block per element of the counter words ``c0..c3``
     (uint32 values that broadcast to a common shape) under the key
     ``(k0, k1)`` (two uint32 scalars); returns the four output words as
     uint32 arrays of that shape.
@@ -48,7 +48,7 @@ def philox4x32(c0, c1, c2, c3, k0, k1, rounds: int = 10):
     column = (2,) + (1,) * len(shape)
     factors = np.array(_FACTORS, np.uint64).reshape(column)
     key = [int(np.squeeze(k0)), int(np.squeeze(k1))]
-    for _ in range(rounds):
+    for _ in range(10):
         prod = (mul * factors)[::-1]  # (M1 * x2, M0 * x0)
         mul = (prod >> _SHIFT32) ^ xor ^ np.array(key, np.uint64).reshape(column)
         xor = prod & _MASK32

@@ -258,25 +258,30 @@ class TestFormatsAndFiles:
         assert json.loads(rec.read_text())["command"] == "exact"
 
     def test_config_file_defaults_and_flag_precedence(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"N": 2, "d": 2}))
-        _, doc = run_json(capsys, ["--config", str(cfg), "staircase"])
+        """An argument file holds one argument per line; a flag after it wins."""
+        cfg = tmp_path / "args"
+        cfg.write_text("--N\n2\n--d=2\n")
+        _, doc = run_json(capsys, ["staircase", f"@{cfg}"])
         assert doc["results"]["points"] == [[0, 0], [1, 0], [1, 1]]
-        _, doc = run_json(capsys, ["--config", str(cfg), "staircase", "--N", "3"])
+        _, doc = run_json(capsys, ["staircase", f"@{cfg}", "--N", "3"])
         assert doc["results"]["points"] == [[0, 0], [1, 0], [1, 1], [2, 1]]
 
-    def test_config_equals_form(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"d": 3}))
-        _, doc = run_json(capsys, [f"--config={cfg}", "staircase", "--N", "2"])
-        assert doc["results"]["points"] == [[0, 0, 0], [1, 0, 0], [1, 1, 0]]
-
     def test_config_unknown_key(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"d": 3, "walks": 10}))
-        assert run(["--config", str(cfg), "staircase", "--N", "2"]) == 2
+        cfg = tmp_path / "args"
+        cfg.write_text("--d\n3\n--walks\n10\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["staircase", f"@{cfg}", "--N", "2"])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "'walks'" in err
+        assert err.count("\n") == 1 and "unrecognized arguments: --walks 10" in err
+
+    def test_config_file_missing(self, tmp_path, capsys):
+        missing = tmp_path / "absent"
+        with pytest.raises(SystemExit) as exc:
+            run(["staircase", f"@{missing}", "--N", "2", "--d", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("usage error:") and "No such file" in err
 
 
 class TestParserReuse:
@@ -287,10 +292,10 @@ class TestParserReuse:
         assert build_parser() is build_parser()
 
     def test_config_defaults_do_not_stick(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tol": 1e-3, "method": "stepsum"}))
+        cfg = tmp_path / "args"
+        cfg.write_text("--tol=1e-3\n--method=stepsum\n")
         argv = ["green", "--d", "3", "--x", "1,0,0"]
-        _, doc = run_json(capsys, ["--config", str(cfg)] + argv)
+        _, doc = run_json(capsys, argv + [f"@{cfg}"])
         assert doc["parameters"]["tol"] == 1e-3 and doc["results"]["method"] == "stepsum"
         _, doc = run_json(capsys, argv)
         assert doc["parameters"]["tol"] == 1e-4 and doc["results"]["method"] == "fourier"
@@ -429,7 +434,7 @@ class TestExitCodes:
         assert elapsed < 1
 
     @pytest.mark.parametrize("option", [["--cap", "20000"], ["--d", "3000000"],
-                                        ["--cap", "100000000"]])
+                                        ["--cap", "100000000"], ["--cap", "100000000000"]])
     def test_thm41_astronomical_work(self, capsys, option):
         t0 = time.monotonic()
         code = run(["verify-thm41"] + option)
@@ -492,15 +497,44 @@ class TestExitCodes:
         ["green", "--walk", "simple", "--d", "200", "--x", ",".join(["0"] * 200)],
         ["hit", "--d", "130", "--start", ",".join(["0"] * 130),
          "--set", json.dumps([[1] + [0] * 129])],
-        ["sweep", "--dmin", "115", "--dmax", "121"],
+        ["sweep", "--dmin", "115", "--dmax", "121"]])
+    def test_high_dimension(self, capsys, argv):
+        """The fourier route holds in every dimension; at d = 200 stepsum
+        agrees with it within their combined bounds."""
+        code, doc = run_json(capsys, argv)
+        assert code == 0 and doc["results"].get("trend_failures", []) == []
+        if argv[0] == "green":
+            _, step = run_json(capsys, argv + ["--method", "stepsum"])
+            four, step = doc["results"], step["results"]
+            assert (abs(four["value"] - step["value"])
+                    <= four["abs_error_bound"] + step["abs_error_bound"])
+
+    @pytest.mark.parametrize("argv", [
+        ["green", "--method", "stepsum", "--d", "352", "--x", ",".join(["0"] * 352)],
+        ["green", "--method", "stepsum", "--d", "346", "--x", ",".join(["1"] + ["0"] * 345)],
+        ["green", "--walk", "diagdiff", "--method", "stepsum", "--d", "347",
+         "--x", ",".join(["0"] * 346)],
         ["green", "--method", "stepsum", "--d", "400", "--x", ",".join(["0"] * 400)]])
     def test_high_dimension_overflow(self, capsys, argv):
-        """The tail fit overflows from dim 119 on, and stepsum's horizon
-        at d = 400: a numerical error, never a NaN in the envelope."""
+        """Past dimension 345 stepsum's tail overflows a float: a numerical
+        error naming the limit, never a NaN in the envelope."""
         code = run(argv)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("numerical error:")
+        assert "stepsum reaches dimension 345" in captured.err
+
+    def test_memory_error(self, capsys, monkeypatch):
+        """Exhausted memory is an input-scale failure: exit 2, one line."""
+        import walkcover.lattice as lattice
+
+        def exhausted(N, d):
+            raise MemoryError
+        monkeypatch.setattr(lattice, "staircase_path", exhausted)
+        code = run(["staircase", "--N", "2", "--d", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "memory error: out of memory\n"
 
     def test_green_method_auto_retired(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -535,27 +569,21 @@ class TestExitCodes:
 class TestThreadCount:
     MC = ["mc", "--d", "2", "--L", "4", "--walks", "100", "--seed", "1"]
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
-    def test_bad_environment_value(self, capsys, monkeypatch, corner_path, value):
-        monkeypatch.setenv("WALKCOVER_THREADS", value)
-        assert run(self.MC + ["--target", corner_path]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "WALKCOVER_THREADS" in err
-
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_bad_option_value(self, capsys, corner_path, value):
-        assert run(self.MC + ["--target", corner_path, "--threads", value]) == 2
+        """A non-integer is a usage error; a count below 1 an input error."""
+        argv = self.MC + ["--target", corner_path, "--threads", value]
+        if value == "abc":
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            code = exc.value.code
+        else:
+            code = run(argv)
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "--threads" in err
+        assert code == 2 and err.count("\n") == 1 and "threads" in err
 
-    def test_commands_without_threads_ignore_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("WALKCOVER_THREADS", "abc")
-        code, _ = run_json(capsys, ["staircase", "--N", "2", "--d", "2"])
-        assert code == 0
-
-    def test_resolved_count_echoed(self, capsys, monkeypatch, corner_path):
-        monkeypatch.setenv("WALKCOVER_THREADS", "3")
+    def test_resolved_count_echoed(self, capsys, corner_path):
         _, doc = run_json(capsys, self.MC + ["--target", corner_path])
-        assert doc["parameters"]["threads"] == 3
+        assert doc["parameters"]["threads"] == 1
         _, doc = run_json(capsys, self.MC + ["--target", corner_path, "--threads", "2"])
         assert doc["parameters"]["threads"] == 2

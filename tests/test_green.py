@@ -8,7 +8,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ive
 
-from walkcover.green import (DIAGONAL_DIFFERENCE, GreenValue,
+from walkcover.green import (DIAGONAL_DIFFERENCE, STEPSUM_MAX_DIM, GreenValue,
                              RecurrentWalkError, ToleranceUnreachableError,
                              WalkSpectrum, asymptotic_sweep,
                              character_power_moment, diagonal_difference_walk,
@@ -17,7 +17,8 @@ from walkcover.green import (DIAGONAL_DIFFERENCE, GreenValue,
                              return_probability, simple_walk, stepsum_green)
 import walkcover.green as green_mod
 from walkcover.green import (_alloc_cascade, _difference_vector, _green_cached,
-                             _occupation_density, _slot_targets, _step_terms)
+                             _lclt_tail, _occupation_density, _slot_targets,
+                             _step_terms, _stepsum_n_max)
 
 # classical values, frozen from the high-resolution stepsum oracle and
 # matching the standard references to the digits shown
@@ -423,11 +424,29 @@ class TestGreenContract:
                 route(spec, x)
 
     def test_fourier_finite_below_the_fit_overflow(self):
-        """At dim 100 the tail fit's T^(dim/2) is still finite; G(0) lies
-        just above 1 + 1/(2d)."""
+        """At dim 100 G(0) lies just above 1 + 1/(2d)."""
         g = fourier_green(simple_walk(100), (0,) * 100, tol=1e-4)
         assert math.isfinite(g.value) and g.abs_error_bound <= 1e-4
         assert 1.005 < g.value < 1.0051
+
+    @pytest.mark.parametrize("d", [118, 120, 400])
+    def test_fourier_finite_in_high_dimension(self, d):
+        """The tail fit forms no power of T = e^12, so no dimension
+        overflows it."""
+        g = fourier_green(simple_walk(d), (0,) * d, tol=1e-4)
+        assert g.abs_error_bound <= 2e-12
+        assert 1 + 1 / (2 * d) < g.value < 1 + 1 / (2 * d) + 1 / d**2
+
+    def test_stepsum_tail_finite_up_to_its_limit(self):
+        """Every tail term stays a finite float at the limit, for both
+        walks, off the origin and at any tolerance."""
+        for spec in (simple_walk(STEPSUM_MAX_DIM),
+                     diagonal_difference_walk(STEPSUM_MAX_DIM + 1)):
+            x = (1,) + (0,) * (spec.dim - 1)
+            for tol in (1e-3, 1e-12, 1e-300):
+                n = _stepsum_n_max(spec, tol)
+                assert 400 <= n <= 25000
+                assert all(map(math.isfinite, _lclt_tail(spec, x, n)))
 
     @pytest.mark.parametrize("value,bound", [(math.nan, 0.0), (1.0, math.nan),
                                              (math.inf, 0.0), (1.0, math.inf)])

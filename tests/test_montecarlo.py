@@ -275,6 +275,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             mc_cover_probability(NEIGHBOR, SimConfig(d=3, L=5, n_walks=10, seed=1))
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            SimConfig(d=2, L=5, n_walks=10, seed=1, threads=threads)
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**65 - 1])
     def test_seed_outside_64_bits(self, seed):
         """The Philox key holds 64 bits; a wider seed would alias another."""
