@@ -12,8 +12,7 @@ from .lattice import (CoverTarget, Path, Point, REPETITIONS, TRACE,
 from .reflect import (ArcDecomposition, Hyperplane, apply_configuration,
                       arc_decompose, canonical_representative,
                       normalize_to_positive_orthant, reduce_path, reflect_point)
-from .comb import (ArcCollection, SignedSet, check_cover_inequality,
-                   cover_count, cover_count_split, covers, inner_product)
+from .comb import ArcCollection, check_cover_inequality, cover_count, cover_count_split
 from .exact import (ExactResult, count_reflected_pair, exact_cover_probability,
                     reflection_monotonicity_sweep, verify_staircase_max)
 from .montecarlo import (CompareResult, Estimate, SimConfig, mc_compare,
@@ -24,6 +23,6 @@ from .green import (GreenValue, WalkSpectrum, asymptotic_sweep,
                     offdiagonal_sum, return_probability, simple_walk)
 from .hitting import (CounterexampleResult, HittingQuery,
                       counterexample_probabilities, first_entry_distribution,
-                      hit_probability, truncation_bias_estimate)
+                      truncation_bias_estimate)
 
 __version__ = "0.1.0"

@@ -144,6 +144,11 @@ def _cmd_hit(args):
 
 
 def _cmd_counterexample(args):
+    # the Monte Carlo parameters are checked even when --skip-mc leaves them unused
+    if args.L < 1:
+        raise ValueError(f"the truncation bias estimate needs L >= 1, got {args.L}")
+    cfg = montecarlo.SimConfig(d=3, L=args.L, n_walks=args.walks, seed=args.seed,
+                               threads=args.threads)
     ce = hitting.counterexample_probabilities(tol=args.tol)
     results: dict[str, Any] = {
         "p_original": ce.p_original,
@@ -154,8 +159,6 @@ def _cmd_counterexample(args):
     code = 0 if ce.p_original > ce.p_reflected else 1
     if not args.skip_mc:
         bias = hitting.truncation_bias_estimate(args.L, ce.p_original, tol=args.tol)
-        cfg = montecarlo.SimConfig(d=3, L=args.L, n_walks=args.walks, seed=args.seed,
-                                   threads=args.threads)
         cmp_res = montecarlo.mc_compare(
             [lattice.CoverTarget.of_path(p, lattice.REPETITIONS)
              for p in hitting.COUNTEREXAMPLE_PATHS], cfg)

@@ -10,12 +10,14 @@ negatively.
 
 ``cover_count`` enumerates the configurations achieving this.  The key
 inequality, verified here by brute force, is that no reflection target A
-admits more covering configurations than A = ground set itself.
-``check_cover_inequality`` checks one collection in pure Python;
-``inequality_witnesses`` checks every collection of one shape in batched
-numpy.  These counts are the combinatorial shadow of path-reflection
-classes: arcs play the role of which target points an arc of a walk
-visits, signs the role of reflecting that arc.
+admits more covering configurations than A = ground set itself.  One
+batched numpy kernel counts them: ``inequality_witnesses`` runs it over
+every collection of one shape, ``check_cover_inequality`` and
+``cover_count`` over a single collection.  ``cover_count_split``, a
+recursion on the last arc in pure Python, is the independent route that
+tests hold the kernel to.  These counts are the combinatorial shadow of
+path-reflection classes: arcs play the role of which target points an
+arc of a walk visits, signs the role of reflecting that arc.
 """
 
 from __future__ import annotations
@@ -29,12 +31,8 @@ import numpy as np
 #: Work allowed in one enumeration, counted as 2^m (2^n + m) per
 #: instance of m arcs over n elements: the 2^m signed unions, each built
 #: from m arcs and tested against 2^n subsets.  At about 0.2 us a unit
-#: this is a few seconds of pure Python.
+#: this is a few seconds of the pure-Python split route.
 MAX_ENUM_WORK = 2**24
-
-
-class LengthMismatchError(ValueError):
-    """Configuration length differs from arc count."""
 
 
 class TooLargeError(ValueError):
@@ -54,9 +52,9 @@ def check_work(n: int, m: int, log2_instances: int = 0) -> None:
                             f"{MAX_ENUM_WORK} work units")
 
 
-#: (collection, sign choice, subset) triples that ``inequality_witnesses``
-#: tests in one batch.  It bounds the kernel's temporaries at 64 KB an
-#: array for every shape inside the guard.
+#: (collection, sign choice, subset) triples the kernel tests in one batch.
+#: It bounds the temporaries of ``inequality_witnesses`` at 64 KB an array
+#: for every shape inside the guard; one collection holds all 2^m unions.
 _BATCH = 1 << 13
 
 
@@ -94,43 +92,6 @@ class ArcCollection:
         return cls(n, tuple(frozenset(a) for a in arcs))
 
 
-@dataclass(frozen=True)
-class SignedSet:
-    """Positive and negative parts of a configuration's signed union."""
-
-    positive: frozenset[int]
-    negative: frozenset[int]
-
-
-def _check_config(V: ArcCollection, signs: Sequence[int]) -> None:
-    if len(signs) != V.m:
-        raise LengthMismatchError(f"{len(signs)} signs for {V.m} arcs")
-    if any(s not in (-1, 1) for s in signs):
-        raise ValueError("signs must be +/-1")
-
-
-def inner_product(V: ArcCollection, signs: Sequence[int]) -> SignedSet:
-    """Union of the signed arcs."""
-    _check_config(V, signs)
-    pos: frozenset[int] = frozenset()
-    neg: frozenset[int] = frozenset()
-    for a, s in zip(V.arcs, signs):
-        if s == 1:
-            pos |= a
-        else:
-            neg |= a
-    return SignedSet(pos, neg)
-
-
-def covers(V: ArcCollection, signs: Sequence[int], A: Iterable[int]) -> bool:
-    """True iff A lands in the positive part and its complement in the
-    negative part."""
-    union = inner_product(V, signs)
-    A = frozenset(A)
-    _mask_of(A, V.n)  # raises for an element outside the ground set
-    return A <= union.positive and frozenset(range(1, V.n + 1)) - A <= union.negative
-
-
 def _signed_unions(masks: Sequence[int]) -> list[tuple[int, int]]:
     m = len(masks)
     out = []
@@ -145,18 +106,18 @@ def _signed_unions(masks: Sequence[int]) -> list[tuple[int, int]]:
     return out
 
 
-def _covering(unions: Sequence[tuple[int, int]], a_mask: int, full: int) -> int:
-    """Sign choices, given by their (positive, negative) unions, whose
-    positive arcs cover A and negative arcs cover its complement."""
-    comp = full ^ a_mask
-    return sum(1 for pos, neg in unions if (a_mask & ~pos) == 0 and (comp & ~neg) == 0)
+def _row(V: ArcCollection) -> np.ndarray:
+    """One collection's arc masks as a kernel row, once the work guard allows them."""
+    check_work(V.n, V.m)
+    return np.array([V.masks()], dtype=np.int64)
 
 
 def cover_count(V: ArcCollection, A: Iterable[int]) -> int:
     """Number of configurations covering the reflection of A, by
     exhaustive enumeration over all 2^m sign choices."""
-    check_work(V.n, V.m)
-    return _covering(_signed_unions(V.masks()), _mask_of(A, V.n), (1 << V.n) - 1)
+    pos, neg = _union_masks(_row(V))
+    a_mask = np.array([_mask_of(A, V.n)], dtype=np.int64)
+    return int(_cover_counts(pos, neg, a_mask, (1 << V.n) - 1)[0, 0])
 
 
 def cover_count_split(V: ArcCollection, A: Iterable[int]) -> int:
@@ -196,15 +157,8 @@ def check_cover_inequality(V: ArcCollection) -> tuple[bool, frozenset[int] | Non
 
     No witness should ever be produced: one is a bug detector.
     """
-    n = V.n
-    check_work(n, V.m)
-    unions = _signed_unions(V.masks())
-    full = (1 << n) - 1
-    top = _covering(unions, full, full)
-    for a_mask in range(1 << n):
-        if _covering(unions, a_mask, full) > top:
-            return False, mask_elements(a_mask)
-    return True, None
+    witness = int(_first_witnesses(_row(V), V.n, np.full(1, -1, dtype=np.int32))[0])
+    return (True, None) if witness < 0 else (False, mask_elements(witness))
 
 
 def mask_elements(mask: int) -> frozenset[int]:
@@ -226,7 +180,7 @@ def collection_at(n: int, m: int, index: int) -> ArcCollection:
 
 
 # ---------------------------------------------------------------------------
-# batched check of every collection of one shape
+# the batched kernel
 # ---------------------------------------------------------------------------
 
 def _arc_masks(n: int, m: int, first: int, stop: int) -> np.ndarray:
@@ -277,30 +231,39 @@ def _first_excess(counts: np.ndarray, top: np.ndarray) -> np.ndarray:
     return np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
 
 
+def _first_witnesses(arcs: np.ndarray, n: int, found: np.ndarray) -> np.ndarray:
+    """Per row of arc masks, set ``found`` (-1 on entry) to the mask of the
+    first A in increasing mask order whose covering count exceeds that of
+    A = ground set, in place, so a caller can pass a slice of its result.
+    Subsets go in batches of at most ``_BATCH`` triples."""
+    full = (1 << n) - 1
+    pos, neg = _union_masks(arcs)
+    top = _count(pos == full)  # A = ground set: positive part is everything
+    span = min(1 << n, max(1, _BATCH // pos.size))
+    for start in range(0, 1 << n, span):
+        subsets = np.arange(start, min(1 << n, start + span), dtype=pos.dtype)
+        hit = _first_excess(_cover_counts(pos, neg, subsets, full), top)
+        new = (found < 0) & (hit >= 0)
+        found[new] = start + hit[new]
+    return found
+
+
 def inequality_witnesses(n: int, m: int) -> np.ndarray:
     """``check_cover_inequality`` for every collection of m arcs over n
-    elements, in batched numpy.
+    elements.
 
     Entry c is for the c-th collection of ``all_collections(n, m)``: -1
     when it satisfies the inequality, else the mask (bit e-1 for element
     e) of its first violating A in increasing mask order, the witness
-    ``check_cover_inequality`` returns.  Collections and subsets are
-    taken in batches of at most ``_BATCH`` triples, so memory stays flat
-    up to the guard.
+    ``check_cover_inequality`` returns.  A batch holds as many collections
+    as fit ``_BATCH`` triples over all their subsets, at least one, so
+    memory stays flat up to the guard.
     """
     check_work(n, m, log2_instances=n * m)
-    full = (1 << n) - 1
-    total, choices = 1 << n * m, 1 << m
-    span = min(1 << n, max(1, _BATCH // choices))
-    rows = max(1, _BATCH // (choices * span))
+    total = 1 << n * m
+    rows = max(1, _BATCH // (1 << m + n))
     witnesses = np.full(total, -1, dtype=np.int32)
     for first in range(0, total, rows):
-        pos, neg = _union_masks(_arc_masks(n, m, first, min(total, first + rows)))
-        top = _count(pos == full)  # A = ground set: positive part is everything
-        found = witnesses[first:first + rows]
-        for start in range(0, 1 << n, span):
-            subsets = np.arange(start, min(1 << n, start + span), dtype=pos.dtype)
-            hit = _first_excess(_cover_counts(pos, neg, subsets, full), top)
-            new = (found < 0) & (hit >= 0)
-            found[new] = start + hit[new]
+        stop = min(total, first + rows)
+        _first_witnesses(_arc_masks(n, m, first, stop), n, witnesses[first:stop])
     return witnesses

@@ -21,10 +21,8 @@ Counts are int64 while (2d)^L fits, and Python integers beyond.
 On top of the counter sit the theorem-shaped routines: counting a
 target-set pair against its reflected twin, the exhaustive
 reflection-monotonicity sweep over small set pairs (bit-parallel over
-all walks, independent of the DP), the ranked table of covering
-probabilities over all short connecting paths (staircase maximality),
-and the bridge that converts one reflection equivalence class into a
-sign-cover counting instance.
+all walks, independent of the DP), and the ranked table of covering
+probabilities over all short connecting paths (staircase maximality).
 """
 
 from __future__ import annotations
@@ -38,11 +36,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import comb
-from .lattice import (CoverTarget, Path, Point, outstanding_visits, staircase_path,
+from .lattice import (CoverTarget, Point, outstanding_visits, staircase_path,
                       unit_vector)
-from .reflect import (Hyperplane, apply_configuration, arc_decompose,
-                      reflect_point)
+from .reflect import Hyperplane, reflect_point
 
 #: DP work allowed by default: L x requirement states x box cells.
 DEFAULT_BUDGET = 10**9
@@ -427,66 +423,3 @@ def verify_staircase_max(N: int, d: int, L: int, cap: int,
     rows.sort(key=lambda r: (-r.probability, r.points))
     stair_prob = next(r.probability for r in rows if r.is_staircase)
     return StaircaseReport(N, d, L, cap, tuple(rows), stair_prob)
-
-
-# ---------------------------------------------------------------------------
-# bridge from a reflection class to a sign-cover counting instance
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SignCoverInstance:
-    """The counting instance carried by one reflection equivalence class.
-
-    ``omega`` lists the target points that only arcs can cover (not on
-    the hyperplane, not in the shared prefix); arc i of the collection
-    holds the indices of the points its trace visits.  ``a_indices`` are
-    the positions of the A0 points inside ``omega``.
-    """
-
-    omega: tuple[Point, ...]
-    collection: comb.ArcCollection
-    a_indices: frozenset[int]
-    guard_ok: bool
-
-
-def sign_cover_instance(representative: Path, h: Hyperplane,
-                        A0: Iterable[Point], B0: Iterable[Point]) -> SignCoverInstance | None:
-    """Build the counting instance for the class of ``representative``
-    (which must be canonical: every arc on the origin side).
-
-    Returns None when no target point is left for the arcs to cover.
-    When the guard fails (a target point on the hyperplane that the path
-    never visits) both class-restricted counts are zero.
-    """
-    A0, B0 = frozenset(A0), frozenset(B0)
-    targets = A0 | B0
-    dec = arc_decompose(representative, h)
-    on_plane_visits = {p for p in representative.trace if h.contains(p)}
-    guard_ok = all(p in on_plane_visits for p in targets if h.contains(p))
-    prefix_trace = set(dec.prefix)
-    omega = tuple(sorted(p for p in targets
-                         if not h.contains(p) and p not in prefix_trace))
-    if not omega:
-        return None
-    index = {p: j + 1 for j, p in enumerate(omega)}
-    arcs = []
-    for arc in dec.arcs:
-        if len(arc) < 2:
-            continue  # single on-plane point: reflection acts trivially
-        arc_trace = set(arc)
-        arcs.append(frozenset(index[p] for p in omega if p in arc_trace))
-    collection = comb.ArcCollection(len(omega), tuple(arcs))
-    a_indices = frozenset(index[p] - 1 for p in omega if p in A0)
-    return SignCoverInstance(omega, collection, a_indices, guard_ok)
-
-
-def class_members(representative: Path, h: Hyperplane):
-    """All paths in the reflection class: one per sign choice on the arcs
-    that actually leave the hyperplane."""
-    dec = arc_decompose(representative, h)
-    significant = [k for k, arc in enumerate(dec.arcs) if len(arc) >= 2]
-    for bits in itertools.product((1, -1), repeat=len(significant)):
-        signs = [1] * dec.arc_count
-        for k, b in zip(significant, bits):
-            signs[k] = b
-        yield apply_configuration(representative, h, tuple(signs))

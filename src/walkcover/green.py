@@ -49,6 +49,9 @@ SIMPLE = "simple"
 DIAGONAL_DIFFERENCE = "diagonal_difference"
 METHODS = ("fourier", "stepsum", "both")
 
+#: Added to every stated bound: the rounding that no truncation term covers.
+ROUNDING_FLOOR = 1e-12
+
 
 class RecurrentWalkError(ValueError):
     """A divergent Green's function was requested."""
@@ -230,14 +233,15 @@ def _stepsum_n_max(spec: WalkSpectrum, tol: float) -> int:
 def stepsum_green(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4,
                   n_max: int | None = None) -> GreenValue:
     """Partial sum of n-step probabilities plus the local-CLT tail, bound
-    2 A n_max^-(dim/2).  Raises before the cascade runs when the 25 000-step
-    cap keeps that above tol; an explicit n_max states it whatever tol."""
+    2 A n_max^-(dim/2) + ROUNDING_FLOOR.  Raises before the cascade runs when
+    the 25 000-step cap keeps that above tol; an explicit n_max states it whatever tol."""
     if not spec.transient:
         raise RecurrentWalkError(f"G diverges for {spec.kind} with dim {spec.dim}")
     checked = n_max is None
     if checked:
         n_max = _stepsum_n_max(spec, tol)
     tail, bound = _lclt_tail(spec, x, n_max)
+    bound += ROUNDING_FLOOR
     if checked and not bound <= tol:
         raise ToleranceUnreachableError(
             f"stepsum bound {bound:.2e} at {n_max} steps exceeds tol {tol:.2e}")
@@ -287,7 +291,7 @@ def fourier_green(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4) -> Gr
                                  _occupation_density(spec, x, T / u[None])[0] * u**-m)
     last = T * b2 / (m + 1)
     tail = T * (b0 / (m - 1) + b1 / m) + last
-    bound = float(2.0 * abs(body[1] - body[0]) + abs(last) + 1e-12)
+    bound = float(2.0 * abs(body[1] - body[0]) + abs(last) + ROUNDING_FLOOR)
     if not bound <= tol:
         raise ToleranceUnreachableError(f"fourier bound {bound:.2e} exceeds tol {tol:.2e}")
     return GreenValue(float(body[1] + tail), bound, "fourier")

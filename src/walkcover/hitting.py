@@ -78,11 +78,6 @@ def first_entry_distribution(query: HittingQuery, tol: float = 1e-5) -> dict[Poi
     return {p: float(v) for p, v in zip(pts, h)}
 
 
-def hit_probability(query: HittingQuery, tol: float = 1e-5) -> float:
-    """P(the walk ever enters the target set, counting from step 1)."""
-    return sum(first_entry_distribution(query, tol).values())
-
-
 def infinite_cover_probability(target: CoverTarget, tol: float = 1e-5) -> float:
     """P(the walk from the origin ever meets every visit requirement of
     ``target``; the time-0 position counts as a visit).  Memoised on

@@ -15,7 +15,7 @@ owed a visit (``CoverTarget.outstanding``: time 0 counts as a visit to
 the origin).  Success is absorbing, so a walk that has covered every
 target retires without changing any count; walks that still owe visits
 run to the step budget.  The tiles' success rows reduce to joint success
-counts (per-target counts on the diagonal), or are kept per walk.
+counts (per-target counts on the diagonal).
 Estimates carry the binomial standard error and a Wilson 95% interval.
 
 Truncating at L estimates a lower bound on the L = infinity covering
@@ -277,8 +277,3 @@ def mc_compare(targets: Sequence[CoverTarget], cfg: SimConfig) -> CompareResult:
     estimates = tuple(Estimate(int(joint[k, k]), cfg.n_walks)
                       for k in range(len(targets)))
     return CompareResult(estimates, joint, cfg.n_walks)
-
-
-def _per_walk_success(cfg: SimConfig, targets: Sequence[CoverTarget]) -> np.ndarray:
-    """(n_walks, n_targets) success indicators, for per-walk comparisons."""
-    return np.concatenate(list(_tiles(cfg, targets)))

@@ -486,6 +486,15 @@ class TestExitCodes:
         assert code == 2 and err.count("\n") == 1 and "L >= 1" in err
         assert elapsed < 5
 
+    @pytest.mark.parametrize("option, message", [
+        ("--threads", "threads >= 1"), ("--walks", "n_walks >= 1"), ("--L", "L >= 1")])
+    def test_counterexample_skip_mc_checks_mc_parameters(self, capsys, option, message):
+        """--skip-mc refuses the values the Monte Carlo part refuses."""
+        code = run(["counterexample", "--skip-mc", option, "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
+
     def test_negative_radius(self, capsys):
         """An empty box would pass vacuously, with 6 cases of empty sets."""
         code = run(["verify-thm11", "--radius", "-1"])

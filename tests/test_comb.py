@@ -1,5 +1,7 @@
 import itertools
 import tracemalloc
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
@@ -7,11 +9,54 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walkcover.comb as comb
-from walkcover.comb import (ArcCollection, LengthMismatchError, TooLargeError,
-                            all_collections, check_cover_inequality,
-                            collection_at, cover_count, cover_count_split,
-                            covers, inequality_witnesses, inner_product,
+from walkcover.comb import (ArcCollection, TooLargeError, all_collections,
+                            check_cover_inequality, collection_at, cover_count,
+                            cover_count_split, inequality_witnesses,
                             mask_elements)
+
+
+# Set-wise references for a single configuration: the definitions that
+# the mask routes count.
+
+class LengthMismatchError(ValueError):
+    """Configuration length differs from arc count."""
+
+
+@dataclass(frozen=True)
+class SignedSet:
+    """Positive and negative parts of a configuration's signed union."""
+
+    positive: frozenset[int]
+    negative: frozenset[int]
+
+
+def _check_config(V: ArcCollection, signs: Sequence[int]) -> None:
+    if len(signs) != V.m:
+        raise LengthMismatchError(f"{len(signs)} signs for {V.m} arcs")
+    if any(s not in (-1, 1) for s in signs):
+        raise ValueError("signs must be +/-1")
+
+
+def inner_product(V: ArcCollection, signs: Sequence[int]) -> SignedSet:
+    """Union of the signed arcs."""
+    _check_config(V, signs)
+    pos: frozenset[int] = frozenset()
+    neg: frozenset[int] = frozenset()
+    for a, s in zip(V.arcs, signs):
+        if s == 1:
+            pos |= a
+        else:
+            neg |= a
+    return SignedSet(pos, neg)
+
+
+def covers(V: ArcCollection, signs: Sequence[int], A: Iterable[int]) -> bool:
+    """True iff A lands in the positive part and its complement in the
+    negative part."""
+    union = inner_product(V, signs)
+    A = frozenset(A)
+    comb._mask_of(A, V.n)  # raises for an element outside the ground set
+    return A <= union.positive and frozenset(range(1, V.n + 1)) - A <= union.negative
 
 
 class TestInnerProduct:
@@ -161,14 +206,20 @@ class TestBatchedKernel:
                         assert counts[c, a] == cover_count_split(V, mask_elements(a))
 
     def test_verdicts_match_reference_on_criterion_5(self):
+        """Witnesses against the split route's counts over every subset;
+        ``check_cover_inequality`` reads the kernel, so it is no reference."""
         cases = 0
         for n in (1, 2, 3):
             for m in (1, 2, 3, 4):
                 witnesses = inequality_witnesses(n, m)
-                expected = [check_cover_inequality(V) for V in all_collections(n, m)]
-                got = [(True, None) if w < 0 else (False, mask_elements(int(w)))
-                       for w in witnesses]
-                assert got == expected
+                expected = []
+                for V in all_collections(n, m):
+                    counts = [cover_count_split(V, mask_elements(a)) for a in range(1 << n)]
+                    expected.append(next((a for a, c in enumerate(counts) if c > counts[-1]),
+                                         -1))
+                assert witnesses.tolist() == expected
+                assert [check_cover_inequality(V) for V in all_collections(n, m)] == [
+                    (True, None) if w < 0 else (False, mask_elements(w)) for w in expected]
                 cases += len(witnesses)
         assert cases == 5050
 

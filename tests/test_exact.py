@@ -1,7 +1,9 @@
 import itertools
 import time
 import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 import pytest
@@ -9,14 +11,14 @@ import pytest
 from conftest import (all_step_sequences, brute_force_cover_count,
                       random_walk_path, walk_points)
 import walkcover.exact as ex
-from walkcover.comb import cover_count
+from walkcover.comb import ArcCollection, cover_count
 from walkcover.exact import (BudgetExceededError, SideViolationError,
                              count_reflected_pair, enumerate_connecting_paths,
                              exact_cover_probability,
-                             reflection_monotonicity_sweep, sign_cover_instance,
-                             class_members, verify_staircase_max)
-from walkcover.lattice import CoverTarget, staircase_path, validate_path
-from walkcover.reflect import Hyperplane, canonical_representative, reflect_point
+                             reflection_monotonicity_sweep, verify_staircase_max)
+from walkcover.lattice import CoverTarget, Path, Point, staircase_path, validate_path
+from walkcover.reflect import (Hyperplane, apply_configuration, arc_decompose,
+                               canonical_representative, reflect_point)
 
 H21 = Hyperplane(0, 1, 1)
 OYWZ = validate_path([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)])
@@ -355,6 +357,68 @@ class TestStaircaseRanking:
                     expect.add(tuple(pts))
         got = set(enumerate_connecting_paths(N, d, cap))
         assert got == expect
+
+
+# The proof's bridge from one reflection equivalence class to a sign-cover
+# counting instance, checked below against the class's own members.
+
+@dataclass(frozen=True)
+class SignCoverInstance:
+    """The counting instance carried by one reflection equivalence class.
+
+    ``omega`` lists the target points that only arcs can cover (not on
+    the hyperplane, not in the shared prefix); arc i of the collection
+    holds the indices of the points its trace visits.  ``a_indices`` are
+    the positions of the A0 points inside ``omega``.
+    """
+
+    omega: tuple[Point, ...]
+    collection: ArcCollection
+    a_indices: frozenset[int]
+    guard_ok: bool
+
+
+def sign_cover_instance(representative: Path, h: Hyperplane,
+                        A0: Iterable[Point], B0: Iterable[Point]) -> SignCoverInstance | None:
+    """Build the counting instance for the class of ``representative``
+    (which must be canonical: every arc on the origin side).
+
+    Returns None when no target point is left for the arcs to cover.
+    When the guard fails (a target point on the hyperplane that the path
+    never visits) both class-restricted counts are zero.
+    """
+    A0, B0 = frozenset(A0), frozenset(B0)
+    targets = A0 | B0
+    dec = arc_decompose(representative, h)
+    on_plane_visits = {p for p in representative.trace if h.contains(p)}
+    guard_ok = all(p in on_plane_visits for p in targets if h.contains(p))
+    prefix_trace = set(dec.prefix)
+    omega = tuple(sorted(p for p in targets
+                         if not h.contains(p) and p not in prefix_trace))
+    if not omega:
+        return None
+    index = {p: j + 1 for j, p in enumerate(omega)}
+    arcs = []
+    for arc in dec.arcs:
+        if len(arc) < 2:
+            continue  # single on-plane point: reflection acts trivially
+        arc_trace = set(arc)
+        arcs.append(frozenset(index[p] for p in omega if p in arc_trace))
+    collection = ArcCollection(len(omega), tuple(arcs))
+    a_indices = frozenset(index[p] - 1 for p in omega if p in A0)
+    return SignCoverInstance(omega, collection, a_indices, guard_ok)
+
+
+def class_members(representative: Path, h: Hyperplane):
+    """All paths in the reflection class: one per sign choice on the arcs
+    that actually leave the hyperplane."""
+    dec = arc_decompose(representative, h)
+    significant = [k for k, arc in enumerate(dec.arcs) if len(arc) >= 2]
+    for bits in itertools.product((1, -1), repeat=len(significant)):
+        signs = [1] * dec.arc_count
+        for k, b in zip(significant, bits):
+            signs[k] = b
+        yield apply_configuration(representative, h, tuple(signs))
 
 
 class TestSignCoverBridge:

@@ -8,8 +8,8 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ive
 
-from walkcover.green import (DIAGONAL_DIFFERENCE, STEPSUM_MAX_DIM, GreenValue,
-                             RecurrentWalkError, ToleranceUnreachableError,
+from walkcover.green import (DIAGONAL_DIFFERENCE, ROUNDING_FLOOR, STEPSUM_MAX_DIM,
+                             GreenValue, RecurrentWalkError, ToleranceUnreachableError,
                              WalkSpectrum, asymptotic_sweep,
                              character_power_moment, diagonal_difference_walk,
                              diagonal_return_probability, fourier_green,
@@ -447,6 +447,18 @@ class TestGreenContract:
                 n = _stepsum_n_max(spec, tol)
                 assert 400 <= n <= 25000
                 assert all(map(math.isfinite, _lclt_tail(spec, x, n)))
+
+    @pytest.mark.parametrize("spec, x", [
+        (simple_walk(200), (1,) + (0,) * 199),
+        (simple_walk(STEPSUM_MAX_DIM), (1,) + (0,) * (STEPSUM_MAX_DIM - 1)),
+        (diagonal_difference_walk(STEPSUM_MAX_DIM + 1), (0,) * STEPSUM_MAX_DIM)])
+    def test_stepsum_bound_keeps_the_rounding_floor(self, spec, x):
+        """The tail term underflows in high dimension; the stated bound
+        never falls below the rounding floor, and the routes agree."""
+        four = green_value(spec, x, tol=1e-4, method="both")
+        step = green_value(spec, x, tol=1e-4, method="stepsum")
+        assert min(four.abs_error_bound, step.abs_error_bound) >= ROUNDING_FLOOR
+        assert abs(step.value - four.value) <= step.abs_error_bound + four.abs_error_bound
 
     @pytest.mark.parametrize("value,bound", [(math.nan, 0.0), (1.0, math.nan),
                                              (math.inf, 0.0), (1.0, math.inf)])

@@ -1,14 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from walkcover.cli import run
 from walkcover.exact import exact_cover_probability
 from walkcover.green import (RecurrentWalkError, green_value, return_probability,
                              simple_walk)
 from walkcover.hitting import (COUNTEREXAMPLE_PATHS, HittingQuery,
                                counterexample_probabilities,
-                               first_entry_distribution, hit_probability,
+                               first_entry_distribution,
                                infinite_cover_probability,
                                truncation_bias_estimate)
 from walkcover.lattice import REPETITIONS, CoverTarget, unit_vector
@@ -88,13 +90,15 @@ class TestFirstEntryStructure:
             h = first_entry_distribution(HittingQuery(O, (p,), 3), tol=1e-5)
             assert abs(h[p] - g(p) / g(O)) < 1e-4
 
-    def test_distribution_sums_to_hit_probability(self):
-        q = HittingQuery(O, (Y, Z, W), 3)
-        dist = first_entry_distribution(q, tol=1e-5)
-        assert all(0 <= v <= 1 for v in dist.values())
-        total = sum(dist.values())
-        assert 0 < total < 1
-        assert abs(total - hit_probability(q, tol=1e-5)) < 1e-12
+    def test_distribution_sums_to_hit_probability(self, capsys):
+        """The ``hit`` envelope's hit_probability is the distribution's mass."""
+        code = run(["hit", "--d", "3", "--start", "0,0,0", "--set", json.dumps([Y, Z, W]),
+                    "--tol", "1e-5"])
+        res = json.loads(capsys.readouterr().out)["results"]
+        dist = [e["probability"] for e in res["distribution"]]
+        assert code == 0 and len(dist) == 3 and all(0 <= v <= 1 for v in dist)
+        assert res["hit_probability"] == sum(dist)
+        assert 0 < res["hit_probability"] <= 1
 
     def test_tolerance_1e6_reachable(self):
         dist = first_entry_distribution(HittingQuery(O, (Y, W), 3), tol=1e-6)

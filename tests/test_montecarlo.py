@@ -8,11 +8,16 @@ from walkcover.exact import exact_cover_probability
 from walkcover import montecarlo
 from walkcover.lattice import CoverTarget, unit_vector, validate_path
 from walkcover.montecarlo import (DEFAULT_BATCH, DEFAULT_CHUNK, Estimate, SimConfig,
-                                  _PackedTargets, _per_walk_success, mc_compare,
+                                  _PackedTargets, _tiles, mc_compare,
                                   mc_cover_probability)
 from walkcover.rng import steps_per_value, value_digits, walk_directions, walk_values
 
 NEIGHBOR = CoverTarget.from_points([(1, 0)])
+
+
+def _per_walk_success(cfg, targets):
+    """(n_walks, n_targets) success indicators, for per-walk comparisons."""
+    return np.concatenate(list(_tiles(cfg, targets)))
 
 
 def _replay_success(cfg, targets):
