@@ -7,8 +7,8 @@ first-entry (hitting) calculus built on them.
 
 from .lattice import (CoverTarget, Path, Point, REPETITIONS, TRACE,
                       connects_origin_to_sphere, path_from_json, path_to_json,
-                      repetition_profile, staircase_path, straight_path,
-                      total_difference, validate_path)
+                      repetition_profile, staircase_path, total_difference,
+                      validate_path)
 from .reflect import (ArcDecomposition, Hyperplane, apply_configuration,
                       arc_decompose, canonical_representative,
                       normalize_to_positive_orthant, reduce_path, reflect_point)
@@ -20,7 +20,7 @@ from .montecarlo import (CompareResult, Estimate, SimConfig, mc_compare,
 from .green import (GreenValue, WalkSpectrum, asymptotic_sweep,
                     character_power_moment, diagonal_difference_walk,
                     diagonal_return_probability, green_value, offdiag_green,
-                    offdiagonal_sum, return_probability, simple_walk)
+                    return_probability, simple_walk)
 from .hitting import (CounterexampleResult, HittingQuery,
                       counterexample_probabilities, first_entry_distribution,
                       truncation_bias_estimate)

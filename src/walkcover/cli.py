@@ -224,8 +224,10 @@ def _cmd_verify_thm11(args):
 
 def _cmd_verify_thm41(args):
     report = exact.verify_staircase_max(args.N, args.d, args.L, args.cap)
+    # the rows of one symmetry class share one probability
+    fields = functools.cache(_probability_fields)
     rows = [{"points": lattice.path_to_json(r.points),
-             **_probability_fields(r.probability),
+             **fields(r.probability),
              "is_staircase": r.is_staircase} for r in report.rows]
     results = {"N": report.N, "d": report.d, "L": report.L, "cap": report.cap,
                "paths_ranked": rows,

@@ -87,10 +87,6 @@ class ArcCollection:
     def masks(self) -> tuple[int, ...]:
         return tuple(_mask_of(a, self.n) for a in self.arcs)
 
-    @classmethod
-    def of(cls, n: int, *arcs: Iterable[int]) -> "ArcCollection":
-        return cls(n, tuple(frozenset(a) for a in arcs))
-
 
 def _signed_unions(masks: Sequence[int]) -> list[tuple[int, int]]:
     m = len(masks)

@@ -1,22 +1,29 @@
 """Exact covering probabilities by an integer transfer DP over walks.
 
 Every probability here is a rational number ``favorable / (2d)^L``
-computed exactly.  The favorable count comes from one forward pass over
-the L steps of the walk.  Its array holds, for every requirement state
-and every cell of a position box, the number of walk prefixes that sit
-in that cell with that many visits still outstanding per target point:
+computed exactly.  The favorable counts of many targets come from one
+forward pass over the L steps of the walk (``_favorable_counts``).  Its
+layer array holds, for every requirement state of every target and every
+live cell, the number of walk prefixes that sit in that cell with that
+many visits still outstanding per target point:
 
 * a requirement state is a mixed-radix index over the outstanding visits
   per target point (``lattice.outstanding_visits``: time 0 counts as a
-  visit to the origin);
-* a step sums the 2d shifted copies of the array, and at each target
-  cell moves mass from state r to r - e_i when r_i > 0;
-* mass that reaches the all-met state leaves the array for a scalar that
-  is multiplied by 2d at every later step;
-* the box has radius (L + max |p|_1)//2 + 1, outside which no unmet walk
-  can still return to every target in time, so dropping it is exact.
+  visit to the origin); the targets' states are stacked on one row axis;
+* the live cells at step t are those of L1 norm <= min(t, reach + L - t)
+  whose norm has the parity of t, reach being the largest target norm:
+  beyond that no unmet walk can still reach a target point in time, so
+  dropping them is exact;
+* a step gathers each cell's 2d neighbours from the previous layer
+  through index tables of the ball, a zero ghost cell standing in for
+  neighbours outside it, and at each target cell moves mass from state
+  r to r - e_i when r_i > 0, for every target at once;
+* mass that reaches a target's all-met state leaves the array for its
+  count, which is multiplied by 2d at every later step.
 
-Counts are int64 while (2d)^L fits, and Python integers beyond.
+Counts are int64 while (2d)^L fits, and Python integers beyond.  The
+budget counts L x states x the cells of the box of radius
+(L + reach)//2 + 1 around the ball, an upper bound on the work.
 
 On top of the counter sit the theorem-shaped routines: counting a
 target-set pair against its reflected twin, the exhaustive
@@ -46,6 +53,10 @@ DEFAULT_BUDGET = 10**9
 #: Largest walk count (2d)^L the DP holds in int64; every entry of its
 #: array, and the count of walks already done, is at most (2d)^L.
 INT64_MAX_WALKS = 2**63 - 1
+
+#: Elements one DP layer array may hold, (cells + 1) x (rows + 1); the
+#: targets of one call are grouped under it.
+_GROUP_ELEMENTS = 2**16
 
 #: Work allowed in one reflection sweep: (2d)^L * L steps build the walk
 #: masks of length L, and each case costs one unit to form plus, at each
@@ -96,45 +107,156 @@ def _check_budget(d: int, L: int, states: int, reach: int, budget: int) -> None:
             f"DP work L x states x box cells exceeds the budget of {budget}")
 
 
-def _favorable_count(d: int, L: int, owed: dict[Point, int],
-                     budget: int = DEFAULT_BUDGET) -> int:
-    """Walks of length L from the origin that make every visit still
-    ``owed`` after time 0 (see ``lattice.outstanding_visits``)."""
-    points = sorted(owed)
-    radices = tuple(owed[p] + 1 for p in points)
-    reach = max((sum(map(abs, p)) for p in points), default=0)
-    _check_budget(d, L, math.prod(radices), reach, budget)
-    if reach > L:
-        return 0
+def _ball(d: int, M: int) -> tuple[list, list, list]:
+    """The cells of the L1 ball of radius M in two classes by the parity
+    of |x|_1, each ordered by norm.  Per class p: ``upto[p][m]`` counts its
+    cells of norm <= m, ``cells[p]`` lists them, and ``neighbours[p]`` is a
+    (2d, size) int32 table of each cell's neighbours as indices into the
+    other class, that class's size standing for a cell outside the ball.
+
+    Neighbours are found by rank, not by search: ``prefix[k][r]`` sums
+    |B_k(s)|, the cells of the k-dimensional ball of radius s, over s < r,
+    and a cell's place in the lexicographic order of the ball follows
+    from it axis by axis."""
+    values = np.arange(-M, M + 1)
+    cells, norm = np.zeros((1, 0), dtype=np.intp), np.zeros(1, dtype=np.intp)
+    for _ in range(d):  # lexicographic order
+        grown = norm[:, None] + np.abs(values)
+        rows, cols = np.nonzero(grown <= M)
+        cells = np.column_stack([cells[rows], values[cols]])
+        norm = grown[rows, cols]
+    size, prefix = np.ones(M + 1, dtype=np.intp), []
+    for _ in range(d):
+        prefix.append(np.concatenate([[0], np.cumsum(size)]))
+        size = size + 2 * prefix[-1][:-1]  # |B_k+1(r)| = |B_k(r)| + 2 sum_{s<r} |B_k(s)|
+
+    def rank(pts):
+        # the cells before x on an axis, below the same prefix, have a value
+        # v < x there and a ball of radius left - |v| on the later axes
+        at, left = np.zeros(len(pts), dtype=np.intp), np.full(len(pts), M)
+        for axis, x in enumerate(pts.T):
+            sizes, ax = prefix[d - 1 - axis], np.abs(x)
+            at += np.where(x > 0, sizes[left] + sizes[left + 1] - sizes[left - ax + 1],
+                           sizes[left - ax])
+            left -= ax
+        return at
+
+    # shell M + 1 is empty, so that each class has a shell even when M = 0
+    shells = [np.flatnonzero(norm == r) for r in range(M + 2)]
+    members = [np.concatenate(shells[parity::2]) for parity in (0, 1)]
+    position = np.empty(len(cells), dtype=np.int32)
+    for member in members:
+        position[member] = np.arange(len(member))
+    upto, neighbours = [], []
+    for parity, member in enumerate(members):
+        upto.append(np.bincount(norm[member], minlength=M + 1).cumsum())
+        table = np.full((2 * d, len(member)), len(members[1 - parity]), dtype=np.int32)
+        for k in range(2 * d):
+            moved = cells[member]
+            moved[:, k // 2] += 1 - 2 * (k % 2)
+            inside = np.flatnonzero(np.abs(moved).sum(axis=1) <= M)
+            table[k, inside] = position[rank(moved[inside])]
+        neighbours.append(table)
+    return upto, [cells[member] for member in members], neighbours
+
+
+def _group_counts(d: int, L: int, group: list, sizes: list[int], cells: list,
+                  neighbours: list) -> list[int]:
+    """One DP pass for a group of ``(index, points, radices)`` targets,
+    whose requirement states are stacked on the row axis.
+
+    Row ``offset + m - 1`` holds a target's state of mixed-radix index m
+    (the index of its outstanding visits per point); m = 0, all met, is
+    not stored, since mass that reaches it goes to ``done``.  Layer t
+    holds the cells of ``sizes[t]`` in parity class t % 2, plus one zero
+    ghost row for neighbours outside the layer, and one zero ghost column
+    for visit moves from no state."""
     sides = 2 * d
-    R = _box_radius(L, reach)
     dtype = np.int64 if sides**L <= INT64_MAX_WALKS else object
-    cur = np.zeros(radices + (2 * R + 1,) * d, dtype=dtype)
-    nxt = np.zeros_like(cur)
-    n = len(points)
-    cur[tuple(k - 1 for k in radices) + (R,) * d] = 1
-    met = (0,) * n
-    done = int(cur[met].sum())
-    cur[met] = 0
-    shifts = []
-    for axis in range(n, n + d):
-        lo, hi = [slice(None)] * cur.ndim, [slice(None)] * cur.ndim
-        lo[axis], hi[axis] = slice(None, -1), slice(1, None)
-        shifts += [(tuple(hi), tuple(lo)), (tuple(lo), tuple(hi))]
-    cells = [(Ellipsis,) + tuple(c + R for c in p) for p in points]
-    for _ in range(L):
-        nxt.fill(0)
-        for dst, src in shifts:
-            nxt[dst] += cur[src]
-        for i, cell in enumerate(cells):
-            r = np.moveaxis(nxt[cell], i, 0)
-            r[0] += r[1]
-            r[1:-1] = r[2:]
-            r[-1] = 0
-        done = done * sides + int(nxt[met].sum())
-        nxt[met] = 0
+    offsets = np.cumsum([0] + [math.prod(radices) - 1 for _, _, radices in group])
+    ghost = int(offsets[-1])
+    cur = np.zeros((max(sizes) + 1, ghost + 1), dtype=dtype)
+    nxt, tmp = np.zeros_like(cur), np.zeros_like(cur)
+    # per target cell: the targets that own it, the row of each one's state
+    # with only this visit outstanding, and the rows each visit move writes
+    # and the two rows it reads
+    moves: dict[Point, list[tuple]] = {}
+    for k, ((_, points, radices), offset) in enumerate(zip(group, offsets)):
+        stride = math.prod(radices)
+        m = np.arange(1, stride)
+        cur[0, offset + stride - 2] = 1
+        for p, q in zip(points, radices):
+            stride //= q
+            digit, row = m // stride % q, offset + m - 1
+            moves.setdefault(p, []).append((
+                [k], [offset + stride - 1], row,
+                np.where(digit < q - 1, row + stride, ghost),
+                np.where(digit == 0, row, ghost)))
+    updates: list[list] = [[], []]
+    for point, parts in moves.items():
+        parity = sum(map(abs, point)) % 2
+        index = np.flatnonzero((cells[parity] == point).all(axis=1))[0]
+        updates[parity].append((index, *map(np.concatenate, zip(*parts))))
+    done = np.zeros(len(group), dtype=dtype)
+    for t in range(1, L + 1):
+        n0, n1 = sizes[t - 1], sizes[t]
+        index = np.minimum(neighbours[t % 2][:, :n1], n0)
+        layer, out, spare = cur[:n0 + 1], nxt[:n1], tmp[:n1]
+        np.take(layer, index[0], axis=0, out=out, mode="clip")
+        for column in index[1:]:
+            np.take(layer, column, axis=0, out=spare, mode="clip")
+            out += spare
+        nxt[n1] = 0
+        done *= sides
+        for cell, owners, met, dst, src, stay in updates[t % 2]:
+            if cell < n1:
+                x = nxt[cell]
+                done[owners] += x[met]
+                x[dst] = x[src] + x[stay]
         cur, nxt = nxt, cur
-    return done
+    return done.tolist()
+
+
+def _favorable_counts(d: int, L: int, owed_list: Sequence[dict[Point, int]],
+                      budget: int = DEFAULT_BUDGET) -> list[int]:
+    """For each mapping in ``owed_list``, the walks of length L from the
+    origin that make every visit still owed after time 0 (see
+    ``lattice.outstanding_visits``).
+
+    Walks reach norm <= t by step t, and an unmet walk at norm beyond
+    reach + L - t can no longer reach a target point in time, so step t
+    tracks only the cells of norm <= min(t, reach + L - t) whose norm has
+    the parity of t, reach being the largest over the targets.  Targets
+    are grouped in order so that one layer array holds at most
+    ``_GROUP_ELEMENTS`` elements, and each group runs one pass."""
+    sides = 2 * d
+    counts, targets, reach = [], [], 0
+    for k, owed in enumerate(owed_list):
+        points = sorted(owed)
+        radices = [owed[p] + 1 for p in points]
+        norm = max((sum(map(abs, p)) for p in points), default=0)
+        _check_budget(d, L, math.prod(radices), norm, budget)
+        counts.append(0 if norm > L else sides**L)
+        if points and norm <= L:
+            targets.append((k, points, radices))
+            reach = max(reach, norm)
+    if not targets:
+        return counts
+    upto, cells, neighbours = _ball(d, (L + reach) // 2)
+    sizes = [int(upto[t % 2][min(t, reach + L - t)]) for t in range(L + 1)]
+    width, groups, rows = max(sizes) + 1, [], 0
+    for target in targets:
+        states = math.prod(target[2]) - 1
+        if groups and width * (rows + states + 1) <= _GROUP_ELEMENTS:
+            groups[-1].append(target)
+            rows += states
+        else:
+            groups.append([target])
+            rows = states
+    for group in groups:
+        for (k, _, _), n in zip(group, _group_counts(d, L, group, sizes, cells, neighbours)):
+            counts[k] = n
+    return counts
 
 
 def exact_cover_probability(target: CoverTarget, d: int, L: int,
@@ -145,7 +267,7 @@ def exact_cover_probability(target: CoverTarget, d: int, L: int,
         raise ValueError("L must be >= 0")
     if target.dim != d:
         raise ValueError(f"target dimension {target.dim} != {d}")
-    return ExactResult(_favorable_count(d, L, target.outstanding(), budget),
+    return ExactResult(_favorable_counts(d, L, [target.outstanding()], budget)[0],
                        (2 * d) ** L)
 
 
@@ -164,8 +286,9 @@ def count_reflected_pair(A0: Iterable[Point], B0: Iterable[Point], h: Hyperplane
         if not h.on_origin_side(p):
             raise SideViolationError(f"{p} crosses the hyperplane")
     mirrored = frozenset(reflect_point(p, h) for p in B0)
-    return tuple(_favorable_count(d, L, outstanding_visits(dict.fromkeys(s, 1)), budget)
-                 for s in (A0 | B0, A0 | mirrored))
+    return tuple(_favorable_counts(
+        d, L, [outstanding_visits(dict.fromkeys(s, 1)) for s in (A0 | B0, A0 | mirrored)],
+        budget))
 
 
 # ---------------------------------------------------------------------------
@@ -408,18 +531,18 @@ def verify_staircase_max(N: int, d: int, L: int, cap: int,
     _check_budget(d, L, 1 << min(cap, budget.bit_length()), N, budget)
     paths = list(enumerate_connecting_paths(N, d, cap))
     traces = list(dict.fromkeys(frozenset(pts) for pts in paths))
-    cache: dict[tuple[int, ...], Fraction] = {}
-    prob_of = {}
-    for trace, key in zip(traces, _canonical_keys(traces, d)):
-        if key not in cache:
-            cache[key] = exact_cover_probability(
-                CoverTarget.from_points(trace), d, L, budget).probability
-        prob_of[trace] = cache[key]
+    key_of = dict(zip(traces, _canonical_keys(traces, d)))
+    classes = {key: trace for trace, key in key_of.items()}
+    counts = _favorable_counts(d, L, [outstanding_visits(dict.fromkeys(t, 1))
+                                      for t in classes.values()], budget)
+    # every count shares the denominator (2d)^L, so the counts rank the rows
+    count_of = dict(zip(classes, counts))
     stair_points = staircase_path(N, d).points
-    rows = [RankedPath(pts, prob_of[frozenset(pts)], pts == stair_points)
-            for pts in paths]
-    if not any(r.is_staircase for r in rows):
+    ranked = sorted(((count_of[key_of[frozenset(pts)]], pts) for pts in paths),
+                    key=lambda row: (-row[0], row[1]))
+    if not any(pts == stair_points for _, pts in ranked):
         raise ValueError("cap excludes the staircase itself")
-    rows.sort(key=lambda r: (-r.probability, r.points))
+    probability = {n: Fraction(n, (2 * d) ** L) for n in counts}
+    rows = tuple(RankedPath(pts, probability[n], pts == stair_points) for n, pts in ranked)
     stair_prob = next(r.probability for r in rows if r.is_staircase)
-    return StaircaseReport(N, d, L, cap, tuple(rows), stair_prob)
+    return StaircaseReport(N, d, L, cap, rows, stair_prob)

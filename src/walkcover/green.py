@@ -373,12 +373,6 @@ def offdiag_green(d: int, i: int, j: int, tol: float = 1e-4) -> float:
     return green_value(diagonal_difference_walk(d), _difference_vector(d, i, j), tol).value
 
 
-def offdiagonal_sum(d: int, tol: float = 1e-4) -> float:
-    """sum_j Ghat(e_j - e_i) - 1 (independent of i); the high-dimension
-    bound for this quantity is 28/d."""
-    return sum(offdiag_green(d, 0, j, tol) for j in range(d)) - 1.0
-
-
 def character_power_moment(d: int, i: int, j: int, k: int) -> float:
     """Raw integral of cos(theta_j - theta_i) * phihat^k over
     [-pi, pi]^(d-1): by Fourier inversion, (2pi)^(d-1) times the k-step

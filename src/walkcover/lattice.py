@@ -2,13 +2,10 @@
 
 Everything downstream works over Z^d with the L1 metric.  A path is a
 nonempty sequence of lattice points in which consecutive points differ by
-exactly one unit step along one coordinate.  The two canonical path
-families are
-
-* the *staircase*: the monotone path that hugs the main diagonal, built
-  from arcs ``(0, e_1, e_1+e_2, ..., e_1+...+e_{d-1})`` translated by
-  multiples of ``e_1+...+e_d``; and
-* the *straight* path marching along coordinate 1.
+exactly one unit step along one coordinate.  The canonical path is the
+*staircase*: the monotone path that hugs the main diagonal, built from
+arcs ``(0, e_1, e_1+e_2, ..., e_1+...+e_{d-1})`` translated by multiples
+of ``e_1+...+e_d``.
 
 The scalar functionals are the total difference (summed pairwise
 coordinate discrepancies over the distinct trace points, the potential
@@ -139,13 +136,6 @@ def staircase_path(N: int, d: int) -> Path:
         raise ValueError("need N >= 1 and d >= 1")
     return Path(tuple(tuple([t // d + 1] * (t % d) + [t // d] * (d - t % d))
                       for t in range(N + 1)))
-
-
-def straight_path(N: int, d: int) -> Path:
-    """N+1 points marching along coordinate 1."""
-    if N < 1 or d < 1:
-        raise ValueError("need N >= 1 and d >= 1")
-    return Path(tuple(tuple([n] + [0] * (d - 1)) for n in range(N + 1)))
 
 
 def total_difference(path: Path) -> int:

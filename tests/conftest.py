@@ -36,6 +36,13 @@ def walk_points(seq, d: int):
     return pts
 
 
+def straight_path(N: int, d: int) -> Path:
+    """N+1 points marching along coordinate 1."""
+    if N < 1 or d < 1:
+        raise ValueError("need N >= 1 and d >= 1")
+    return Path(tuple(tuple([n] + [0] * (d - 1)) for n in range(N + 1)))
+
+
 def brute_force_cover_count(d: int, L: int, needed: dict[Point, int]) -> int:
     """Walks of length L meeting every visit requirement, by trying all
     (2d)^L of them; the time-0 position counts as a visit."""

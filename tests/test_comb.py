@@ -15,6 +15,10 @@ from walkcover.comb import (ArcCollection, TooLargeError, all_collections,
                             mask_elements)
 
 
+def collection_of(n: int, *arcs: Iterable[int]) -> ArcCollection:
+    return ArcCollection(n, tuple(frozenset(a) for a in arcs))
+
+
 # Set-wise references for a single configuration: the definitions that
 # the mask routes count.
 
@@ -61,43 +65,43 @@ def covers(V: ArcCollection, signs: Sequence[int], A: Iterable[int]) -> bool:
 
 class TestInnerProduct:
     def test_basic_split(self):
-        V = ArcCollection.of(2, {1}, {1, 2})
+        V = collection_of(2, {1}, {1, 2})
         s = inner_product(V, (1, -1))
         assert s.positive == {1} and s.negative == {1, 2}
 
     def test_all_plus(self):
-        V = ArcCollection.of(3, {1}, {2, 3})
+        V = collection_of(3, {1}, {2, 3})
         s = inner_product(V, (1, 1))
         assert s.positive == {1, 2, 3} and s.negative == set()
 
     def test_empty_arc_sign_irrelevant(self):
-        V = ArcCollection.of(2, {1}, set())
+        V = collection_of(2, {1}, set())
         assert inner_product(V, (1, 1)) == inner_product(V, (1, -1))
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            inner_product(ArcCollection.of(2, {1}), (1, 1))
+            inner_product(collection_of(2, {1}), (1, 1))
 
 
 class TestCovers:
     def test_singleton(self):
-        V = ArcCollection.of(1, {1}, {1})
+        V = collection_of(1, {1}, {1})
         assert covers(V, (1, 1), {1})
         assert not covers(V, (1, 1), set())  # complement needs a negative copy
 
     def test_mixed(self):
-        V = ArcCollection.of(2, {1, 2}, {1})
+        V = collection_of(2, {1, 2}, {1})
         assert covers(V, (-1, 1), {1})
 
     def test_counts_agree_with_mask_route(self):
         """Summed over sign vectors, the set-wise test gives cover_count."""
-        V = ArcCollection.of(3, {1, 2}, {2, 3}, {1}, set(), {3})
+        V = collection_of(3, {1, 2}, {2, 3}, {1}, set(), {3})
         for A in ({1, 2, 3}, {2}, set(), {1, 3}):
             hits = sum(covers(V, s, A) for s in itertools.product((1, -1), repeat=V.m))
             assert hits == cover_count(V, A), A
 
     def test_rejects_bad_input(self):
-        V = ArcCollection.of(2, {1, 2}, {1})
+        V = collection_of(2, {1, 2}, {1})
         with pytest.raises(ValueError, match="outside ground set"):
             covers(V, (1, 1), {3})
         with pytest.raises(LengthMismatchError):
@@ -118,20 +122,20 @@ def brute_count(V: ArcCollection, A) -> int:
 
 class TestCoverCount:
     def test_two_copies_of_singleton(self):
-        V = ArcCollection.of(1, {1}, {1})
+        V = collection_of(1, {1}, {1})
         assert cover_count(V, {1}) == 3  # any sign vector with a +1 somewhere
 
     def test_nested_arcs(self):
-        V = ArcCollection.of(2, {1, 2}, {1})
+        V = collection_of(2, {1, 2}, {1})
         assert cover_count(V, {1, 2}) == 2
         assert cover_count(V, {1}) == 1
 
     def test_full_arc_base_case(self):
-        V = ArcCollection.of(2, {1, 2})
+        V = collection_of(2, {1, 2})
         assert cover_count(V, {1, 2}) == 1
 
     def test_empty_collection_of_empties(self):
-        V = ArcCollection.of(2, set(), set())
+        V = collection_of(2, set(), set())
         assert all(cover_count(V, A) == 0
                    for A in ({1, 2}, {1}, {2}, set()))
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import time
 import tracemalloc
@@ -162,14 +163,21 @@ class TestExactCoverProbability:
         res = exact_cover_probability(oywz, 3, 22)
         assert type(res.favorable) is int and res.favorable == OYWZ_FAVORABLE_22
 
-    def test_dp_memory(self):
+    def _dp_peak(self, L):
         tracemalloc.start()
         try:
-            exact_cover_probability(CoverTarget.of_path(OYWZ, "repetitions"), 3, 22)
-            peak = tracemalloc.get_traced_memory()[1]
+            exact_cover_probability(CoverTarget.of_path(OYWZ, "repetitions"), 3, L)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 2**20
+
+    def test_dp_memory(self):
+        """The DP holds layers of the live L1 ball, not the box."""
+        assert self._dp_peak(22) <= 2**20
+
+    def test_dp_memory_python_integers(self):
+        """(2d)^L passes 2^63 at L = 25, so L = 30 runs on object dtype."""
+        assert self._dp_peak(30) <= 4 * 2**20
 
     @pytest.mark.parametrize("d,L", [(1, 5), (2, 4), (2, 5)])
     def test_trace_mode_matches_brute_force(self, d, L):
@@ -205,6 +213,88 @@ class TestExactCoverProbability:
             tr = exact_cover_probability(CoverTarget.of_path(p, "trace"), 2, L)
             rep = exact_cover_probability(CoverTarget.of_path(p, "repetitions"), 2, L)
             assert rep.favorable <= tr.favorable
+
+
+def _engine_targets(d, L, mode):
+    """Random path targets, one point beyond reach (count 0) and the
+    origin alone ((2d)^L)."""
+    rng = np.random.default_rng(10 * d + L + (mode == "repetitions"))
+    paths = [random_walk_path(rng, d, int(rng.integers(1, L))) for _ in range(5)]
+    far = (L + 1,) + (0,) * (d - 1)
+    return ([CoverTarget.of_path(p, mode) for p in paths]
+            + [CoverTarget.from_points([(1,) + (0,) * (d - 1), far]),
+               CoverTarget.from_points([(0,) * d])])
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_counts(d, L, mode):
+    return [brute_force_cover_count(d, L, dict(t.visits))
+            for t in _engine_targets(d, L, mode)]
+
+
+class TestFavorableCounts:
+    """One DP pass for many targets equals brute force and one-target
+    passes, on both dtypes and however the targets are grouped."""
+
+    @pytest.mark.parametrize("grouping", ["one", "many"])
+    @pytest.mark.parametrize("dtype", ["int64", "object"])
+    @pytest.mark.parametrize("mode", ["trace", "repetitions"])
+    @pytest.mark.parametrize("d,L", [(1, 9), (2, 6), (3, 5), (4, 4)])
+    def test_matches_brute_force(self, monkeypatch, d, L, mode, dtype, grouping):
+        owed = [t.outstanding() for t in _engine_targets(d, L, mode)]
+        if dtype == "object":
+            monkeypatch.setattr(ex, "INT64_MAX_WALKS", 0)
+        if grouping == "one":
+            monkeypatch.setattr(ex, "_GROUP_ELEMENTS", 1)
+        sizes = []
+        run = ex._group_counts
+
+        def spy(d, L, group, *tables):
+            sizes.append(len(group))
+            return run(d, L, group, *tables)
+
+        monkeypatch.setattr(ex, "_group_counts", spy)
+        counts = ex._favorable_counts(d, L, owed)
+        assert all(type(n) is int for n in counts)
+        assert counts == _brute_counts(d, L, mode)
+        assert counts[-2:] == [0, (2 * d) ** L]
+        assert max(sizes) == 1 if grouping == "one" else max(sizes) > 1
+        assert counts == [ex._favorable_counts(d, L, [o])[0] for o in owed]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_ball_tables(self, d):
+        """Each class lists its parity's cells by norm, and the neighbour
+        tables point at the neighbour in the other class, or past it."""
+        for M in range(4):
+            upto, cells, neighbours = ex._ball(d, M)
+            ball = [p for p in itertools.product(range(-M, M + 1), repeat=d)
+                    if sum(map(abs, p)) <= M]
+            for parity in (0, 1):
+                mine = [tuple(c) for c in cells[parity].tolist()]
+                norms = [sum(map(abs, p)) for p in mine]
+                assert sorted(mine) == sorted(p for p in ball if sum(map(abs, p)) % 2 == parity)
+                assert norms == sorted(norms)
+                assert list(upto[parity]) == [sum(n <= m for n in norms) for m in range(M + 1)]
+                other = {tuple(c): i for i, c in enumerate(cells[1 - parity].tolist())}
+                for k, row in enumerate(neighbours[parity]):
+                    step = np.zeros(d, dtype=int)
+                    step[k // 2] = 1 - 2 * (k % 2)
+                    expect = [other.get(tuple(np.add(p, step).tolist()), len(other))
+                              for p in mine]
+                    assert row.tolist() == expect, (M, parity, k)
+
+    def test_mixed_reach_in_one_group(self):
+        """Targets of different reach share a pass under the largest."""
+        owed = [{(1, 0): 1}, {(2, 1): 1, (0, 1): 1}, {(0, -3): 1}]
+        assert ex._favorable_counts(2, 5, owed) == [
+            brute_force_cover_count(2, 5, o) for o in owed]
+
+    def test_budget_checked_for_every_target(self):
+        budget = 10 * 2 * 13**3  # L x states x box cells of the first target
+        assert ex._favorable_counts(3, 10, [{(1, 0, 0): 1}], budget) == [
+            exact_cover_probability(CoverTarget.from_points([(1, 0, 0)]), 3, 10).favorable]
+        with pytest.raises(BudgetExceededError):
+            ex._favorable_counts(3, 10, [{(1, 0, 0): 1}, {(3, 0, 0): 3}], budget)
 
 
 class TestCountReflectedPair:

@@ -13,8 +13,8 @@ from walkcover.green import (DIAGONAL_DIFFERENCE, ROUNDING_FLOOR, STEPSUM_MAX_DI
                              WalkSpectrum, asymptotic_sweep,
                              character_power_moment, diagonal_difference_walk,
                              diagonal_return_probability, fourier_green,
-                             green_value, offdiag_green, offdiagonal_sum,
-                             return_probability, simple_walk, stepsum_green)
+                             green_value, offdiag_green, return_probability,
+                             simple_walk, stepsum_green)
 import walkcover.green as green_mod
 from walkcover.green import (_alloc_cascade, _difference_vector, _green_cached,
                              _lclt_tail, _occupation_density, _slot_targets,
@@ -168,6 +168,12 @@ class TestReturnProbabilities:
     def test_dim4_both_methods(self):
         g = green_value(simple_walk(4), (0,) * 4, tol=1e-3, method="both")
         assert abs(g.value - (1 / (1 - 0.193202))) < 1e-3
+
+
+def offdiagonal_sum(d: int, tol: float = 1e-4) -> float:
+    """sum_j Ghat(e_j - e_i) - 1 (independent of i); the high-dimension
+    bound for this quantity is 28/d."""
+    return sum(offdiag_green(d, 0, j, tol) for j in range(d)) - 1.0
 
 
 class TestOffDiagonal:

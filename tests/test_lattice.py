@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_walk_path
+from conftest import random_walk_path, straight_path
 from walkcover.lattice import (CoverTarget, DimensionMismatchError,
                                NotNearestNeighborError, Path,
                                connects_origin_to_sphere, l1_norm,
                                outstanding_visits, path_from_json, path_to_json,
                                parse_points, repetition_profile,
-                               staircase_path, straight_path, total_difference,
-                               validate_path)
+                               staircase_path, total_difference, validate_path)
 
 
 class TestValidatePath:

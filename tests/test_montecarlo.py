@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import straight_path
 from walkcover.exact import exact_cover_probability
 from walkcover import montecarlo
 from walkcover.lattice import CoverTarget, unit_vector, validate_path
@@ -266,7 +267,7 @@ class TestCompare:
         assert diff == 0 and se == 0
 
     def test_staircase_beats_straight_d2(self):
-        from walkcover.lattice import staircase_path, straight_path
+        from walkcover.lattice import staircase_path
         stair = CoverTarget.of_path(staircase_path(4, 2))
         straight = CoverTarget.of_path(straight_path(4, 2))
         cfg = SimConfig(d=2, L=100, n_walks=10**6, seed=99)

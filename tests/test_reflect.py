@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_step_sequences, random_walk_path, walk_points
+from conftest import all_step_sequences, random_walk_path, straight_path, walk_points
 from walkcover.exact import exact_cover_probability
 from walkcover.lattice import (CoverTarget, l1_norm, staircase_path,
-                               straight_path, total_difference, validate_path)
+                               total_difference, validate_path)
 from walkcover.reflect import (Hyperplane, NotConnectingError,
                                SignVectorTooShortError, apply_configuration,
                                arc_decompose, canonical_representative,
