@@ -189,9 +189,9 @@ def _cmd_staircase(args):
 def _cmd_reduce(args):
     path = reflect.normalize_to_positive_orthant(_read_path_file(args.target))
     chain = reflect.reduce_path(path)
+    # the encoder writes the tuples of points as JSON arrays
     steps = [{"hyperplane": {"i": h.i, "j": h.j, "offset": h.offset},
-              "points": [list(q) for q in p.points],
-              "total_difference": lattice.total_difference(p)}
+              "points": p.points, "total_difference": lattice.total_difference(p)}
              for h, p in chain]
     results = {"start_total_difference": lattice.total_difference(path),
                "steps": steps}
@@ -224,11 +224,12 @@ def _cmd_verify_thm11(args):
 
 def _cmd_verify_thm41(args):
     report = exact.verify_staircase_max(args.N, args.d, args.L, args.cap)
-    # the rows of one symmetry class share one probability
-    fields = functools.cache(_probability_fields)
-    rows = [{"points": lattice.path_to_json(r.points),
-             **fields(r.probability),
-             "is_staircase": r.is_staircase} for r in report.rows]
+    # the rows of one count share one probability: its fields are formed once
+    probability = {r.favorable: r.probability for r in report.rows}
+    fields = {n: _probability_fields(p) for n, p in probability.items()}
+    texts = lattice.paths_to_json([r.points for r in report.rows])
+    rows = [{"points": text, **fields[r.favorable], "is_staircase": r.is_staircase}
+            for r, text in zip(report.rows, texts)]
     results = {"N": report.N, "d": report.d, "L": report.L, "cap": report.cap,
                "paths_ranked": rows,
                "staircase_is_max": report.staircase_is_max}

@@ -39,12 +39,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .lattice import (CoverTarget, Point, outstanding_visits, staircase_path,
-                      unit_vector)
+from .lattice import CoverTarget, Point, outstanding_visits, staircase_path
 from .reflect import Hyperplane, reflect_point
 
 #: DP work allowed by default: L x requirement states x box cells.
@@ -428,7 +428,11 @@ def reflection_monotonicity_sweep(d: int = 2, h: Hyperplane = Hyperplane(0, 1, 1
 
 @dataclass(frozen=True)
 class RankedPath:
+    """A connecting path with the count of walks that cover its trace,
+    out of the report's (2d)^L, and that count as a probability."""
+
     points: tuple[Point, ...]
+    favorable: int
     probability: Fraction
     is_staircase: bool
 
@@ -436,7 +440,9 @@ class RankedPath:
 @dataclass(frozen=True)
 class StaircaseReport:
     """Ranked covering probabilities of every path from 0 to the L1
-    sphere of radius N using at most ``cap`` steps.
+    sphere of radius N using at most ``cap`` steps, the most probable
+    first; ``staircase_is_max`` says whether the staircase's count is
+    the largest.
 
     The underlying claim quantifies over connecting paths of *any*
     length; the cap bounds only this enumeration and is echoed here.
@@ -448,34 +454,34 @@ class StaircaseReport:
     cap: int
     rows: tuple[RankedPath, ...]
     staircase_probability: Fraction
-
-    @property
-    def staircase_is_max(self) -> bool:
-        return all(self.staircase_probability >= r.probability for r in self.rows)
+    staircase_is_max: bool
 
 
-def enumerate_connecting_paths(N: int, d: int, cap: int):
+def enumerate_connecting_paths(N: int, d: int, cap: int) -> list[tuple[Point, ...]]:
     """All nearest-neighbor paths from 0 that first reach L1 norm N at
-    their final point, using at most ``cap`` steps."""
-    if cap < N:
-        return
-    origin = tuple([0] * d)
-    steps = [unit_vector(d, ax, sg) for ax in range(d) for sg in (1, -1)]
+    their final point, using at most ``cap`` steps, in depth-first order."""
+    found: list[tuple[Point, ...]] = []
+    path = [(0,) * d]
+    moves = [(ax, sg) for ax in range(d) for sg in (1, -1)]
 
-    def extend(path: list[Point], norm: int):
-        used = len(path) - 1
+    def extend(norm: int) -> None:
         if norm == N:
-            yield tuple(path)
+            found.append(tuple(path))
             return
-        if used + (N - norm) > cap:
+        if len(path) + N - norm > cap + 1:
             return
-        for s in steps:
-            nxt = tuple(a + b for a, b in zip(path[-1], s))
-            path.append(nxt)
-            yield from extend(path, sum(abs(c) for c in nxt))
+        last = path[-1]
+        for ax, sg in moves:
+            nxt = list(last)
+            c = nxt[ax]
+            nxt[ax] = c + sg
+            path.append(tuple(nxt))
+            extend(norm + 1 if c * sg >= 0 else norm - 1)  # -1: a step toward 0
             path.pop()
 
-    yield from extend([origin], 0)
+    if cap >= N:
+        extend(0)
+    return found
 
 
 @lru_cache(maxsize=None)
@@ -529,20 +535,25 @@ def verify_staircase_max(N: int, d: int, L: int, cap: int,
     # a trace holds at most cap points besides the origin, all of norm <= N;
     # a cap past the budget's bit length is refused alike, without forming 2^cap
     _check_budget(d, L, 1 << min(cap, budget.bit_length()), N, budget)
-    paths = list(enumerate_connecting_paths(N, d, cap))
-    traces = list(dict.fromkeys(frozenset(pts) for pts in paths))
+    paths = enumerate_connecting_paths(N, d, cap)
+    path_traces = list(map(frozenset, paths))
+    traces = list(dict.fromkeys(path_traces))
     key_of = dict(zip(traces, _canonical_keys(traces, d)))
     classes = {key: trace for trace, key in key_of.items()}
     counts = _favorable_counts(d, L, [outstanding_visits(dict.fromkeys(t, 1))
                                       for t in classes.values()], budget)
-    # every count shares the denominator (2d)^L, so the counts rank the rows
+    # every count shares the denominator (2d)^L, so the counts rank the rows:
+    # by count, most first, then by points
     count_of = dict(zip(classes, counts))
+    ranked = sorted(zip([count_of[key_of[t]] for t in path_traces], paths),
+                    key=itemgetter(1))
+    ranked.sort(key=itemgetter(0), reverse=True)  # stable: ties keep point order
     stair_points = staircase_path(N, d).points
-    ranked = sorted(((count_of[key_of[frozenset(pts)]], pts) for pts in paths),
-                    key=lambda row: (-row[0], row[1]))
-    if not any(pts == stair_points for _, pts in ranked):
+    stair_count = next((n for n, pts in ranked if pts == stair_points), None)
+    if stair_count is None:
         raise ValueError("cap excludes the staircase itself")
     probability = {n: Fraction(n, (2 * d) ** L) for n in counts}
-    rows = tuple(RankedPath(pts, probability[n], pts == stair_points) for n, pts in ranked)
-    stair_prob = next(r.probability for r in rows if r.is_staircase)
-    return StaircaseReport(N, d, L, cap, rows, stair_prob)
+    rows = tuple(RankedPath(pts, n, probability[n], pts == stair_points)
+                 for n, pts in ranked)
+    return StaircaseReport(N, d, L, cap, rows, probability[stair_count],
+                           stair_count == ranked[0][0])

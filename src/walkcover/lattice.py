@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, cycle
+from operator import mul, ne, sub
 from typing import Iterable, Mapping, Sequence
 
 Point = tuple[int, ...]
@@ -40,17 +42,7 @@ class NotNearestNeighborError(ValueError):
 
 
 def l1_norm(p: Point) -> int:
-    return sum(abs(c) for c in p)
-
-
-def l1_distance(p: Point, q: Point) -> int:
-    return sum(abs(a - b) for a, b in zip(p, q))
-
-
-def unit_vector(d: int, axis: int, sign: int = 1) -> Point:
-    e = [0] * d
-    e[axis] = sign
-    return tuple(e)
+    return sum(map(abs, p))
 
 
 @dataclass(frozen=True)
@@ -64,19 +56,27 @@ class Path:
     points: tuple[Point, ...]
 
     def __post_init__(self):
-        if not self.points:
+        points = self.points
+        if not points:
             raise ValueError("path must contain at least one point")
-        d = len(self.points[0])
+        d = len(points[0])
         if d < 1:
             raise ValueError("dimension must be >= 1")
-        for i, p in enumerate(self.points):
-            if len(p) != d:
-                raise DimensionMismatchError(f"point {i} has dimension {len(p)}, expected {d}")
-            if any(abs(c) > COORD_BOUND for c in p):
-                raise ValueError(f"coordinate magnitude exceeds {COORD_BOUND} at point {i}")
-        for i in range(1, len(self.points)):
-            if l1_distance(self.points[i - 1], self.points[i]) != 1:
-                raise NotNearestNeighborError(i)
+        # each check is one pass at C speed; a failing pass then names its point
+        if len(set(map(len, points))) > 1:
+            i = next(i for i, p in enumerate(points) if len(p) != d)
+            raise DimensionMismatchError(f"point {i} has dimension {len(points[i])}, expected {d}")
+        flat = list(chain.from_iterable(points))
+        if max(flat) > COORD_BOUND or min(flat) < -COORD_BOUND:
+            i = next(i for i, p in enumerate(points) if max(map(abs, p)) > COORD_BOUND)
+            raise ValueError(f"coordinate magnitude exceeds {COORD_BOUND} at point {i}")
+        # every step moves, and the steps move L1 distance len - 1 in all:
+        # then each step moves exactly 1
+        if (not all(map(ne, points[1:], points))
+                or sum(map(abs, map(sub, flat[d:], flat))) != len(points) - 1):
+            i = next(i for i in range(1, len(points))
+                     if sum(map(abs, map(sub, points[i], points[i - 1]))) != 1)
+            raise NotNearestNeighborError(i)
 
     @property
     def dim(self) -> int:
@@ -93,6 +93,20 @@ class Path:
     @cached_property
     def trace(self) -> frozenset[Point]:
         return frozenset(self.points)
+
+    @cached_property
+    def total_difference(self) -> int:
+        """Sum over distinct trace points of the pairwise coordinate
+        discrepancies ``|p_i - p_j|`` (unordered pairs i < j).
+
+        With a point's coordinates sorted, c_0 <= ... <= c_{d-1}, its pairs
+        sum to the sum of (2k - d + 1) c_k: c_k is the larger of k pairs
+        and the smaller of d - 1 - k.  Zero iff every trace point lies on
+        the full diagonal; in d=2 this is the familiar sum of ``|x - y|``
+        over the trace."""
+        d = self.dim
+        return sum(map(mul, chain.from_iterable(map(sorted, self.trace)),
+                       cycle(range(1 - d, d, 2))))
 
     @property
     def is_simple(self) -> bool:
@@ -122,7 +136,7 @@ def connects_origin_to_sphere(path: Path, N: int) -> bool:
     if any(c != 0 for c in path.points[0]):
         return False
     norms = [l1_norm(p) for p in path.points]
-    return norms[-1] == N and all(n != N for n in norms[:-1])
+    return norms[-1] == N and N not in norms[:-1]
 
 
 def staircase_path(N: int, d: int) -> Path:
@@ -139,19 +153,9 @@ def staircase_path(N: int, d: int) -> Path:
 
 
 def total_difference(path: Path) -> int:
-    """Sum over distinct trace points of the pairwise coordinate
-    discrepancies ``|p_i - p_j|`` (unordered pairs i < j).
-
-    Zero iff every trace point lies on the full diagonal; in d=2 this is
-    the familiar sum of ``|x - y|`` over the trace.
-    """
-    total = 0
-    d = path.dim
-    for p in path.trace:
-        for i in range(d):
-            for j in range(i + 1, d):
-                total += abs(p[i] - p[j])
-    return total
+    """The path's total difference, the potential the reflection
+    machinery decreases; see :attr:`Path.total_difference`."""
+    return path.total_difference
 
 
 def repetition_profile(path: Path) -> dict[Point, int]:
@@ -229,7 +233,13 @@ def outstanding_visits(required: Mapping[Point, int]) -> dict[Point, int]:
 
 def path_to_json(points: Iterable[Point]) -> str:
     """The path file format for a :class:`Path` or a sequence of points."""
-    return json.dumps([list(p) for p in points])
+    return paths_to_json([points])[0]
+
+
+def paths_to_json(paths: Sequence[Iterable[Point]]) -> list[str]:
+    """:func:`path_to_json` of each path, each distinct point written once."""
+    text = {p: json.dumps(p) for p in set(chain.from_iterable(paths))}
+    return ["[" + ", ".join(map(text.__getitem__, points)) + "]" for points in paths]
 
 
 def parse_points(data) -> list[Point]:

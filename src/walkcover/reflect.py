@@ -22,16 +22,11 @@ x[j]`` reflections so that its trace contains the staircase trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from operator import sub
 
-from .lattice import (Path, Point, connects_origin_to_sphere, l1_norm, staircase_path,
-                      total_difference)
+from .lattice import Path, Point, connects_origin_to_sphere, l1_norm, staircase_path
 
 SignVector = tuple[int, ...]
-
-
-class SignVectorTooShortError(ValueError):
-    """Fewer signs than arcs."""
 
 
 class NotConnectingError(ValueError):
@@ -81,72 +76,30 @@ def reflect_point(p: Point, h: Hyperplane) -> Point:
     return tuple(q)
 
 
-def reflect_points(points: Sequence[Point], h: Hyperplane) -> tuple[Point, ...]:
-    return tuple(reflect_point(p, h) for p in points)
-
-
-@dataclass(frozen=True)
-class ArcDecomposition:
-    """Split of a path at its visits to a hyperplane.
-
-    ``prefix`` holds the points strictly before the first visit (empty
-    when the path starts on the plane; the whole path when it never
-    visits).  ``arcs[n]`` spans visit n to just before visit n+1; the
-    final arc runs to the end of the path.  ``visit_times`` are the
-    indices of the on-plane points, one per arc.
-    """
-
-    prefix: tuple[Point, ...]
-    arcs: tuple[tuple[Point, ...], ...]
-    visit_times: tuple[int, ...]
-
-    @property
-    def arc_count(self) -> int:
-        return len(self.arcs)
-
-    def reassemble(self) -> tuple[Point, ...]:
-        out = list(self.prefix)
-        for arc in self.arcs:
-            out.extend(arc)
-        return tuple(out)
-
-
-def arc_decompose(path: Path, h: Hyperplane) -> ArcDecomposition:
-    visits = [n for n, p in enumerate(path.points) if h.contains(p)]
-    if not visits:
-        return ArcDecomposition(tuple(path.points), (), ())
-    arcs = []
-    for k, t in enumerate(visits):
-        end = visits[k + 1] if k + 1 < len(visits) else len(path.points)
-        arcs.append(tuple(path.points[t:end]))
-    return ArcDecomposition(tuple(path.points[: visits[0]]), tuple(arcs), tuple(visits))
-
-
-def apply_configuration(path: Path, h: Hyperplane, signs: Sequence[int]) -> Path:
-    """Keep (+1) or reflect (-1) each arc; the prefix is never touched.
-
-    Applying the same sign vector twice returns the original path.  Signs
-    beyond the arc count are ignored; fewer signs than arcs is an error.
-    """
-    dec = arc_decompose(path, h)
-    if len(signs) < dec.arc_count:
-        raise SignVectorTooShortError(
-            f"{len(signs)} signs for {dec.arc_count} arcs")
-    if any(s not in (-1, 1) for s in signs):
-        raise ValueError("signs must be +/-1")
-    pieces = list(dec.prefix)
-    for arc, s in zip(dec.arcs, signs):
-        pieces.extend(reflect_points(arc, h) if s == -1 else arc)
-    return Path(tuple(pieces))
-
-
 def canonical_representative(path: Path, h: Hyperplane) -> tuple[Path, SignVector]:
-    """The unique class member with every arc on the origin side, plus the
-    sign vector that maps it back to ``path`` via
-    :func:`apply_configuration`."""
-    dec = arc_decompose(path, h)
-    signs = tuple(1 if all(map(h.on_origin_side, arc)) else -1 for arc in dec.arcs)
-    return apply_configuration(path, h, signs), signs
+    """The unique member of the path's class with every arc on the origin
+    side, plus the sign vector, one sign per arc, that maps it back to
+    ``path``: +1 keeps an arc, -1 reflects it.
+
+    The path splits at its visits to the plane into a prefix, which is
+    never touched, and arcs, each running from one visit to just before
+    the next.  A nearest-neighbor step moves the signed gap by at most 1,
+    so an arc's later points all lie strictly on one side; the arcs on
+    the far side are reflected, and the plane fixes their first point."""
+    i, j, offset = h.i, h.j, h.offset
+    far = -h.origin_sign()
+    points = list(path.points)
+    gaps = [p[i] - p[j] - offset for p in points]
+    signs: list[int] = []
+    for n, gap in enumerate(gaps):
+        if gap == 0:
+            signs.append(1)
+        elif signs and gap * far > 0:
+            signs[-1] = -1
+            points[n] = reflect_point(points[n], h)
+    if -1 not in signs:  # every arc kept: the path is its own representative
+        return path, tuple(signs)
+    return Path(tuple(points)), tuple(signs)
 
 
 def normalize_to_positive_orthant(path: Path) -> Path:
@@ -194,13 +147,14 @@ def reduce_path(path: Path) -> list[tuple[Hyperplane, Path]]:
     # stage 1: pull everything inside the unit-width diagonal region
     while True:
         # the first plane (i, j, 1) in row-major order with a point beyond it
+        axes = list(zip(*current.trace))
         h = next((Hyperplane(i, j, 1) for i in range(d) for j in range(d)
-                  if i != j and any(p[i] - p[j] >= 2 for p in current.trace)), None)
+                  if i != j and max(map(sub, axes[i], axes[j])) >= 2), None)
         if h is None:
             break
-        before = total_difference(current)
+        before = current.total_difference
         fire(h)
-        if total_difference(current) >= before:  # else stage 1 never ends
+        if current.total_difference >= before:  # else stage 1 never ends
             raise ReductionInvariantError(
                 f"firing x[{h.i}] = x[{h.j}] + 1 did not lower the total difference")
 

@@ -8,10 +8,23 @@ counting paths.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
+from typing import Sequence
 
 import pytest
 
 from walkcover.lattice import Path, Point, validate_path
+from walkcover.reflect import Hyperplane, reflect_point
+
+
+def unit_vector(d: int, axis: int, sign: int = 1) -> Point:
+    e = [0] * d
+    e[axis] = sign
+    return tuple(e)
+
+
+def l1_distance(p: Point, q: Point) -> int:
+    return sum(abs(a - b) for a, b in zip(p, q))
 
 
 def all_step_sequences(d: int, L: int):
@@ -79,3 +92,78 @@ def monotone_paths_d3():
         validate_path([(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0)]),
         validate_path([(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)]),
     ]
+
+
+# ---------------------------------------------------------------------------
+# the arc-decomposition route: the reference for reflect.canonical_representative
+# ---------------------------------------------------------------------------
+
+class SignVectorTooShortError(ValueError):
+    """Fewer signs than arcs."""
+
+
+def reflect_points(points: Sequence[Point], h: Hyperplane) -> tuple[Point, ...]:
+    return tuple(reflect_point(p, h) for p in points)
+
+
+@dataclass(frozen=True)
+class ArcDecomposition:
+    """Split of a path at its visits to a hyperplane.
+
+    ``prefix`` holds the points strictly before the first visit (empty
+    when the path starts on the plane; the whole path when it never
+    visits).  ``arcs[n]`` spans visit n to just before visit n+1; the
+    final arc runs to the end of the path.  ``visit_times`` are the
+    indices of the on-plane points, one per arc.
+    """
+
+    prefix: tuple[Point, ...]
+    arcs: tuple[tuple[Point, ...], ...]
+    visit_times: tuple[int, ...]
+
+    @property
+    def arc_count(self) -> int:
+        return len(self.arcs)
+
+    def reassemble(self) -> tuple[Point, ...]:
+        out = list(self.prefix)
+        for arc in self.arcs:
+            out.extend(arc)
+        return tuple(out)
+
+
+def arc_decompose(path: Path, h: Hyperplane) -> ArcDecomposition:
+    visits = [n for n, p in enumerate(path.points) if h.contains(p)]
+    if not visits:
+        return ArcDecomposition(tuple(path.points), (), ())
+    arcs = []
+    for k, t in enumerate(visits):
+        end = visits[k + 1] if k + 1 < len(visits) else len(path.points)
+        arcs.append(tuple(path.points[t:end]))
+    return ArcDecomposition(tuple(path.points[: visits[0]]), tuple(arcs), tuple(visits))
+
+
+def apply_configuration(path: Path, h: Hyperplane, signs: Sequence[int]) -> Path:
+    """Keep (+1) or reflect (-1) each arc; the prefix is never touched.
+
+    Applying the same sign vector twice returns the original path.  Signs
+    beyond the arc count are ignored; fewer signs than arcs is an error.
+    """
+    dec = arc_decompose(path, h)
+    if len(signs) < dec.arc_count:
+        raise SignVectorTooShortError(
+            f"{len(signs)} signs for {dec.arc_count} arcs")
+    if any(s not in (-1, 1) for s in signs):
+        raise ValueError("signs must be +/-1")
+    pieces = list(dec.prefix)
+    for arc, s in zip(dec.arcs, signs):
+        pieces.extend(reflect_points(arc, h) if s == -1 else arc)
+    return Path(tuple(pieces))
+
+
+def arc_representative(path: Path, h: Hyperplane) -> tuple[Path, tuple[int, ...]]:
+    """The canonical representative by the arc route: each arc whose
+    points are all on the origin side keeps (+1), any other reflects (-1)."""
+    dec = arc_decompose(path, h)
+    signs = tuple(1 if all(map(h.on_origin_side, arc)) else -1 for arc in dec.arcs)
+    return apply_configuration(path, h, signs), signs

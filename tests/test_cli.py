@@ -1,7 +1,9 @@
 import argparse
+import hashlib
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -596,3 +598,47 @@ class TestThreadCount:
         assert doc["parameters"]["threads"] == 1
         _, doc = run_json(capsys, self.MC + ["--target", corner_path, "--threads", "2"])
         assert doc["parameters"]["threads"] == 2
+
+
+def _connecting_path(rng: random.Random, d: int, N: int) -> list[list[int]]:
+    """A random nearest-neighbour path from 0 that first reaches L1 norm
+    N at its last point, outward steps favoured, with no zero coordinate
+    at that point."""
+    while True:
+        pos = [0] * d
+        pts = [list(pos)]
+        while sum(map(abs, pos)) < N:
+            axis = rng.randrange(d)
+            outward = 1 if pos[axis] >= 0 else -1
+            pos[axis] += outward if rng.random() < 0.7 else -outward
+            pts.append(list(pos))
+        if all(pos):
+            return pts
+
+
+def _results_digest(capsys, argv_list) -> str:
+    results = []
+    for argv in argv_list:
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        results.append(doc["results"])
+    return hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+
+
+class TestPinnedResults:
+    """The results of ``reduce`` and ``verify-thm41``, byte for byte, as
+    sha256 digests of their sorted-key JSON."""
+
+    def test_reduce_chains(self, capsys, tmp_path):
+        rng, argv_list = random.Random(0), []
+        for k in range(8):
+            f = tmp_path / f"path{k}.json"
+            f.write_text(json.dumps(_connecting_path(rng, 4, 20)))
+            argv_list.append(["reduce", "--target", str(f)])
+        assert _results_digest(capsys, argv_list) == (
+            "c2c794a86c51c542f6a61afddca2867d81f3bfc30c7c666fe5299520fc7ffaa4")
+
+    def test_verify_thm41_ranking(self, capsys):
+        argv = ["verify-thm41", "--N", "3", "--d", "2", "--L", "9", "--cap", "7"]
+        assert _results_digest(capsys, [argv]) == (
+            "004c83a97c617080a9529229015018b0425a181dcbe723b58dd656a87b888208")

@@ -9,8 +9,8 @@ from typing import Iterable
 import numpy as np
 import pytest
 
-from conftest import (all_step_sequences, brute_force_cover_count,
-                      random_walk_path, walk_points)
+from conftest import (all_step_sequences, apply_configuration, arc_decompose,
+                      brute_force_cover_count, random_walk_path, walk_points)
 import walkcover.exact as ex
 from walkcover.comb import ArcCollection, cover_count
 from walkcover.exact import (BudgetExceededError, SideViolationError,
@@ -18,8 +18,7 @@ from walkcover.exact import (BudgetExceededError, SideViolationError,
                              exact_cover_probability,
                              reflection_monotonicity_sweep, verify_staircase_max)
 from walkcover.lattice import CoverTarget, Path, Point, staircase_path, validate_path
-from walkcover.reflect import (Hyperplane, apply_configuration, arc_decompose,
-                               canonical_representative, reflect_point)
+from walkcover.reflect import Hyperplane, canonical_representative, reflect_point
 
 H21 = Hyperplane(0, 1, 1)
 OYWZ = validate_path([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import unit_vector
 from walkcover.cli import run
 from walkcover.exact import exact_cover_probability
 from walkcover.green import (RecurrentWalkError, green_value, return_probability,
@@ -13,7 +14,7 @@ from walkcover.hitting import (COUNTEREXAMPLE_PATHS, HittingQuery,
                                first_entry_distribution,
                                infinite_cover_probability,
                                truncation_bias_estimate)
-from walkcover.lattice import REPETITIONS, CoverTarget, unit_vector
+from walkcover.lattice import REPETITIONS, CoverTarget
 from walkcover.montecarlo import SimConfig, mc_cover_probability
 from walkcover.rng import walk_directions
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_walk_path, straight_path
-from walkcover.lattice import (CoverTarget, DimensionMismatchError,
-                               NotNearestNeighborError, Path,
+from conftest import l1_distance, random_walk_path, straight_path
+from walkcover.lattice import (COORD_BOUND, CoverTarget, DimensionMismatchError,
+                               NotNearestNeighborError, Path, paths_to_json,
                                connects_origin_to_sphere, l1_norm,
                                outstanding_visits, path_from_json, path_to_json,
                                parse_points, repetition_profile,
@@ -51,6 +51,78 @@ class TestValidatePath:
             except NotNearestNeighborError:
                 rejected += 1
         assert rejected == 1000
+
+
+def _staircase_points(length: int, d: int) -> list[list[int]]:
+    return [list(q) for q in staircase_path(length - 1, d).points]
+
+
+class TestValidationErrors:
+    """Each check names where it failed, wherever in the path that is."""
+
+    @pytest.mark.parametrize("index", [1, 2, 17, 38, 39])
+    @pytest.mark.parametrize("kind", ["repeat", "jump", "diagonal"])
+    def test_not_nearest_neighbor_carries_the_index(self, index, kind):
+        pts = _staircase_points(40, 3)
+        prev = pts[index - 1]
+        pts[index] = {"repeat": list(prev),
+                      "jump": [prev[0] + 2] + prev[1:],
+                      "diagonal": [prev[0] + 1, prev[1] + 1] + prev[2:]}[kind]
+        with pytest.raises(NotNearestNeighborError) as exc:
+            validate_path(pts)
+        assert exc.value.index == index
+        assert f"points {index - 1} and {index}" in str(exc.value)
+
+    @pytest.mark.parametrize("copy", [4, 6])
+    def test_steps_of_0_and_2_that_keep_the_total_distance(self, copy):
+        """Point 5 repeated from point 4 (a step of 0, then 2) or from
+        point 6 (2, then 0): the path's total distance is unchanged, and
+        the error names step 5."""
+        pts = _staircase_points(30, 2)
+        pts[5] = list(pts[copy])
+        with pytest.raises(NotNearestNeighborError) as exc:
+            validate_path(pts)
+        assert exc.value.index == 5
+
+    @pytest.mark.parametrize("index", [0, 1, 13, 29])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_coord_bound_names_the_point(self, index, sign):
+        pts = _staircase_points(30, 3)
+        pts[index][1] = sign * (COORD_BOUND + 1)
+        with pytest.raises(ValueError, match=f"exceeds {COORD_BOUND} at point {index}$"):
+            validate_path(pts)
+
+    def test_coord_bound_itself_is_allowed(self):
+        p = validate_path([(COORD_BOUND, -COORD_BOUND), (COORD_BOUND - 1, -COORD_BOUND)])
+        assert p.length == 2
+
+    @pytest.mark.parametrize("index", [1, 9, 29])
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_dimension_mismatch_names_the_point(self, index, dim):
+        pts = _staircase_points(30, 3)
+        pts[index] = pts[index][:2] + [0] * (dim - 2)
+        with pytest.raises(DimensionMismatchError,
+                           match=f"^point {index} has dimension {dim}, expected 3$"):
+            validate_path(pts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-1, 1), min_size=d, max_size=d), min_size=0, max_size=25)))
+def test_validation_matches_pairwise_l1_distance(steps):
+    """A path is accepted iff every pair of consecutive points is at L1
+    distance 1, the first bad pair naming the error's index."""
+    d = len(steps[0]) if steps else 2
+    pts = [(0,) * d]
+    for s in steps:
+        pts.append(tuple(a + b for a, b in zip(pts[-1], s)))
+    bad = [i for i in range(1, len(pts)) if l1_distance(pts[i - 1], pts[i]) != 1]
+    if bad:
+        with pytest.raises(NotNearestNeighborError) as exc:
+            validate_path(pts)
+        assert exc.value.index == bad[0]
+    else:
+        assert validate_path(pts).points == tuple(pts)
 
 
 class TestConnects:
@@ -103,6 +175,11 @@ class TestTotalDifference:
         assert total_difference(validate_path([(0, 0), (1, 0), (2, 0)])) == 3
         assert total_difference(validate_path([(0, 0), (1, 0), (1, 1)])) == 1
         assert total_difference(validate_path([(0, 0, 0), (1, 0, 0), (1, 1, 0)])) == 4
+
+    def test_cached_on_the_path(self):
+        p = validate_path([(0, 0, 0), (1, 0, 0), (1, 1, 0)])
+        assert p.total_difference == total_difference(p) == 4
+        assert "total_difference" in vars(p)
 
     def test_counts_trace_not_steps(self):
         # revisiting a point must not double its contribution
@@ -189,6 +266,14 @@ class TestJson:
             path_from_json(json.dumps([[0, 0], [2, 0]]))
         with pytest.raises(ValueError):
             path_from_json(json.dumps({"not": "a path"}))
+
+    def test_paths_to_json_writes_what_json_dumps_writes(self):
+        rng = np.random.default_rng(5)
+        paths = [random_walk_path(rng, d, int(rng.integers(0, 9))).points
+                 for d in (1, 2, 3, 5) for _ in range(20)]
+        assert paths_to_json(paths) == [json.dumps([list(q) for q in p]) for p in paths]
+        assert path_to_json(paths[0]) == json.dumps([list(q) for q in paths[0]])
+        assert paths_to_json([]) == [] and path_to_json([]) == "[]"
 
     @pytest.mark.parametrize("text", ["[1, 2]", "5", "[[0, null]]", "[[0, 1.0]]",
                                       "[[true, 0]]", '[["1", 0]]', "[[[0], 0]]"])

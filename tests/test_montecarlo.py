@@ -4,10 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import straight_path
+from conftest import straight_path, unit_vector
 from walkcover.exact import exact_cover_probability
 from walkcover import montecarlo
-from walkcover.lattice import CoverTarget, unit_vector, validate_path
+from walkcover.lattice import CoverTarget, validate_path
 from walkcover.montecarlo import (DEFAULT_BATCH, DEFAULT_CHUNK, Estimate, SimConfig,
                                   _PackedTargets, _tiles, mc_compare,
                                   mc_cover_probability)

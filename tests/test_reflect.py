@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_step_sequences, random_walk_path, straight_path, walk_points
+from conftest import (SignVectorTooShortError, all_step_sequences, apply_configuration,
+                      arc_decompose, arc_representative, random_walk_path, straight_path,
+                      walk_points)
 from walkcover.exact import exact_cover_probability
 from walkcover.lattice import (CoverTarget, l1_norm, staircase_path,
                                total_difference, validate_path)
-from walkcover.reflect import (Hyperplane, NotConnectingError,
-                               SignVectorTooShortError, apply_configuration,
-                               arc_decompose, canonical_representative,
+from walkcover.reflect import (Hyperplane, NotConnectingError, canonical_representative,
                                normalize_to_positive_orthant, reduce_path,
                                reflect_point)
 
@@ -253,3 +253,31 @@ def test_canonical_representative_idempotent(steps, offset):
     rep, _ = canonical_representative(p, h)
     rep2, signs2 = canonical_representative(rep, h)
     assert rep2 == rep and set(signs2) <= {1}
+
+
+@st.composite
+def _nearest_neighbor_paths(draw):
+    """A path of at most 30 unit steps in Z^d, d = 2..5, from a start
+    with coordinates in -2..2, so it may begin off the origin side."""
+    d = draw(st.integers(2, 5))
+    pts = [tuple(draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d)))]
+    for axis, sign in draw(st.lists(st.tuples(st.integers(0, d - 1), st.sampled_from((1, -1))),
+                                    max_size=30)):
+        q = list(pts[-1])
+        q[axis] += sign
+        pts.append(tuple(q))
+    return validate_path(pts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nearest_neighbor_paths(), st.integers(-2, 2))
+def test_canonical_representative_matches_the_arc_route(p, offset):
+    """The one-pass representative equals the arc decomposition's, path
+    and signs, for every ordered axis pair; the cached total difference
+    equals the pairwise sum over the trace."""
+    d = p.dim
+    for i, j in itertools.permutations(range(d), 2):
+        h = Hyperplane(i, j, offset)
+        assert canonical_representative(p, h) == arc_representative(p, h)
+    assert p.total_difference == sum(abs(q[a] - q[b]) for q in p.trace
+                                     for a in range(d) for b in range(a + 1, d))
