@@ -14,8 +14,10 @@ probed bonds for off-diagonal values.
   theta integrated out, G(x) = Int_0^inf prod_i ive(|x_i|, t/d) dt
   (Montroll 1956; Guttmann, J. Phys. A 43 (2010) 305205), by
   Gauss-Legendre in log t plus a fitted tail, the integrand summed over
-  the levels one panel of t at a time.  Its stated bound is about 1e-12
-  in every dimension.
+  the levels one panel of t at a time.  Each panel's nodes, of both
+  quadrature orders, share one table of ive(n, t/d) over every order n,
+  built from three ive calls per node by the backward ratio recurrence.
+  Its stated bound is about 1e-12 in every dimension.
 
 * **stepsum** - the independent cross-check, up to dimension
   ``STEPSUM_MAX_DIM``.  G(x) = sum_n P(X_n = x) is summed exactly to a
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -252,22 +254,55 @@ def stepsum_green(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4,
 # fourier route
 # ---------------------------------------------------------------------------
 
-def _occupation_density(spec: WalkSpectrum, x: Sequence[int], t: np.ndarray) -> np.ndarray:
-    """P(Y_t = x) for the walk at rate 1 in continuous time, t of shape
-    (panels, nodes): each slot is an independent rate-1/d +/-1 walk, at n
-    with probability ive(n, t/d).  Slots sum over their winding levels as
-    in _step_terms, one panel at a time over the levels its largest t
-    reaches, so memory stays at one panel's table."""
-    s = t / spec.d
-    out = np.empty(t.shape)
-    for row, tp, sp in zip(out, t, s):
+def _ive_table(m: int, s: np.ndarray) -> np.ndarray:
+    """table[n] = ive(n, s) for n = 0..m, from three ive calls per node:
+    orders 0, m and m + 1.  The ratio r_n = I_n / I_(n-1) = 1 / (2n/s + r_(n+1))
+    runs down from r_(m+1), which damps its errors (Gautschi, SIAM Review 9,
+    1967); the cumulative product with ive(0, s) then gives the table.  Where
+    ive(m, s) underflows to 0 the run starts from r = 0, whose error has
+    died out before the orders where I_n is representable."""
+    table = np.empty((m + 1, s.size))
+    table[0] = ive(0, s)
+    if m:
+        top = ive(m, s)
+        r = np.divide(ive(m + 1, s), top, out=np.zeros(s.size), where=top > 0)
+        ratios = table[1:]
+        np.divide.outer(2.0 * np.arange(1, m + 1), s, out=ratios)
+        for row in ratios[::-1]:
+            row += r
+            np.divide(1.0, row, out=row)
+            r = row
+        np.cumprod(table, axis=0, out=table)
+    return table
+
+
+def _occupation_density(spec: WalkSpectrum, x: Sequence[int],
+                        t: Sequence[np.ndarray]) -> np.ndarray:
+    """P(Y_t = x) for the walk at rate 1 in continuous time, at every node of
+    the rows of t (a 2-D array or a list of 1-D rows), the rows' results
+    concatenated: each slot is an independent rate-1/d +/-1 walk, at n with
+    probability ive(n, t/d).  Slots sum over their winding levels as in
+    _step_terms, one row at a time over the levels its largest t reaches,
+    so memory stays at one row's Bessel table."""
+    out = []
+    for tp in t:
         slots = np.abs(_slot_targets(spec, x, tp.max()))
-        table = ive(np.arange(slots.max() + 1), sp[:, None])
-        prod = table[:, slots[:, 0]]
+        table = _ive_table(int(slots.max()), tp / spec.d)
+        prod = table[slots[:, 0]]
         for b in slots.T[1:]:
-            prod *= table[:, b]
-        row[:] = prod.sum(axis=1)
-    return out
+            prod *= table[b]
+        out.append(prod.sum(axis=0))
+    return np.concatenate(out)
+
+
+@cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre rule on [0, 1]: nodes and weights, read-only."""
+    z, w = leggauss(order)
+    u, w = (z + 1) / 2, w / 2
+    u.setflags(write=False)
+    w.setflags(write=False)
+    return u, w
 
 
 def fourier_green(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4) -> GreenValue:
@@ -277,18 +312,18 @@ def fourier_green(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4) -> Gr
     if not spec.transient:
         raise RecurrentWalkError(f"G diverges for {spec.kind} with dim {spec.dim}")
     panels = 12  # Gauss-Legendre on [0, 1] in t, then on unit panels in log t
-    body = []
-    for order in (12, 16):
-        z, w = leggauss(order)
-        t = np.exp(np.add.outer(np.arange(panels), (z + 1) / 2))
-        f = _occupation_density(spec, x, np.vstack([(z + 1) / 2, t])).ravel()
-        body.append(float(f @ np.r_[w, np.tile(w, panels) * t.ravel()]) / 2)
+    orders = (12, 16)  # their nodes share each panel's row, and so its Bessel table
+    u, w = (np.concatenate(parts) for parts in zip(*map(_gauss_legendre, orders)))
+    t = np.exp(np.add.outer(np.arange(panels), u))
     # beyond T, (t/T)^m f(t) = b0 + b1 (T/t) + b2 (T/t)^2 + ...; fit at T/t =
-    # 4, 2 and 1.  Scaled by T, the fit forms no power of T, which would overflow
+    # 4, 2 and 1, nodes that join the last panel's row.  Scaled by T, the fit
+    # forms no power of T, which would overflow
     T, m = math.exp(panels), spec.dim / 2.0
-    u = np.array([4.0, 2.0, 1.0])
-    b2, b1, b0 = np.linalg.solve(np.vander(u, 3),
-                                 _occupation_density(spec, x, T / u[None])[0] * u**-m)
+    v = np.array([4.0, 2.0, 1.0])
+    f = _occupation_density(spec, x, [u, *t[:-1], np.r_[t[-1], T / v]])
+    fw = f[:-v.size].reshape(panels + 1, u.size) * np.vstack([w, w * t])
+    body = [float(part.sum()) for part in np.split(fw, orders[:1], axis=1)]
+    b2, b1, b0 = np.linalg.solve(np.vander(v, 3), f[-v.size:] * v**-m)
     last = T * b2 / (m + 1)
     tail = T * (b0 / (m - 1) + b1 / m) + last
     bound = float(2.0 * abs(body[1] - body[0]) + abs(last) + ROUNDING_FLOOR)

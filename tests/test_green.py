@@ -17,8 +17,8 @@ from walkcover.green import (DIAGONAL_DIFFERENCE, ROUNDING_FLOOR, STEPSUM_MAX_DI
                              simple_walk, stepsum_green)
 import walkcover.green as green_mod
 from walkcover.green import (_alloc_cascade, _difference_vector, _green_cached,
-                             _lclt_tail, _occupation_density, _slot_targets,
-                             _step_terms, _stepsum_n_max)
+                             _ive_table, _lclt_tail, _occupation_density,
+                             _slot_targets, _step_terms, _stepsum_n_max)
 
 # classical values, frozen from the high-resolution stepsum oracle and
 # matching the standard references to the digits shown
@@ -329,6 +329,81 @@ class TestFourierGuards:
     def test_tolerance_failure_signaled(self):
         with pytest.raises(ToleranceUnreachableError):
             fourier_green(simple_walk(3), (0, 0, 0), tol=1e-14)
+
+
+def _fourier_arguments():
+    """Every s = t/d at which fourier_green evaluates ive for d = 3..10: both
+    Gauss-Legendre orders on [0, 1] and on the 12 unit panels in log t, and
+    the tail fit's T/4, T/2 and T."""
+    u = np.concatenate([(leggauss(n)[0] + 1) / 2 for n in (12, 16)])
+    T = math.exp(12)
+    t = np.r_[u, np.exp(np.add.outer(np.arange(12), u)).ravel(), T / 4, T / 2, T]
+    return np.unique(np.concatenate([t / d for d in range(3, 11)]))
+
+
+def _assert_table_matches_ive(m, s):
+    table = _ive_table(m, s)
+    ref = ive(np.arange(m + 1)[:, None], s)
+    assert table.shape == ref.shape
+    assert np.abs(table - ref).max() <= 1e-15
+    # near s = 0, ive itself errs by up to 1e-14 relative at n = 4, 5
+    # (against mpmath); the ratio recurrence is closer there
+    assert (np.abs(table[:6] - ref[:6]) <= 1e-14 * ref[:6]).all()
+
+
+class TestBesselTable:
+    @pytest.mark.parametrize("m", [0, 1, 2, 40, 1100])
+    def test_matches_ive(self, m):
+        _assert_table_matches_ive(m, _fourier_arguments())
+
+    def test_underflowed_start(self):
+        """ive(400, s) and ive(401, s) underflow to 0 at s = 1e-3, so the
+        recurrence starts from r = 0, without a 0/0."""
+        s = np.array([1e-3])
+        assert ive(400, s) == 0.0 and ive(401, s) == 0.0
+        _assert_table_matches_ive(400, s)
+
+
+# asymptotic_sweep(3, 10, 1e-3) rows (d, p_return, p_diagonal, excess) and
+# fourier_green values at e_1 and (1, -1, 0, ...), as computed by the
+# per-order ive route before the Bessel tables came from the ratio recurrence
+PINNED_SWEEP = [
+    (3, 0.3405373295509989, None, 0.3497193924853109),
+    (4, 0.19320167322498372, 0.28222998895386986, 0.1144671218484814),
+    (5, 0.135178609820655, 0.1519423548661465, 0.056308124840230706),
+    (6, 0.10471549562882176, 0.10825477791832816, 0.03363003989333817),
+    (7, 0.0858449341133789, 0.08662739233153394, 0.022477744159276475),
+    (8, 0.0729126499593844, 0.07308895451810271, 0.016147012016926032),
+    (9, 0.06344774965272448, 0.06348776689587632, 0.012190530825848117),
+    (10, 0.056197535974267576, 0.05620663800130177, 0.009543747888260776),
+]
+PINNED_FOURIER = [
+    (simple_walk(4), (1, 0, 0, 0), 0.23946712184848168),
+    (simple_walk(4), (1, -1, 0, 0), 0.1017176301674737),
+    (diagonal_difference_walk(4), (1, 0, 0), 0.3932039296856768),
+    (diagonal_difference_walk(4), (1, -1, 0), 0.3932039296856768),
+    (simple_walk(7), (1, 0, 0, 0, 0, 0, 0), 0.09390631558784798),
+    (simple_walk(7), (1, -1, 0, 0, 0, 0, 0), 0.0176236823326287),
+    (diagonal_difference_walk(7), (1, 0, 0, 0, 0, 0), 0.0948434314804608),
+    (diagonal_difference_walk(7), (1, -1, 0, 0, 0, 0), 0.0948434314804608),
+]
+
+
+class TestPinnedValues:
+    def test_sweep_rows(self):
+        rows = asymptotic_sweep(3, 10, 1e-3).rows
+        assert [r.d for r in rows] == [p[0] for p in PINNED_SWEEP]
+        for r, (d, p, pd, excess) in zip(rows, PINNED_SWEEP):
+            assert abs(r.p_return - p) <= 1e-14, d
+            assert abs(r.excess - excess) <= 1e-14, d
+            if pd is None:
+                assert r.p_diagonal is None
+            else:
+                assert abs(r.p_diagonal - pd) <= 1e-14, d
+
+    @pytest.mark.parametrize("spec,x,value", PINNED_FOURIER)
+    def test_fourier_values(self, spec, x, value):
+        assert abs(fourier_green(spec, x, tol=1e-3).value - value) <= 1e-14
 
 
 def _one_shot_density(spec, x, t):
