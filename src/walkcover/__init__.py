@@ -7,8 +7,7 @@ first-entry (hitting) calculus built on them.
 
 from .lattice import (CoverTarget, Path, Point, REPETITIONS, TRACE,
                       connects_origin_to_sphere, path_from_json, path_to_json,
-                      repetition_profile, staircase_path, total_difference,
-                      validate_path)
+                      repetition_profile, staircase_path, validate_path)
 from .reflect import (Hyperplane, canonical_representative,
                       normalize_to_positive_orthant, reduce_path, reflect_point)
 from .comb import ArcCollection, check_cover_inequality, cover_count, cover_count_split

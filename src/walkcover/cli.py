@@ -191,9 +191,9 @@ def _cmd_reduce(args):
     chain = reflect.reduce_path(path)
     # the encoder writes the tuples of points as JSON arrays
     steps = [{"hyperplane": {"i": h.i, "j": h.j, "offset": h.offset},
-              "points": p.points, "total_difference": lattice.total_difference(p)}
+              "points": p.points, "total_difference": p.total_difference}
              for h, p in chain]
-    results = {"start_total_difference": lattice.total_difference(path),
+    results = {"start_total_difference": path.total_difference,
                "steps": steps}
     return results, [], 0
 

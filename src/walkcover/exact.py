@@ -114,10 +114,10 @@ def _ball(d: int, M: int) -> tuple[list, list, list]:
     (2d, size) int32 table of each cell's neighbours as indices into the
     other class, that class's size standing for a cell outside the ball.
 
-    Neighbours are found by rank, not by search: ``prefix[k][r]`` sums
-    |B_k(s)|, the cells of the k-dimensional ball of radius s, over s < r,
-    and a cell's place in the lexicographic order of the ball follows
-    from it axis by axis."""
+    Neighbours are found by search: a cell's code weighs coordinate a by
+    (2M + 1)^(d - 1 - a), so the codes of the cells in lexicographic order
+    are sorted, and a unit step along axis a moves the code by that weight.
+    The codes are Python integers once (2M + 1)^d passes int64."""
     values = np.arange(-M, M + 1)
     cells, norm = np.zeros((1, 0), dtype=np.intp), np.zeros(1, dtype=np.intp)
     for _ in range(d):  # lexicographic order
@@ -125,22 +125,9 @@ def _ball(d: int, M: int) -> tuple[list, list, list]:
         rows, cols = np.nonzero(grown <= M)
         cells = np.column_stack([cells[rows], values[cols]])
         norm = grown[rows, cols]
-    size, prefix = np.ones(M + 1, dtype=np.intp), []
-    for _ in range(d):
-        prefix.append(np.concatenate([[0], np.cumsum(size)]))
-        size = size + 2 * prefix[-1][:-1]  # |B_k+1(r)| = |B_k(r)| + 2 sum_{s<r} |B_k(s)|
-
-    def rank(pts):
-        # the cells before x on an axis, below the same prefix, have a value
-        # v < x there and a ball of radius left - |v| on the later axes
-        at, left = np.zeros(len(pts), dtype=np.intp), np.full(len(pts), M)
-        for axis, x in enumerate(pts.T):
-            sizes, ax = prefix[d - 1 - axis], np.abs(x)
-            at += np.where(x > 0, sizes[left] + sizes[left + 1] - sizes[left - ax + 1],
-                           sizes[left - ax])
-            left -= ax
-        return at
-
+    weights = np.array([(2 * M + 1) ** (d - 1 - a) for a in range(d)],
+                       dtype=np.int64 if (2 * M + 1) ** d < 2**63 else object)
+    codes = (cells * weights).sum(axis=1)
     # shell M + 1 is empty, so that each class has a shell even when M = 0
     shells = [np.flatnonzero(norm == r) for r in range(M + 2)]
     members = [np.concatenate(shells[parity::2]) for parity in (0, 1)]
@@ -151,11 +138,12 @@ def _ball(d: int, M: int) -> tuple[list, list, list]:
     for parity, member in enumerate(members):
         upto.append(np.bincount(norm[member], minlength=M + 1).cumsum())
         table = np.full((2 * d, len(member)), len(members[1 - parity]), dtype=np.int32)
-        for k in range(2 * d):
+        for k, (axis, sign) in enumerate(itertools.product(range(d), (1, -1))):
             moved = cells[member]
-            moved[:, k // 2] += 1 - 2 * (k % 2)
+            moved[:, axis] += sign
             inside = np.flatnonzero(np.abs(moved).sum(axis=1) <= M)
-            table[k, inside] = position[rank(moved[inside])]
+            found = np.searchsorted(codes, codes[member[inside]] + sign * weights[axis])
+            table[k, inside] = position[found]
         neighbours.append(table)
     return upto, [cells[member] for member in members], neighbours
 
@@ -511,10 +499,11 @@ def _canonical_keys(traces: Sequence[frozenset[Point]], d: int) -> list[tuple[in
     coder = np.zeros((len(perms), d), dtype=np.int64)
     np.put_along_axis(coder, perms, signs * weights, axis=1)
     last = np.iinfo(np.int64).max
-    keys = []
-    for lo in range(0, len(traces), 256):
-        codes = pts[lo:lo + 256] @ coder.T
-        codes[pad[lo:lo + 256]] = last
+    # ~2^17 codes per chunk (1 to 256 traces), so memory stays flat in d!·2^d
+    chunk, keys = min(256, max(1, 2**17 // (pts.shape[1] * len(perms)))), []
+    for lo in range(0, len(traces), chunk):
+        codes = pts[lo:lo + chunk] @ coder.T
+        codes[pad[lo:lo + chunk]] = last
         codes = np.sort(codes.transpose(0, 2, 1), axis=2)
         alive = np.ones(codes.shape[:2], dtype=bool)
         for col in codes.transpose(2, 0, 1):

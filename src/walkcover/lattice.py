@@ -49,7 +49,7 @@ def l1_norm(p: Point) -> int:
 class Path:
     """A validated nearest-neighbor path.
 
-    ``length`` is the number of points (K+1 for a K-step path).  The
+    ``len(path)`` is the number of points (K+1 for a K-step path).  The
     trace is the set of distinct points visited.
     """
 
@@ -82,14 +82,6 @@ class Path:
     def dim(self) -> int:
         return len(self.points[0])
 
-    @property
-    def length(self) -> int:
-        return len(self.points)
-
-    @property
-    def steps(self) -> int:
-        return len(self.points) - 1
-
     @cached_property
     def trace(self) -> frozenset[Point]:
         return frozenset(self.points)
@@ -107,10 +99,6 @@ class Path:
         d = self.dim
         return sum(map(mul, chain.from_iterable(map(sorted, self.trace)),
                        cycle(range(1 - d, d, 2))))
-
-    @property
-    def is_simple(self) -> bool:
-        return len(self.trace) == self.length
 
     def __iter__(self):
         return iter(self.points)
@@ -152,15 +140,9 @@ def staircase_path(N: int, d: int) -> Path:
                       for t in range(N + 1)))
 
 
-def total_difference(path: Path) -> int:
-    """The path's total difference, the potential the reflection
-    machinery decreases; see :attr:`Path.total_difference`."""
-    return path.total_difference
-
-
 def repetition_profile(path: Path) -> dict[Point, int]:
-    """Visit multiplicity of each trace point; counts sum to the path
-    length."""
+    """Visit multiplicity of each trace point; counts sum to
+    ``len(path)``."""
     counts: dict[Point, int] = {}
     for p in path.points:
         counts[p] = counts.get(p, 0) + 1
@@ -213,9 +195,6 @@ class CoverTarget:
             raise ValueError(f"mode must be one of {_MODES}")
         return cls(repetition_profile(path) if mode == REPETITIONS
                    else dict.fromkeys(path.trace, 1))
-
-    def required(self, point: Point) -> int:
-        return self.visits[point]
 
     def outstanding(self) -> dict[Point, int]:
         """Visits still owed once time 0 is credited; see

@@ -142,7 +142,7 @@ class TestExactCoverProbability:
                                 for _ in range(4)]
             for p in paths:
                 t = CoverTarget.of_path(p, mode)
-                needed = {q: t.required(q) for q in t.trace}
+                needed = {q: t.visits[q] for q in t.trace}
                 expect = brute_force_cover_count(3, L, needed)
                 assert exact_cover_probability(t, 3, L).favorable == expect, (p, L)
 
@@ -195,7 +195,7 @@ class TestExactCoverProbability:
         for _ in range(10):
             p = random_walk_path(rng, d, int(rng.integers(1, 4)))
             t = CoverTarget.of_path(p, "repetitions")
-            needed = {q: t.required(q) for q in t.trace}
+            needed = {q: t.visits[q] for q in t.trace}
             expect = brute_force_cover_count(d, L, needed)
             assert exact_cover_probability(t, d, L).favorable == expect
 
@@ -223,6 +223,13 @@ def _engine_targets(d, L, mode):
     return ([CoverTarget.of_path(p, mode) for p in paths]
             + [CoverTarget.from_points([(1,) + (0,) * (d - 1), far]),
                CoverTarget.from_points([(0,) * d])])
+
+
+def _l1_ball(d, M):
+    """The points of Z^d with L1 norm <= M, built axis by axis."""
+    if d == 0:
+        return [()]
+    return [(v,) + rest for v in range(-M, M + 1) for rest in _l1_ball(d - 1, M - abs(v))]
 
 
 @functools.lru_cache(maxsize=None)
@@ -260,14 +267,15 @@ class TestFavorableCounts:
         assert max(sizes) == 1 if grouping == "one" else max(sizes) > 1
         assert counts == [ex._favorable_counts(d, L, [o])[0] for o in owed]
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 39, 40])
     def test_ball_tables(self, d):
         """Each class lists its parity's cells by norm, and the neighbour
-        tables point at the neighbour in the other class, or past it."""
-        for M in range(4):
+        tables point at the neighbour in the other class, or past it.
+        3^39 < 2^63 <= 3^40: at M = 1, d = 39 finds neighbours by int64
+        codes and d = 40 by Python-integer codes."""
+        for M in range(4 if d <= 6 else 2):
             upto, cells, neighbours = ex._ball(d, M)
-            ball = [p for p in itertools.product(range(-M, M + 1), repeat=d)
-                    if sum(map(abs, p)) <= M]
+            ball = _l1_ball(d, M)
             for parity in (0, 1):
                 mine = [tuple(c) for c in cells[parity].tolist()]
                 norms = [sum(map(abs, p)) for p in mine]
@@ -281,6 +289,19 @@ class TestFavorableCounts:
                     expect = [other.get(tuple(np.add(p, step).tolist()), len(other))
                               for p in mine]
                     assert row.tolist() == expect, (M, parity, k)
+
+    @pytest.mark.parametrize("d,L,point,count", [
+        (40, 2, (1,), lambda d: 2 * d),
+        (28, 4, (1, 1), lambda d: 8 * d**2 + 20 * d - 24)], ids=["d40-L2", "d28-L4"])
+    def test_counts_on_python_integer_codes(self, d, L, point, count):
+        """Walks that visit e_1 within 2 steps, or e_1 + e_2 within 4, in a
+        ball whose codes pass int64; the closed forms hold by brute force
+        at d = 2, 3 (e_1 + e_2: 8d^2 at step 2, 20d - 24 first at step 4)."""
+        target = point + (0,) * (d - len(point))
+        for small in (2, 3):
+            assert brute_force_cover_count(small, L, {target[:small]: 1}) == count(small)
+        assert (2 * ((L + len(point)) // 2) + 1) ** d >= 2**63
+        assert ex._favorable_counts(d, L, [{target: 1}], budget=10**30) == [count(d)]
 
     def test_mixed_reach_in_one_group(self):
         """Targets of different reach share a pass under the largest."""
@@ -416,9 +437,10 @@ class TestStaircaseRanking:
         assert probs[monotone_paths_d3[0].points] == min(values)
         assert report.staircase_is_max
 
-    @pytest.mark.parametrize("N,d,cap", [(3, 2, 7), (3, 3, 5)])
+    @pytest.mark.parametrize("N,d,cap", [(3, 2, 7), (3, 3, 5), (2, 5, 2)])
     def test_canonical_keys_match_reference_classes(self, N, d, cap):
-        """The two benchmark rankings' traces fall into the same classes
+        """The two benchmark rankings' traces, and traces at d = 5, whose
+        keys are formed 11 traces at a time, fall into the same classes
         under the vectorised keys as under the reference."""
         traces = list({frozenset(p) for p in enumerate_connecting_paths(N, d, cap)})
         keys = ex._canonical_keys(traces, d)
@@ -426,13 +448,34 @@ class TestStaircaseRanking:
         classes = lambda labels: {frozenset(i for i, x in enumerate(labels) if x == lab)
                                   for lab in set(labels)}
         assert classes(keys) == classes(ref)
-        assert len(set(keys)) == {(3, 2, 7): 105, (3, 3, 5): 47}[(N, d, cap)]
+        assert len(set(keys)) == {(3, 2, 7): 105, (3, 3, 5): 47, (2, 5, 2): 2}[(N, d, cap)]
+
+    def test_canonical_keys_memory(self):
+        """The 132 traces at d = 6 have 46,080 images each; keys are formed
+        a trace at a time, not from all 18 million codes (146 MB) at once."""
+        traces = list({frozenset(p) for p in enumerate_connecting_paths(2, 6, 2)})
+        ex._symmetries(6)  # the cached symmetry table stays out of the trace
+        tracemalloc.start()
+        try:
+            keys = ex._canonical_keys(traces, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traces) == 132 and len(set(keys)) == 2
+        assert peak < 64 * 2**20
 
     def test_canonical_keys_of_mixed_sizes(self):
         traces = [frozenset({(1, 0), (0, 1)}), frozenset({(0, 0), (1, 0), (0, 1)}),
                   frozenset({(0, -1), (-1, 0)}), frozenset({(0, 0)})]
         keys = ex._canonical_keys(traces, 2)
         assert keys[0] == keys[2] and len(set(keys)) == 3
+        # at d = 6 each trace is a chunk of its own, padded by its own size:
+        # {e_1} must not meet {0, e_1}, as it would if padded like {0, e_1, e_2}
+        e1, e2, zero = (1,) + (0,) * 5, (0, 1) + (0,) * 4, (0,) * 6
+        traces = [frozenset({zero, e1, e2}), frozenset({e1}), frozenset({zero, e1}),
+                  frozenset({(0, -1) + (0,) * 4})]
+        keys = ex._canonical_keys(traces, 6)
+        assert keys[1] == keys[3] and len(set(keys)) == 3
 
     def test_enumeration_counts_against_direct_filter(self):
         """Path enumeration agrees with filtering all step sequences."""

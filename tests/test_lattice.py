@@ -11,13 +11,13 @@ from walkcover.lattice import (COORD_BOUND, CoverTarget, DimensionMismatchError,
                                connects_origin_to_sphere, l1_norm,
                                outstanding_visits, path_from_json, path_to_json,
                                parse_points, repetition_profile,
-                               staircase_path, total_difference, validate_path)
+                               staircase_path, validate_path)
 
 
 class TestValidatePath:
     def test_simple_corner(self):
         p = validate_path([(0, 0), (1, 0), (1, 1)])
-        assert p.length == 3 and p.steps == 2
+        assert len(p) == 3
         assert p.trace == {(0, 0), (1, 0), (1, 1)}
 
     def test_diagonal_jump_rejected(self):
@@ -27,7 +27,7 @@ class TestValidatePath:
 
     def test_counterexample_path(self):
         p = validate_path([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)])
-        assert p.length == 4 and p.is_simple
+        assert len(p) == 4 and len(p.trace) == len(p)
 
     def test_mixed_dimension_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -94,7 +94,7 @@ class TestValidationErrors:
 
     def test_coord_bound_itself_is_allowed(self):
         p = validate_path([(COORD_BOUND, -COORD_BOUND), (COORD_BOUND - 1, -COORD_BOUND)])
-        assert p.length == 2
+        assert len(p) == 2
 
     @pytest.mark.parametrize("index", [1, 9, 29])
     @pytest.mark.parametrize("dim", [2, 4])
@@ -155,7 +155,7 @@ class TestStaircase:
     def test_connects_and_hugs_diagonal(self, d):
         for N in range(1, 31):
             p = staircase_path(N, d)
-            assert p.length == N + 1
+            assert len(p) == N + 1
             assert connects_origin_to_sphere(p, N)
             assert all(max(q) - min(q) <= 1 for q in p.points)
             # monotone nondecreasing in every coordinate
@@ -172,18 +172,18 @@ class TestStraight:
 
 class TestTotalDifference:
     def test_hand_values(self):
-        assert total_difference(validate_path([(0, 0), (1, 0), (2, 0)])) == 3
-        assert total_difference(validate_path([(0, 0), (1, 0), (1, 1)])) == 1
-        assert total_difference(validate_path([(0, 0, 0), (1, 0, 0), (1, 1, 0)])) == 4
+        assert validate_path([(0, 0), (1, 0), (2, 0)]).total_difference == 3
+        assert validate_path([(0, 0), (1, 0), (1, 1)]).total_difference == 1
+        assert validate_path([(0, 0, 0), (1, 0, 0), (1, 1, 0)]).total_difference == 4
 
     def test_cached_on_the_path(self):
         p = validate_path([(0, 0, 0), (1, 0, 0), (1, 1, 0)])
-        assert p.total_difference == total_difference(p) == 4
+        assert p.total_difference == 4
         assert "total_difference" in vars(p)
 
     def test_counts_trace_not_steps(self):
         # revisiting a point must not double its contribution
-        assert total_difference(validate_path([(0, 0), (1, 0), (0, 0)])) == 1
+        assert validate_path([(0, 0), (1, 0), (0, 0)]).total_difference == 1
 
     @pytest.mark.parametrize("d", range(2, 6))
     def test_staircase_value_matches_direct_formula(self, d):
@@ -191,10 +191,10 @@ class TestTotalDifference:
             p = staircase_path(N, d)
             direct = sum(abs(q[i] - q[j]) for q in p.trace
                          for i in range(d) for j in range(i + 1, d))
-            assert total_difference(p) == direct
+            assert p.total_difference == direct
             if d == 2:
                 odd = sum(1 for q in p.trace if l1_norm(q) % 2 == 1)
-                assert total_difference(p) == odd
+                assert p.total_difference == odd
 
 
 class TestRepetitionProfile:
@@ -214,7 +214,7 @@ class TestRepetitionProfile:
         rng = np.random.default_rng(7)
         for _ in range(1000):
             p = random_walk_path(rng, int(rng.integers(1, 4)), int(rng.integers(1, 20)))
-            assert sum(repetition_profile(p).values()) == p.length
+            assert sum(repetition_profile(p).values()) == len(p)
 
 
 class TestCoverTarget:
@@ -224,7 +224,7 @@ class TestCoverTarget:
         assert CoverTarget.of_path(p, "trace").visits == {(0, 0): 1, (1, 0): 1}
         assert CoverTarget.of_path(p) == CoverTarget.of_path(p, "trace")
         t = CoverTarget.of_path(p, "repetitions")
-        assert t.required((0, 0)) == 2 and t.required((1, 0)) == 1
+        assert t.visits[(0, 0)] == 2 and t.visits[(1, 0)] == 1
         assert t.trace == p.trace and t.dim == 2
 
     def test_mode_validation(self):
@@ -294,5 +294,5 @@ def test_walk_is_always_valid_path(steps):
         pos = (pos[0] + s[0], pos[1] + s[1])
         pts.append(pos)
     p = validate_path(pts)
-    assert p.length == len(steps) + 1
-    assert sum(repetition_profile(p).values()) == p.length
+    assert len(p) == len(steps) + 1
+    assert sum(repetition_profile(p).values()) == len(p)

@@ -34,7 +34,7 @@ def _replay_success(cfg, targets):
     rows = []
     for t in targets:
         visits = {p: (traj == p).all(axis=2).sum(axis=1) for p in t.trace}
-        rows.append(np.all([visits[p] >= t.required(p) for p in t.trace], axis=0))
+        rows.append(np.all([visits[p] >= t.visits[p] for p in t.trace], axis=0))
     return np.stack(rows, axis=1)
 
 

@@ -9,8 +9,7 @@ from conftest import (SignVectorTooShortError, all_step_sequences, apply_configu
                       arc_decompose, arc_representative, random_walk_path, straight_path,
                       walk_points)
 from walkcover.exact import exact_cover_probability
-from walkcover.lattice import (CoverTarget, l1_norm, staircase_path,
-                               total_difference, validate_path)
+from walkcover.lattice import CoverTarget, l1_norm, staircase_path, validate_path
 from walkcover.reflect import (Hyperplane, NotConnectingError, canonical_representative,
                                normalize_to_positive_orthant, reduce_path,
                                reflect_point)
@@ -196,9 +195,9 @@ class TestReducePath:
                 continue
             p = normalize_to_positive_orthant(p)
             found += 1
-            previous = total_difference(p)
+            previous = p.total_difference
             for h, q in reduce_path(p):
-                now = total_difference(q)
+                now = q.total_difference
                 assert now <= previous
                 if h.offset == 1:
                     assert now < previous
