@@ -224,14 +224,12 @@ def _cmd_verify_thm11(args):
 
 def _cmd_verify_thm41(args):
     report = exact.verify_staircase_max(args.N, args.d, args.L, args.cap)
-    # the rows of one count share one probability: its fields are formed once
-    probability = {r.favorable: r.probability for r in report.rows}
-    fields = {n: _probability_fields(p) for n, p in probability.items()}
-    texts = lattice.paths_to_json([r.points for r in report.rows])
-    rows = [{"points": text, **fields[r.favorable], "is_staircase": r.is_staircase}
-            for r, text in zip(report.rows, texts)]
+    total = (2 * report.d) ** report.L
+    rows = [{"points": lattice.path_to_json(r.points), "orbit": r.orbit,
+             **_probability_fields(Fraction(r.favorable, total)),
+             "is_staircase": r.is_staircase} for r in report.rows]
     results = {"N": report.N, "d": report.d, "L": report.L, "cap": report.cap,
-               "paths_ranked": rows,
+               "paths": sum(r.orbit for r in report.rows), "paths_ranked": rows,
                "staircase_is_max": report.staircase_is_max}
     notes = [f"enumeration capped at {report.cap} steps; the maximality claim "
              "ranges over connecting paths of any length"]

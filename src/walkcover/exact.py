@@ -22,14 +22,18 @@ many visits still outstanding per target point:
   count, which is multiplied by 2d at every later step.
 
 Counts are int64 while (2d)^L fits, and Python integers beyond.  The
-budget counts L x states x the cells of the box of radius
-(L + reach)//2 + 1 around the ball, an upper bound on the work.
+budget bounds each target's L x states x the cells of the box of radius
+(L + reach)//2 + 1 around the ball, an upper bound on its work, before
+the ball is built, and then the live cells of all steps x the states of
+all targets, the work of the whole call.
 
 On top of the counter sit the theorem-shaped routines: counting a
 target-set pair against its reflected twin, the exhaustive
 reflection-monotonicity sweep over small set pairs (bit-parallel over
 all walks, independent of the DP), and the ranked table of covering
-probabilities over all short connecting paths (staircase maximality).
+probabilities over short connecting paths (staircase maximality), one
+path per orbit of the walk's symmetries, each in a normal form that the
+enumeration builds directly.
 """
 
 from __future__ import annotations
@@ -38,9 +42,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -232,6 +234,9 @@ def _favorable_counts(d: int, L: int, owed_list: Sequence[dict[Point, int]],
         return counts
     upto, cells, neighbours = _ball(d, (L + reach) // 2)
     sizes = [int(upto[t % 2][min(t, reach + L - t)]) for t in range(L + 1)]
+    if sum(sizes[1:]) * sum(math.prod(radices) - 1 for _, _, radices in targets) > budget:
+        raise BudgetExceededError(
+            f"DP work, live cells x states over all targets, exceeds the budget of {budget}")
     width, groups, rows = max(sizes) + 1, [], 0
     for target in targets:
         states = math.prod(target[2]) - 1
@@ -416,21 +421,23 @@ def reflection_monotonicity_sweep(d: int = 2, h: Hyperplane = Hyperplane(0, 1, 1
 
 @dataclass(frozen=True)
 class RankedPath:
-    """A connecting path with the count of walks that cover its trace,
-    out of the report's (2d)^L, and that count as a probability."""
+    """A connecting path in normal form, the size of its orbit under the
+    walk's symmetries, and the count of walks that cover its trace, out
+    of the report's (2d)^L."""
 
     points: tuple[Point, ...]
+    orbit: int
     favorable: int
-    probability: Fraction
     is_staircase: bool
 
 
 @dataclass(frozen=True)
 class StaircaseReport:
-    """Ranked covering probabilities of every path from 0 to the L1
-    sphere of radius N using at most ``cap`` steps, the most probable
-    first; ``staircase_is_max`` says whether the staircase's count is
-    the largest.
+    """Ranked covering probabilities of the paths from 0 to the L1 sphere
+    of radius N using at most ``cap`` steps, one row per orbit of the
+    walk's symmetries, the most probable first; the orbits' sizes sum to
+    the number of paths.  ``staircase_is_max`` says whether the
+    staircase's count is the largest.
 
     The underlying claim quantifies over connecting paths of *any*
     length; the cap bounds only this enumeration and is echoed here.
@@ -445,72 +452,36 @@ class StaircaseReport:
     staircase_is_max: bool
 
 
-def enumerate_connecting_paths(N: int, d: int, cap: int) -> list[tuple[Point, ...]]:
-    """All nearest-neighbor paths from 0 that first reach L1 norm N at
-    their final point, using at most ``cap`` steps, in depth-first order."""
-    found: list[tuple[Point, ...]] = []
-    path = [(0,) * d]
-    moves = [(ax, sg) for ax in range(d) for sg in (1, -1)]
+def connecting_path_orbits(N: int, d: int, cap: int) -> Iterator[tuple[tuple[Point, ...], int]]:
+    """The nearest-neighbour paths from 0 that first reach L1 norm N at
+    their final point, using at most ``cap`` steps, one per orbit of the
+    walk's d!·2^d symmetries, in depth-first order, each with its orbit
+    size.
 
-    def extend(norm: int) -> None:
+    The member given is the normal form: axes are first used in the order
+    0, 1, 2, ..., and each first moves in the + direction.  A path using k
+    axes has d!/(d - k)!·2^k distinct images."""
+    path = [(0,) * d]
+
+    def extend(norm: int, k: int):
         if norm == N:
-            found.append(tuple(path))
+            yield tuple(path), math.perm(d, k) * 2**k
             return
         if len(path) + N - norm > cap + 1:
             return
         last = path[-1]
-        for ax, sg in moves:
+        # the k axes in use move both ways; the next one, if any, moves +
+        for ax, sg in [(ax, sg) for ax in range(k) for sg in (1, -1)] + [(k, 1)] * (k < d):
             nxt = list(last)
             c = nxt[ax]
             nxt[ax] = c + sg
             path.append(tuple(nxt))
-            extend(norm + 1 if c * sg >= 0 else norm - 1)  # -1: a step toward 0
+            # the norm falls by 1 on a step toward 0
+            yield from extend(norm + 1 if c * sg >= 0 else norm - 1, max(k, ax + 1))
             path.pop()
 
     if cap >= N:
-        extend(0)
-    return found
-
-
-@lru_cache(maxsize=None)
-def _symmetries(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The d!·2^d symmetries of the walk law: image coordinate k of p is
-    ``signs[s, k] * p[perms[s, k]]``."""
-    table = [(perm, flips) for perm in itertools.permutations(range(d))
-             for flips in itertools.product((1, -1), repeat=d)]
-    perms, signs = (np.array(column) for column in zip(*table))
-    perms.setflags(write=False)
-    signs.setflags(write=False)
-    return perms, signs
-
-
-def _canonical_keys(traces: Sequence[frozenset[Point]], d: int) -> list[tuple[int, ...]]:
-    """One key per trace, equal for two traces iff a symmetry of the walk
-    law maps one onto the other: the least sorted image of the trace,
-    each point coded as one integer in lexicographic order."""
-    perms, signs = _symmetries(d)
-    sizes = np.array([len(trace) for trace in traces])
-    pts = np.zeros((len(traces), sizes.max(initial=0), d), dtype=np.int64)
-    for t, trace in enumerate(traces):
-        pts[t, :sizes[t]] = list(trace)
-    pad = np.arange(pts.shape[1]) >= sizes[:, None]
-    weights = (2 * int(np.abs(pts).max(initial=0)) + 1) ** np.arange(d - 1, -1, -1)
-    # code of image s of point p: p @ coder[s], increasing in lexicographic order
-    coder = np.zeros((len(perms), d), dtype=np.int64)
-    np.put_along_axis(coder, perms, signs * weights, axis=1)
-    last = np.iinfo(np.int64).max
-    # ~2^17 codes per chunk (1 to 256 traces), so memory stays flat in d!·2^d
-    chunk, keys = min(256, max(1, 2**17 // (pts.shape[1] * len(perms)))), []
-    for lo in range(0, len(traces), chunk):
-        codes = pts[lo:lo + chunk] @ coder.T
-        codes[pad[lo:lo + chunk]] = last
-        codes = np.sort(codes.transpose(0, 2, 1), axis=2)
-        alive = np.ones(codes.shape[:2], dtype=bool)
-        for col in codes.transpose(2, 0, 1):
-            col = np.where(alive, col, last)
-            alive &= col == col.min(axis=1, keepdims=True)
-        keys += map(tuple, codes[np.arange(len(codes)), alive.argmax(axis=1)].tolist())
-    return keys
+        yield from extend(0, 0)
 
 
 def verify_staircase_max(N: int, d: int, L: int, cap: int,
@@ -518,31 +489,23 @@ def verify_staircase_max(N: int, d: int, L: int, cap: int,
     """Rank every connecting path (up to ``cap`` steps) by its exact
     covering probability within L walk steps.  Covering probability
     depends on the path only through its trace, and is invariant under
-    the walk symmetries, so each symmetry class is counted once."""
+    the walk symmetries, so one path per orbit is ranked, and each
+    distinct trace among them is counted once."""
     if d < 1 or not 1 <= N <= min(cap, L):
         raise ValueError("need d >= 1 and 1 <= N <= min(cap, L)")
     # a trace holds at most cap points besides the origin, all of norm <= N;
     # a cap past the budget's bit length is refused alike, without forming 2^cap
     _check_budget(d, L, 1 << min(cap, budget.bit_length()), N, budget)
-    paths = enumerate_connecting_paths(N, d, cap)
-    path_traces = list(map(frozenset, paths))
-    traces = list(dict.fromkeys(path_traces))
-    key_of = dict(zip(traces, _canonical_keys(traces, d)))
-    classes = {key: trace for trace, key in key_of.items()}
-    counts = _favorable_counts(d, L, [outstanding_visits(dict.fromkeys(t, 1))
-                                      for t in classes.values()], budget)
+    paths = list(connecting_path_orbits(N, d, cap))
+    traces = list(dict.fromkeys(frozenset(points) for points, _ in paths))
+    count_of = dict(zip(traces, _favorable_counts(
+        d, L, [outstanding_visits(dict.fromkeys(t, 1)) for t in traces], budget)))
     # every count shares the denominator (2d)^L, so the counts rank the rows:
     # by count, most first, then by points
-    count_of = dict(zip(classes, counts))
-    ranked = sorted(zip([count_of[key_of[t]] for t in path_traces], paths),
-                    key=itemgetter(1))
-    ranked.sort(key=itemgetter(0), reverse=True)  # stable: ties keep point order
+    ranked = sorted((-count_of[frozenset(points)], points, orbit) for points, orbit in paths)
     stair_points = staircase_path(N, d).points
-    stair_count = next((n for n, pts in ranked if pts == stair_points), None)
-    if stair_count is None:
-        raise ValueError("cap excludes the staircase itself")
-    probability = {n: Fraction(n, (2 * d) ** L) for n in counts}
-    rows = tuple(RankedPath(pts, n, probability[n], pts == stair_points)
-                 for n, pts in ranked)
-    return StaircaseReport(N, d, L, cap, rows, probability[stair_count],
-                           stair_count == ranked[0][0])
+    stair_count = count_of[frozenset(stair_points)]
+    rows = tuple(RankedPath(points, orbit, -n, points == stair_points)
+                 for n, points, orbit in ranked)
+    return StaircaseReport(N, d, L, cap, rows, Fraction(stair_count, (2 * d) ** L),
+                           stair_count == rows[0].favorable)

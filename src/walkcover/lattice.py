@@ -212,13 +212,7 @@ def outstanding_visits(required: Mapping[Point, int]) -> dict[Point, int]:
 
 def path_to_json(points: Iterable[Point]) -> str:
     """The path file format for a :class:`Path` or a sequence of points."""
-    return paths_to_json([points])[0]
-
-
-def paths_to_json(paths: Sequence[Iterable[Point]]) -> list[str]:
-    """:func:`path_to_json` of each path, each distinct point written once."""
-    text = {p: json.dumps(p) for p in set(chain.from_iterable(paths))}
-    return ["[" + ", ".join(map(text.__getitem__, points)) + "]" for points in paths]
+    return json.dumps([list(p) for p in points])
 
 
 def parse_points(data) -> list[Point]:

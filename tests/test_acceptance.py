@@ -150,8 +150,9 @@ def test_criterion_07_staircase_ranking():
     assert r2.staircase_is_max
     elapsed = time.monotonic() - t0
     assert elapsed < 300
-    _ok(f"criterion 7: staircase ranked first among {len(r1.rows)} paths "
-        f"(N=2,cap=3) and {len(r2.rows)} paths (N=3,cap=5), exact rationals, "
+    paths = [sum(row.orbit for row in r.rows) for r in (r1, r2)]
+    _ok(f"criterion 7: staircase ranked first among {paths[0]} paths "
+        f"(N=2,cap=3) and {paths[1]} paths (N=3,cap=5), exact rationals, "
         f"{elapsed:.0f}s < 300s")
 
 

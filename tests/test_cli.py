@@ -106,6 +106,9 @@ class TestEnvelope:
         code, doc = run_json(capsys, ["verify-thm41", "--N", "2", "--d", "2",
                                       "--L", "5", "--cap", "2"])
         assert code == 0 and doc["results"]["staircase_is_max"]
+        # 12 two-step paths in two orbits: 4 straight ones, 8 with a corner
+        assert doc["results"]["paths"] == 12
+        assert [r["orbit"] for r in doc["results"]["paths_ranked"]] == [8, 4]
 
     def test_monte_carlo_commands_echo_stream_version(self, capsys, tmp_path,
                                                        corner_path):
@@ -641,4 +644,4 @@ class TestPinnedResults:
     def test_verify_thm41_ranking(self, capsys):
         argv = ["verify-thm41", "--N", "3", "--d", "2", "--L", "9", "--cap", "7"]
         assert _results_digest(capsys, [argv]) == (
-            "004c83a97c617080a9529229015018b0425a181dcbe723b58dd656a87b888208")
+            "c4bdb47bb305390209c48abef9492452088028b135a4f6f2df4267ee5bf7b9be")

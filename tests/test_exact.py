@@ -2,6 +2,7 @@ import functools
 import itertools
 import time
 import tracemalloc
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -14,10 +15,11 @@ from conftest import (all_step_sequences, apply_configuration, arc_decompose,
 import walkcover.exact as ex
 from walkcover.comb import ArcCollection, cover_count
 from walkcover.exact import (BudgetExceededError, SideViolationError,
-                             count_reflected_pair, enumerate_connecting_paths,
+                             connecting_path_orbits, count_reflected_pair,
                              exact_cover_probability,
                              reflection_monotonicity_sweep, verify_staircase_max)
-from walkcover.lattice import CoverTarget, Path, Point, staircase_path, validate_path
+from walkcover.lattice import (CoverTarget, Path, Point, outstanding_visits, staircase_path,
+                               validate_path)
 from walkcover.reflect import Hyperplane, canonical_representative, reflect_point
 
 H21 = Hyperplane(0, 1, 1)
@@ -26,7 +28,7 @@ OYWZ_FAVORABLE_22 = 5_645_798_521_100_580
 
 
 # Reference implementations kept from the Python-loop versions that the
-# vectorised sweep masks and canonical keys replaced.
+# vectorised sweep masks and the normal-form path enumeration replaced.
 
 def _reference_walk_cover_masks(d, L, points):
     """Bit w of masks[p] is set iff walk number w (of the (2d)^L walks)
@@ -40,18 +42,39 @@ def _reference_walk_cover_masks(d, L, points):
     return masks
 
 
-def _reference_canonical_trace(points, d):
-    """Least image of the point set under coordinate permutations and
+def enumerate_connecting_paths(N, d, cap):
+    """All nearest-neighbor paths from 0 that first reach L1 norm N at
+    their final point, using at most ``cap`` steps, in depth-first order."""
+    found = []
+    path = [(0,) * d]
+    moves = [(ax, sg) for ax in range(d) for sg in (1, -1)]
+
+    def extend(norm):
+        if norm == N:
+            found.append(tuple(path))
+            return
+        if len(path) + N - norm > cap + 1:
+            return
+        last = path[-1]
+        for ax, sg in moves:
+            nxt = list(last)
+            c = nxt[ax]
+            nxt[ax] = c + sg
+            path.append(tuple(nxt))
+            extend(norm + 1 if c * sg >= 0 else norm - 1)  # -1: a step toward 0
+            path.pop()
+
+    if cap >= N:
+        extend(0)
+    return found
+
+
+def _symmetry_images(points, d):
+    """The images of a path under all d!·2^d coordinate permutations and
     per-axis sign flips."""
-    pts = list(points)
-    best = None
-    for perm in itertools.permutations(range(d)):
-        permuted = [tuple(p[a] for a in perm) for p in pts]
-        for flips in itertools.product((1, -1), repeat=d):
-            img = tuple(sorted(tuple(f * c for f, c in zip(flips, p)) for p in permuted))
-            if best is None or img < best:
-                best = img
-    return best
+    return {tuple(tuple(f * p[a] for f, a in zip(flips, perm)) for p in points)
+            for perm in itertools.permutations(range(d))
+            for flips in itertools.product((1, -1), repeat=d)}
 
 
 def _reference_sweep_violations(d, h, radius, max_set_size, lengths):
@@ -116,6 +139,13 @@ class TestExactCoverProbability:
     def test_budget_guard_in_staircase_ranking(self):
         with pytest.raises(BudgetExceededError):
             verify_staircase_max(3, 3, 8, 5, budget=10**5)
+
+    def test_budget_bounds_the_whole_ranking(self):
+        """The budget bounds the live work of all targets together (about
+        1.2e6 here), though each target's box work is under 10^6."""
+        with pytest.raises(BudgetExceededError, match="all targets"):
+            verify_staircase_max(3, 2, 9, 7, budget=10**6)
+        assert verify_staircase_max(3, 2, 9, 7, budget=2 * 10**6).staircase_is_max
 
     def test_budget_guard_on_astronomical_work(self):
         """Work far past 4,300 decimal digits is refused as budget
@@ -415,7 +445,7 @@ class TestStaircaseRanking:
     def test_single_step_ties(self):
         report = verify_staircase_max(1, 2, 4, 1)
         assert report.staircase_is_max
-        assert len({r.probability for r in report.rows}) == 1
+        assert len({r.favorable for r in report.rows}) == 1
 
     def test_n2_d2(self):
         report = verify_staircase_max(2, 2, 6, 3)
@@ -423,59 +453,63 @@ class TestStaircaseRanking:
         assert any(r.is_staircase for r in report.rows)
         # straight two-step paths rank strictly below the corner paths
         straight = next(r for r in report.rows if r.points == ((0, 0), (1, 0), (2, 0)))
-        assert straight.probability < report.staircase_probability
+        assert Fraction(straight.favorable, 4**6) < report.staircase_probability
 
     def test_monotone_d3_classes(self, monotone_paths_d3):
         report = verify_staircase_max(3, 3, 6, 3)
         probs = {}
         for p in monotone_paths_d3:
             row = next(r for r in report.rows if r.points == p.points)
-            probs[p.points] = row.probability
+            probs[p.points] = row.favorable
         # the diagonal-hugging class is maximal, the straight one minimal
         values = list(probs.values())
         assert probs[monotone_paths_d3[4].points] == max(values)
         assert probs[monotone_paths_d3[0].points] == min(values)
         assert report.staircase_is_max
 
-    @pytest.mark.parametrize("N,d,cap", [(3, 2, 7), (3, 3, 5), (2, 5, 2)])
-    def test_canonical_keys_match_reference_classes(self, N, d, cap):
-        """The two benchmark rankings' traces, and traces at d = 5, whose
-        keys are formed 11 traces at a time, fall into the same classes
-        under the vectorised keys as under the reference."""
-        traces = list({frozenset(p) for p in enumerate_connecting_paths(N, d, cap)})
-        keys = ex._canonical_keys(traces, d)
-        ref = [_reference_canonical_trace(t, d) for t in traces]
-        classes = lambda labels: {frozenset(i for i, x in enumerate(labels) if x == lab)
-                                  for lab in set(labels)}
-        assert classes(keys) == classes(ref)
-        assert len(set(keys)) == {(3, 2, 7): 105, (3, 3, 5): 47, (2, 5, 2): 2}[(N, d, cap)]
+    @pytest.mark.parametrize("N,d,cap", [(3, 2, 7), (3, 3, 5), (2, 5, 2), (3, 4, 5),
+                                         (4, 3, 6), (2, 6, 2)])
+    def test_orbits_partition_the_paths(self, N, d, cap):
+        """The images of each normal-form path number its orbit size, meet
+        no other normal-form path's images, and together make every
+        connecting path."""
+        seen = set()
+        for points, orbit in connecting_path_orbits(N, d, cap):
+            images = _symmetry_images(points, d)
+            assert len(images) == orbit and not images & seen
+            seen |= images
+        assert seen == set(enumerate_connecting_paths(N, d, cap))
 
-    def test_canonical_keys_memory(self):
-        """The 132 traces at d = 6 have 46,080 images each; keys are formed
-        a trace at a time, not from all 18 million codes (146 MB) at once."""
-        traces = list({frozenset(p) for p in enumerate_connecting_paths(2, 6, 2)})
-        ex._symmetries(6)  # the cached symmetry table stays out of the trace
+    @pytest.mark.parametrize("N,d,L,cap", [(3, 2, 9, 7), (3, 3, 8, 5), (2, 2, 6, 3),
+                                           (3, 2, 7, 5)])
+    def test_orbit_counts_match_per_path_ranking(self, N, d, L, cap):
+        """Each row's count, weighed by its orbit, gives the counts of the
+        ranking of every path, and the same verdict."""
+        paths = enumerate_connecting_paths(N, d, cap)
+        traces = list({frozenset(p) for p in paths})
+        count_of = dict(zip(traces, ex._favorable_counts(
+            d, L, [outstanding_visits(dict.fromkeys(t, 1)) for t in traces], 10**12)))
+        reference = Counter(count_of[frozenset(p)] for p in paths)
+        report = verify_staircase_max(N, d, L, cap)
+        weighed = Counter()
+        for row in report.rows:
+            weighed[row.favorable] += row.orbit
+        assert weighed == reference
+        stair = count_of[staircase_path(N, d).trace]
+        assert report.staircase_is_max == (stair == max(reference))
+        assert report.staircase_probability == Fraction(stair, (2 * d) ** L)
+
+    def test_ranking_at_d7(self):
+        """One path per orbit: the d = 7 ranking needs none of the
+        645,120 symmetries' images."""
         tracemalloc.start()
         try:
-            keys = ex._canonical_keys(traces, 6)
+            report = verify_staircase_max(2, 7, 10, 2, budget=10**12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(traces) == 132 and len(set(keys)) == 2
-        assert peak < 64 * 2**20
-
-    def test_canonical_keys_of_mixed_sizes(self):
-        traces = [frozenset({(1, 0), (0, 1)}), frozenset({(0, 0), (1, 0), (0, 1)}),
-                  frozenset({(0, -1), (-1, 0)}), frozenset({(0, 0)})]
-        keys = ex._canonical_keys(traces, 2)
-        assert keys[0] == keys[2] and len(set(keys)) == 3
-        # at d = 6 each trace is a chunk of its own, padded by its own size:
-        # {e_1} must not meet {0, e_1}, as it would if padded like {0, e_1, e_2}
-        e1, e2, zero = (1,) + (0,) * 5, (0, 1) + (0,) * 4, (0,) * 6
-        traces = [frozenset({zero, e1, e2}), frozenset({e1}), frozenset({zero, e1}),
-                  frozenset({(0, -1) + (0,) * 4})]
-        keys = ex._canonical_keys(traces, 6)
-        assert keys[1] == keys[3] and len(set(keys)) == 3
+        assert sum(r.orbit for r in report.rows) == 182 and report.staircase_is_max
+        assert peak < 16 * 2**20
 
     def test_enumeration_counts_against_direct_filter(self):
         """Path enumeration agrees with filtering all step sequences."""

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import l1_distance, random_walk_path, straight_path
 from walkcover.lattice import (COORD_BOUND, CoverTarget, DimensionMismatchError,
-                               NotNearestNeighborError, Path, paths_to_json,
+                               NotNearestNeighborError, Path,
                                connects_origin_to_sphere, l1_norm,
                                outstanding_visits, path_from_json, path_to_json,
                                parse_points, repetition_profile,
@@ -271,9 +271,10 @@ class TestJson:
         rng = np.random.default_rng(5)
         paths = [random_walk_path(rng, d, int(rng.integers(0, 9))).points
                  for d in (1, 2, 3, 5) for _ in range(20)]
-        assert paths_to_json(paths) == [json.dumps([list(q) for q in p]) for p in paths]
-        assert path_to_json(paths[0]) == json.dumps([list(q) for q in paths[0]])
-        assert paths_to_json([]) == [] and path_to_json([]) == "[]"
+        assert [path_to_json(p) for p in paths] == [json.dumps([list(q) for q in p])
+                                                    for p in paths]
+        assert path_to_json(Path(paths[0])) == path_to_json(paths[0])
+        assert path_to_json([]) == "[]"
 
     @pytest.mark.parametrize("text", ["[1, 2]", "5", "[[0, null]]", "[[0, 1.0]]",
                                       "[[true, 0]]", '[["1", 0]]', "[[[0], 0]]"])
