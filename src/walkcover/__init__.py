@@ -19,8 +19,7 @@ from .green import (GreenValue, WalkSpectrum, asymptotic_sweep,
                     character_power_moment, diagonal_difference_walk,
                     diagonal_return_probability, green_value, offdiag_green,
                     return_probability, simple_walk)
-from .hitting import (CounterexampleResult, HittingQuery,
-                      counterexample_probabilities, first_entry_distribution,
-                      truncation_bias_estimate)
+from .hitting import (CounterexampleResult, counterexample_probabilities,
+                      first_entry_distribution, truncation_bias_estimate)
 
 __version__ = "0.1.0"

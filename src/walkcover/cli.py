@@ -134,8 +134,7 @@ def _cmd_green(args):
 def _cmd_hit(args):
     start = tuple(int(v) for v in args.start.split(","))
     targets = tuple(lattice.parse_points(json.loads(args.set)))
-    query = hitting.HittingQuery(start, targets, args.d)
-    dist = hitting.first_entry_distribution(query, tol=args.tol)
+    dist = hitting.first_entry_distribution(start, targets, args.d, tol=args.tol)
     results = {"start": list(start),
                "distribution": [{"point": list(p), "probability": v}
                                 for p, v in dist.items()],

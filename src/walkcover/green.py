@@ -195,23 +195,27 @@ def _lclt_amplitude(spec: WalkSpectrum) -> float:
     return amp if spec.kind == SIMPLE else amp / math.sqrt(spec.d)
 
 
+def _lclt_exponent(spec: WalkSpectrum, x: Sequence[int]) -> tuple[Sequence[int], float]:
+    """x's slot offsets q and the exponent a of the local-CLT envelope A n^-s e^(-a/n);
+    for the difference walk q are the bond offsets (0, cumsum(y)) and a = d y^T T^-1 y / 2."""
+    diff = spec.kind == DIAGONAL_DIFFERENCE
+    q = np.r_[0, np.cumsum(x)] if diff else x
+    return q, spec.d * (sum(c * c for c in q) - diff * sum(q) ** 2 / spec.d) / 2.0
+
+
 def _lclt_tail(spec: WalkSpectrum, x: Sequence[int], n_max: int) -> tuple[float, float]:
     """Local-CLT closure of sum_{n > n_max} P(X_n = x) and its bound: the
     integral of the envelope A n^-s e^(-a/n), plus the alternating half-term
     of a period-2 walk (the simple walk, and the difference walk at even d),
-    whose n has the parity of sum(q).  For the difference walk q are the
-    bond offsets (0, cumsum(y)) and a = d y^T T^-1 y / 2."""
-    s = spec.dim / 2.0
-    amp = _lclt_amplitude(spec)
-    diff = spec.kind == DIAGONAL_DIFFERENCE
-    q = np.r_[0, np.cumsum(x)] if diff else x
-    a = spec.d * (sum(c * c for c in q) - diff * sum(q) ** 2 / spec.d) / 2.0
+    whose n has the parity of sum(q)."""
+    s, amp = spec.dim / 2.0, _lclt_amplitude(spec)
+    q, a = _lclt_exponent(spec, x)
     N = n_max + 0.5
     if a == 0:
         tail = amp * N ** (1 - s) / (s - 1)
     else:
         tail = amp * a ** (1 - s) * gammainc(s - 1, a / N) * math.gamma(s - 1)
-    if not diff or spec.d % 2 == 0:
+    if spec.kind == SIMPLE or spec.d % 2 == 0:
         g_next = amp * (n_max + 1.0) ** (-s) * math.exp(-a / (n_max + 1))
         tail += (-1 if (n_max + 1 + sum(q)) % 2 else 1) * g_next / 2.0
     return tail, 2.0 * amp * n_max ** (-s)
@@ -311,7 +315,8 @@ def fourier_green(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4) -> Gr
     Bound: twice the gap of two quadrature orders plus the last tail term."""
     if not spec.transient:
         raise RecurrentWalkError(f"G diverges for {spec.kind} with dim {spec.dim}")
-    panels = 12  # Gauss-Legendre on [0, 1] in t, then on unit panels in log t
+    # Gauss-Legendre on [0, 1] in t, then unit panels in log t past the peak near t = a
+    panels = max(12, math.ceil(math.log(max(_lclt_exponent(spec, x)[1], 1.0))) + 4)
     orders = (12, 16)  # their nodes share each panel's row, and so its Bessel table
     u, w = (np.concatenate(parts) for parts in zip(*map(_gauss_legendre, orders)))
     t = np.exp(np.add.outer(np.arange(panels), u))

@@ -1,20 +1,21 @@
 """First-entry calculus for finite point sets under the simple walk.
 
-For a transient walk started at x outside a finite set S, conditioning on
-the first entry point splits the expected visit counts:
+For a transient walk from x, conditioning on its first entry into a
+finite set S, counting from step 1, splits the expected visit counts:
+G(s - x) - [s = x] = sum_t H_S[t, x] G(s - t) for s in S.  Over the Green
+matrix of nodes that hold S this is one solve,
 
-    G(s_i - x) = sum_j P(first entry at s_j) G(s_i - s_j),
+    G[S,S] H_S = G[S,:] - I[S,:],
 
-a linear system in the Green matrix of S whose solution is the
-first-entry distribution h_x^S; its mass is the probability of ever
-hitting S.  Entries count from step 1, so a start x in S has its time-0
-visit taken off the left side: G(s_i - x) - [s_i = x].
+whose column H_S[:, x] is the first-entry distribution from node x, for
+every node at once; its mass is the probability of ever hitting S.
 
-Chaining entries by the strong Markov property gives the probability
-that the walk from the origin ever covers a finite target.  With r the
-visits each point still needs and S(r) the points with r > 0,
+Chaining entries gives the probability that the walk from the origin
+ever covers a finite target.  With r the visits each point still owes
+and S(r) the points with r > 0, one solve per requirement state gives
+the vector over the owed points and the origin
 
-    P(x, r) = sum_s h_x^{S(r)}(s) P(s, r - e_s),   P(x, 0) = 1.
+    P(., r) = sum_{s in S(r)} H_{S(r)}[s, .] P(s, r - e_s),   P(., 0) = 1.
 
 The covering-with-repetitions counterexample is two such calls: the path
 (o,y,w,z) in Z^3 beats its reflected twin (o,y,w,y), which rules out a
@@ -24,6 +25,7 @@ reflection-based monotonicity for covering with repetitions.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 
@@ -34,69 +36,68 @@ from .lattice import REPETITIONS, CoverTarget, Point, validate_path
 
 
 class SingularSystemError(RuntimeError):
-    """Green matrix not solvable; indicates duplicate points or a
-    quadrature failure."""
-
-
-@dataclass(frozen=True)
-class HittingQuery:
-    start: Point
-    targets: tuple[Point, ...]
-    d: int
-
-    def __post_init__(self):
-        if not self.targets:
-            raise ValueError("target set must be nonempty")
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError("target points must be distinct")
-        if any(len(p) != self.d for p in (self.start,) + self.targets):
-            raise ValueError("dimension mismatch")
+    """Green matrix not solvable: duplicate points or a quadrature failure."""
 
 
 def _green(d: int, x: tuple[int, ...], tol: float) -> float:
     return green_value(simple_walk(d), x, tol).value
 
 
-def first_entry_distribution(query: HittingQuery, tol: float = 1e-5) -> dict[Point, float]:
+def _green_matrix(d: int, points: tuple[Point, ...], start: Point,
+                  tol: float) -> tuple[np.ndarray, int]:
+    """G(a - b) over the nodes, the points and then the start unless it is
+    one of them, and the start's node."""
+    nodes = points if start in points else (*points, start)
+    return np.array([[_green(d, tuple(u - v for u, v in zip(a, b)), tol) for b in nodes]
+                     for a in nodes]), nodes.index(start)
+
+
+def _first_entries(G: np.ndarray, pending: Sequence[int], tol: float) -> np.ndarray:
+    """H[j, x] = P(the walk from node x first enters the pending nodes at
+    pending[j]), each column checked, then clipped to [0, 1].  One
+    right-hand side per start: a many-column solve pages in more code."""
+    B = G[pending] - np.eye(len(G))[pending]
+    try:
+        H = np.linalg.solve(G[np.ix_(pending, pending)], B.T[..., None])[..., 0].T
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(str(exc)) from exc
+    if H.min() < -100 * tol or H.sum(axis=0).max() > 1 + 100 * tol:
+        raise SingularSystemError(f"entry probabilities out of range: {H.T.tolist()}")
+    return np.clip(H, 0.0, 1.0)
+
+
+def first_entry_distribution(start: Point, targets: tuple[Point, ...], d: int,
+                             tol: float = 1e-5) -> dict[Point, float]:
     """P(the walk's first entry into the target set, counting from step
     1, happens at s) for each target point s.  They lie in [0, 1] and
     sum to the hitting probability of the set (at most 1)."""
-    sub = lambda a, b: tuple(u - v for u, v in zip(a, b))
-    pts = query.targets
-    M = np.array([[_green(query.d, sub(si, sj), tol) for sj in pts] for si in pts])
-    b = np.array([_green(query.d, sub(si, query.start), tol) - (si == query.start)
-                  for si in pts])
-    try:
-        h = np.linalg.solve(M, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
-    slack = 100 * tol
-    if (h < -slack).any() or h.sum() > 1 + slack:
-        raise SingularSystemError(
-            f"entry probabilities out of range: {h.tolist()} (sum {h.sum()})")
-    h = np.clip(h, 0.0, 1.0)
-    return {p: float(v) for p, v in zip(pts, h)}
+    if not targets:
+        raise ValueError("target set must be nonempty")
+    if len(set(targets)) != len(targets):
+        raise ValueError("target points must be distinct")
+    if any(len(p) != d for p in (start, *targets)):
+        raise ValueError("dimension mismatch")
+    G, x = _green_matrix(d, targets, start, tol)
+    return dict(zip(targets, _first_entries(G, range(len(targets)), tol)[:, x].tolist()))
 
 
 def infinite_cover_probability(target: CoverTarget, tol: float = 1e-5) -> float:
     """P(the walk from the origin ever meets every visit requirement of
-    ``target``; the time-0 position counts as a visit).  Memoised on
-    (position, visits still needed), so the work grows with the number
-    of requirement states, not of entry orders."""
-    d = target.dim
+    ``target``; the time-0 position counts as a visit).  Memoised on the
+    visits still owed, each state one solve for every start at once."""
     owed = target.outstanding()
     points = tuple(sorted(owed))
+    G, origin = _green_matrix(target.dim, points, (0,) * target.dim, tol)
 
     @cache
-    def cover(pos: Point, rem: tuple[int, ...]) -> float:
-        pending = tuple(p for p, k in zip(points, rem) if k)
+    def cover(rem: tuple[int, ...]) -> np.ndarray:
+        pending = [j for j, k in enumerate(rem) if k]
         if not pending:
-            return 1.0
-        h = first_entry_distribution(HittingQuery(pos, pending, d), tol)
-        return sum(h[s] * cover(s, tuple(k - (p == s) for p, k in zip(points, rem)))
-                   for s in pending)
+            return np.ones(len(G))
+        after = [cover(rem[:j] + (rem[j] - 1,) + rem[j + 1:])[j] for j in pending]
+        return (_first_entries(G, pending, tol) * np.array(after)[:, None]).sum(axis=0)
 
-    return cover((0,) * d, tuple(owed[p] for p in points))
+    return float(cover(tuple(owed[p] for p in points))[origin])
 
 
 #: The counterexample's path (o, y, w, z) in Z^3 and its reflected twin (o, y, w, y).

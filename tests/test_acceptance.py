@@ -16,8 +16,7 @@ import walkcover.exact as ex
 from walkcover.green import (asymptotic_sweep, character_power_moment,
                              fourier_green, green_value, return_probability,
                              simple_walk, stepsum_green)
-from walkcover.hitting import (HittingQuery, counterexample_probabilities,
-                               first_entry_distribution,
+from walkcover.hitting import (counterexample_probabilities, first_entry_distribution,
                                truncation_bias_estimate)
 from walkcover.comb import all_collections, check_cover_inequality
 from walkcover.lattice import CoverTarget, validate_path
@@ -67,7 +66,7 @@ def test_criterion_02_return_probability():
 
 
 def test_criterion_03_hitting_values():
-    fe = lambda pts: first_entry_distribution(HittingQuery(O, pts, 3), tol=1e-5)
+    fe = lambda pts: first_entry_distribution(O, pts, 3, tol=1e-5)
     h_yz, h_yzw, h_yw, h_oy = fe((Y, Z)), fe((Y, Z, W)), fe((Y, W)), fe((O, Y))
     checks = [
         (h_yz[Y], 0.2792), (h_yzw[W], 0.0344), (h_yw[Y], 0.3008),

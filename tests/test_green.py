@@ -330,6 +330,20 @@ class TestFourierGuards:
         with pytest.raises(ToleranceUnreachableError):
             fourier_green(simple_walk(3), (0, 0, 0), tol=1e-14)
 
+    def test_far_point_routes_agree(self):
+        """The integrand A t^-m e^(-a/t) peaks near t = a = d|x|^2/2, past
+        the twelve panels' e^12 from |x| ~ 150 at d = 3; the panels now
+        reach past the peak, so the tail fit sees only its decay."""
+        green_value(simple_walk(3), (300, 0, 0), tol=1e-4, method="both")
+
+    @pytest.mark.parametrize("d,rel", [(3, 1e-6), (4, 3e-6), (5, 3e-6)])
+    def test_far_point_follows_asymptote(self, d, rel):
+        """G(x) = d Gamma(d/2 - 1) / (2 pi^(d/2) |x|^(d-2)) (1 + O(|x|^-2))."""
+        r = 1000
+        g = fourier_green(simple_walk(d), (r,) + (0,) * (d - 1), tol=1e-8).value
+        asymptote = d * math.gamma(d / 2 - 1) / (2 * math.pi ** (d / 2) * r ** (d - 2))
+        assert abs(g - asymptote) <= rel * g
+
 
 def _fourier_arguments():
     """Every s = t/d at which fourier_green evaluates ive for d = 3..10: both

@@ -1,5 +1,6 @@
 import json
 import math
+from functools import cache
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from walkcover.cli import run
 from walkcover.exact import exact_cover_probability
 from walkcover.green import (RecurrentWalkError, green_value, return_probability,
                              simple_walk)
-from walkcover.hitting import (COUNTEREXAMPLE_PATHS, HittingQuery,
-                               counterexample_probabilities,
+import walkcover.hitting as hitting
+from walkcover.hitting import (COUNTEREXAMPLE_PATHS, counterexample_probabilities,
                                first_entry_distribution,
                                infinite_cover_probability,
                                truncation_bias_estimate)
-from walkcover.lattice import REPETITIONS, CoverTarget
+from walkcover.lattice import REPETITIONS, TRACE, CoverTarget, staircase_path
 from walkcover.montecarlo import SimConfig, mc_cover_probability
 from walkcover.rng import walk_directions
 
@@ -42,17 +43,16 @@ PUBLISHED = {
 }
 
 
-def _one_step_reduction(query, tol):
+def _one_step_reduction(start, targets, d, tol):
     """Test-side reference for a start on the set: average the
     first-entry distribution over the 2d uniform first steps, a step that
     lands in the set being an immediate entry."""
-    d = query.d
-    out = dict.fromkeys(query.targets, 0.0)
+    out = dict.fromkeys(targets, 0.0)
     for axis in range(d):
         for sign in (1, -1):
-            u = tuple(c + e for c, e in zip(query.start, unit_vector(d, axis, sign)))
+            u = tuple(c + e for c, e in zip(start, unit_vector(d, axis, sign)))
             h = ({u: 1.0} if u in out
-                 else first_entry_distribution(HittingQuery(u, query.targets, d), tol))
+                 else first_entry_distribution(u, targets, d, tol))
             for p, v in h.items():
                 out[p] += v / (2 * d)
     return out
@@ -60,7 +60,7 @@ def _one_step_reduction(query, tol):
 
 @pytest.fixture(scope="module")
 def entry():
-    fe = lambda pts: first_entry_distribution(HittingQuery(O, pts, 3), tol=1e-5)
+    fe = lambda pts: first_entry_distribution(O, pts, 3, tol=1e-5)
     return {
         "y_of_yz": fe((Y, Z))[Y],
         "w_of_yzw": fe((Y, Z, W))[W],
@@ -88,7 +88,7 @@ class TestFirstEntryStructure:
     def test_single_point_reduces_to_green_ratio(self):
         g = lambda x: green_value(simple_walk(3), x, tol=1e-5).value
         for p in (Y, W, Y2):
-            h = first_entry_distribution(HittingQuery(O, (p,), 3), tol=1e-5)
+            h = first_entry_distribution(O, (p,), 3, tol=1e-5)
             assert abs(h[p] - g(p) / g(O)) < 1e-4
 
     def test_distribution_sums_to_hit_probability(self, capsys):
@@ -102,12 +102,12 @@ class TestFirstEntryStructure:
         assert 0 < res["hit_probability"] <= 1
 
     def test_tolerance_1e6_reachable(self):
-        dist = first_entry_distribution(HittingQuery(O, (Y, W), 3), tol=1e-6)
+        dist = first_entry_distribution(O, (Y, W), 3, tol=1e-6)
         assert abs(dist[Y] - ORACLE["y_of_yw"]) < 1e-6
         assert abs(dist[W] - ORACLE["w_of_yw"]) < 1e-6
 
     def test_symmetric_pair_splits_evenly(self):
-        dist = first_entry_distribution(HittingQuery(O, (Y, Z), 3), tol=1e-5)
+        dist = first_entry_distribution(O, (Y, Z), 3, tol=1e-5)
         assert abs(dist[Y] - dist[Z]) < 1e-9
 
     @pytest.mark.parametrize("d", [3, 4])
@@ -117,18 +117,33 @@ class TestFirstEntryStructure:
         w = tuple(a + b for a, b in zip(y, unit_vector(d, 1)))
         pts, start = {"o": ((o,), o), "oy": ((o, y), o),
                       "oyw at o": ((o, y, w), o), "oyw at y": ((o, y, w), y)}[case]
-        query = HittingQuery(start, pts, d)
-        got = first_entry_distribution(query, tol=1e-5)
-        expect = _one_step_reduction(query, tol=1e-5)
+        got = first_entry_distribution(start, pts, d, tol=1e-5)
+        expect = _one_step_reduction(start, pts, d, tol=1e-5)
         assert all(abs(got[p] - expect[p]) < 1e-12 for p in pts), (got, expect)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            HittingQuery(O, (), 3)
-        with pytest.raises(ValueError):
-            HittingQuery(O, (Y, Y), 3)
+        with pytest.raises(ValueError, match="nonempty"):
+            first_entry_distribution(O, (), 3)
+        with pytest.raises(ValueError, match="distinct"):
+            first_entry_distribution(O, (Y, Y), 3)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            first_entry_distribution(O, ((1, 0),), 3)
         with pytest.raises(RecurrentWalkError):
-            first_entry_distribution(HittingQuery((0, 0), ((1, 0),), 2))
+            first_entry_distribution((0, 0), ((1, 0),), 2)
+
+    def test_far_point_is_green_ratio(self, capsys):
+        """Past |x| ~ 150 at d = 3 the Green integrand peaks beyond twelve
+        panels; the hit probability of one far point is still G(x)/G(0),
+        with G(x) from the independent stepsum route."""
+        x = (300, 0, 0)
+        code = run(["hit", "--d", "3", "--start", "0,0,0", "--set", json.dumps([x]),
+                    "--tol", "1e-4"])
+        hit = json.loads(capsys.readouterr().out)["results"]["hit_probability"]
+        gx = green_value(simple_walk(3), x, tol=1e-5, method="stepsum")
+        g0 = green_value(simple_walk(3), O, tol=1e-4)
+        assert code == 0
+        assert abs(hit - gx.value / g0.value) <= (gx.abs_error_bound
+                                                  + g0.abs_error_bound) / g0.value
 
 
 class TestInfiniteCover:
@@ -146,6 +161,67 @@ class TestInfiniteCover:
         with pytest.raises(ValueError):
             infinite_cover_probability(CoverTarget.from_points([(0, 0), (1, 0)]))
 
+
+def _per_state_cover(target, tol=1e-5):
+    """Test-side reference: the recursion memoised on (position, visits
+    owed), one first-entry solve per state for its one start."""
+    d = target.dim
+    owed = target.outstanding()
+    points = tuple(sorted(owed))
+
+    @cache
+    def cover(pos, rem):
+        pending = tuple(p for p, k in zip(points, rem) if k)
+        if not pending:
+            return 1.0
+        h = first_entry_distribution(pos, pending, d, tol)
+        return sum(h[s] * cover(s, tuple(k - (p == s) for p, k in zip(points, rem)))
+                   for s in pending)
+
+    return cover((0,) * d, tuple(owed[p] for p in points))
+
+
+class TestVectorRecursion:
+    """One Green matrix per target and one solve per requirement state
+    give the per-state recursion's values."""
+
+    @pytest.mark.parametrize("d,N", [(3, n) for n in range(1, 9)]
+                             + [(4, n) for n in range(1, 10)]
+                             + [(5, n) for n in range(1, 7)])
+    def test_staircase_matches_per_state_recursion(self, d, N):
+        target = CoverTarget.of_path(staircase_path(N, d), TRACE)
+        expect = _per_state_cover(target)
+        assert abs(infinite_cover_probability(target) - expect) <= 1e-13 * expect
+
+    @pytest.mark.parametrize("target", [
+        CoverTarget.of_path(COUNTEREXAMPLE_PATHS[0], REPETITIONS),
+        CoverTarget.of_path(COUNTEREXAMPLE_PATHS[1], REPETITIONS),
+        CoverTarget({O: 2}),
+        CoverTarget({O: 1}),
+    ], ids=["original", "reflected", "origin twice", "origin once"])
+    def test_small_targets_match_per_state_recursion(self, target):
+        expect = _per_state_cover(target)
+        assert abs(infinite_cover_probability(target) - expect) <= 1e-13 * expect
+
+    def test_one_green_lookup_per_matrix_entry(self, monkeypatch):
+        calls, green = [], hitting._green
+        monkeypatch.setattr(hitting, "_green", lambda *a: calls.append(a) or green(*a))
+        infinite_cover_probability(CoverTarget.of_path(staircase_path(9, 4), TRACE))
+        assert len(calls) <= 100
+
+    def test_one_right_hand_side_per_start(self, monkeypatch):
+        """A many-column solve pages in numpy code no command otherwise
+        runs, which shows in peak RSS; every solve takes a stack of
+        single-column right-hand sides."""
+        target = CoverTarget.of_path(staircase_path(5, 3), TRACE)
+        run_both = lambda: (infinite_cover_probability(target),
+                            first_entry_distribution(O, (Y, Z, W), 3))
+        run_both()  # fills the Green cache, so only hitting's solves run below
+        shapes, solve = [], np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: shapes.append(b.shape) or solve(a, b))
+        run_both()
+        assert shapes and all(len(s) == 3 and s[-1] == 1 for s in shapes), shapes
 
 
 class TestCounterexample:
@@ -244,7 +320,7 @@ def test_first_entry_matches_monte_carlo():
     targets = (Y, Z, W)
     n, L = 100_000, 4000
     freq = _mc_first_entry(3, n, L, targets)
-    dist = first_entry_distribution(HittingQuery(O, targets, 3), tol=1e-5)
+    dist = first_entry_distribution(O, targets, 3, tol=1e-5)
     # chance the first entry happens only after L steps, per target bound
     trunc = truncation_bias_estimate(L, 1.0) / 3
     for k, p in enumerate(targets):
