@@ -177,7 +177,7 @@ def _cmd_sweep(args):
     table = green.asymptotic_sweep(args.dmin, args.dmax, tol=args.tol)
     results = {"rows": [dataclasses.asdict(r) for r in table.rows],
                "trend_failures": list(table.trend_failures)}
-    return results, [table.note], 0 if table.trends_ok else 1
+    return results, [table.note], 1 if table.trend_failures else 0
 
 
 def _cmd_staircase(args):
@@ -212,25 +212,25 @@ def _cmd_comb(args):
 
 
 def _cmd_verify_thm11(args):
+    lengths = range(1, args.L + 1)
     report = exact.reflection_monotonicity_sweep(
-        radius=args.radius, max_set_size=args.max_size,
-        lengths=range(1, args.L + 1))
-    results = {"cases": report.cases, "lengths": list(report.lengths),
-               "radius": report.radius, "max_set_size": report.max_set_size,
+        radius=args.radius, max_set_size=args.max_size, lengths=lengths)
+    results = {"cases": report.cases, "lengths": list(lengths),
+               "radius": args.radius, "max_set_size": args.max_size,
                "violations": [list(map(str, v)) for v in report.violations]}
-    return results, [], 0 if report.passed else 1
+    return results, [], 1 if report.violations else 0
 
 
 def _cmd_verify_thm41(args):
     report = exact.verify_staircase_max(args.N, args.d, args.L, args.cap)
-    total = (2 * report.d) ** report.L
+    total = (2 * args.d) ** args.L
     rows = [{"points": lattice.path_to_json(r.points), "orbit": r.orbit,
              **_probability_fields(Fraction(r.favorable, total)),
              "is_staircase": r.is_staircase} for r in report.rows]
-    results = {"N": report.N, "d": report.d, "L": report.L, "cap": report.cap,
+    results = {"N": args.N, "d": args.d, "L": args.L, "cap": args.cap,
                "paths": sum(r.orbit for r in report.rows), "paths_ranked": rows,
                "staircase_is_max": report.staircase_is_max}
-    notes = [f"enumeration capped at {report.cap} steps; the maximality claim "
+    notes = [f"enumeration capped at {args.cap} steps; the maximality claim "
              "ranges over connecting paths of any length"]
     return results, notes, 0 if report.staircase_is_max else 1
 

@@ -80,10 +80,6 @@ class ArcCollection:
         for a in self.arcs:
             _mask_of(a, self.n)
 
-    @property
-    def m(self) -> int:
-        return len(self.arcs)
-
     def masks(self) -> tuple[int, ...]:
         return tuple(_mask_of(a, self.n) for a in self.arcs)
 
@@ -104,7 +100,7 @@ def _signed_unions(masks: Sequence[int]) -> list[tuple[int, int]]:
 
 def _row(V: ArcCollection) -> np.ndarray:
     """One collection's arc masks as a kernel row, once the work guard allows them."""
-    check_work(V.n, V.m)
+    check_work(V.n, len(V.arcs))
     return np.array([V.masks()], dtype=np.int64)
 
 
@@ -123,7 +119,7 @@ def cover_count_split(V: ArcCollection, A: Iterable[int]) -> int:
     extends both ways), or the last arc must mop up exactly the uncovered
     remainder with one specific sign.
     """
-    check_work(V.n, V.m)
+    check_work(V.n, len(V.arcs))
     a_mask = _mask_of(A, V.n)
     full = (1 << V.n) - 1
     comp = full ^ a_mask

@@ -109,12 +109,28 @@ def _check_budget(d: int, L: int, states: int, reach: int, budget: int) -> None:
             f"DP work L x states x box cells exceeds the budget of {budget}")
 
 
-def _ball(d: int, M: int) -> tuple[list, list, list]:
+def _live_sizes(d: int, L: int, reach: int) -> list[int]:
+    """The live cells of each step t = 0..L: those of L1 norm
+    <= min(t, reach + L - t) whose norm has the parity of t."""
+    shell = [1] + [0] * ((L + reach) // 2)  # cells of each norm, axis by axis
+    for _ in range(d):
+        shell = [s + 2 * b for s, b in zip(shell, itertools.accumulate(shell, initial=0))]
+    return [sum(shell[t % 2:min(t, reach + L - t) + 1:2]) for t in range(L + 1)]
+
+
+def _check_live_work(live: int, states: int, budget: int) -> None:
+    """Raise unless live cells of every step x states of every target fit."""
+    if live * states > budget:
+        raise BudgetExceededError(
+            f"DP work, live cells x states over all targets, exceeds the budget of {budget}")
+
+
+def _ball(d: int, M: int) -> tuple[list, list]:
     """The cells of the L1 ball of radius M in two classes by the parity
-    of |x|_1, each ordered by norm.  Per class p: ``upto[p][m]`` counts its
-    cells of norm <= m, ``cells[p]`` lists them, and ``neighbours[p]`` is a
-    (2d, size) int32 table of each cell's neighbours as indices into the
-    other class, that class's size standing for a cell outside the ball.
+    of |x|_1, each ordered by norm.  Per class p: ``cells[p]`` lists them,
+    and ``neighbours[p]`` is a (2d, size) int32 table of each cell's
+    neighbours as indices into the other class, that class's size
+    standing for a cell outside the ball.
 
     Neighbours are found by search: a cell's code weighs coordinate a by
     (2M + 1)^(d - 1 - a), so the codes of the cells in lexicographic order
@@ -136,9 +152,8 @@ def _ball(d: int, M: int) -> tuple[list, list, list]:
     position = np.empty(len(cells), dtype=np.int32)
     for member in members:
         position[member] = np.arange(len(member))
-    upto, neighbours = [], []
+    neighbours = []
     for parity, member in enumerate(members):
-        upto.append(np.bincount(norm[member], minlength=M + 1).cumsum())
         table = np.full((2 * d, len(member)), len(members[1 - parity]), dtype=np.int32)
         for k, (axis, sign) in enumerate(itertools.product(range(d), (1, -1))):
             moved = cells[member]
@@ -147,7 +162,7 @@ def _ball(d: int, M: int) -> tuple[list, list, list]:
             found = np.searchsorted(codes, codes[member[inside]] + sign * weights[axis])
             table[k, inside] = position[found]
         neighbours.append(table)
-    return upto, [cells[member] for member in members], neighbours
+    return [cells[member] for member in members], neighbours
 
 
 def _group_counts(d: int, L: int, group: list, sizes: list[int], cells: list,
@@ -232,11 +247,10 @@ def _favorable_counts(d: int, L: int, owed_list: Sequence[dict[Point, int]],
             reach = max(reach, norm)
     if not targets:
         return counts
-    upto, cells, neighbours = _ball(d, (L + reach) // 2)
-    sizes = [int(upto[t % 2][min(t, reach + L - t)]) for t in range(L + 1)]
-    if sum(sizes[1:]) * sum(math.prod(radices) - 1 for _, _, radices in targets) > budget:
-        raise BudgetExceededError(
-            f"DP work, live cells x states over all targets, exceeds the budget of {budget}")
+    sizes = _live_sizes(d, L, reach)
+    _check_live_work(sum(sizes[1:]), sum(math.prod(radices) - 1 for _, _, radices in targets),
+                     budget)
+    cells, neighbours = _ball(d, (L + reach) // 2)
     width, groups, rows = max(sizes) + 1, [], 0
     for target in targets:
         states = math.prod(target[2]) - 1
@@ -290,17 +304,8 @@ def count_reflected_pair(A0: Iterable[Point], B0: Iterable[Point], h: Hyperplane
 
 @dataclass(frozen=True)
 class ReflectionSweepReport:
-    d: int
-    hyperplane: Hyperplane
-    radius: int
-    max_set_size: int
-    lengths: tuple[int, ...]
     cases: int
     violations: tuple[tuple, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
 
 
 def _walk_cover_masks(d: int, L: int, points: Sequence[Point]) -> np.ndarray:
@@ -379,14 +384,15 @@ def _covered_counts(masks: np.ndarray, cases: np.ndarray, counts: np.ndarray) ->
         counts[lo:lo + len(rows)] = np.bitwise_count(acc).sum(axis=1)
 
 
-def reflection_monotonicity_sweep(d: int = 2, h: Hyperplane = Hyperplane(0, 1, 1),
-                                  radius: int = 2, max_set_size: int = 2,
+def reflection_monotonicity_sweep(h: Hyperplane = Hyperplane(0, 1, 1), radius: int = 2,
+                                  max_set_size: int = 2,
                                   lengths: Sequence[int] = (1, 2, 3, 4, 5, 6),
                                   ) -> ReflectionSweepReport:
-    """Exhaustively compare covering counts for every disjoint pair of
-    origin-side sets (up to the given size, inside the sup-norm box)
-    against the pair with the second set reflected.  Any case where the
-    reflected pair is covered by strictly more walks is a violation."""
+    """Exhaustively compare covering counts, at d = 2, for every disjoint
+    pair of origin-side sets (up to the given size, inside the sup-norm
+    box) against the pair with the second set reflected.  Any case where
+    the reflected pair is covered by strictly more walks is a violation."""
+    d = 2
     if max_set_size < 1 or radius < 0:
         raise ValueError("need max_set_size >= 1 and radius >= 0")
     # the origin side holds at least half the box: it contains x_i <= x_j or x_i >= x_j
@@ -411,8 +417,7 @@ def reflection_monotonicity_sweep(d: int = 2, h: Hyperplane = Hyperplane(0, 1, 1
             violations.append((L, tuple(sorted(origin_side[i] for i in a if i < n)),
                                tuple(origin_side[i] for i in b if i < n),
                                int(c1[v]), int(c2[v])))
-    return ReflectionSweepReport(d, h, radius, max_set_size, tuple(lengths),
-                                 len(original) * len(lengths), tuple(violations))
+    return ReflectionSweepReport(len(original) * len(lengths), tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +426,8 @@ def reflection_monotonicity_sweep(d: int = 2, h: Hyperplane = Hyperplane(0, 1, 1
 
 @dataclass(frozen=True)
 class RankedPath:
-    """A connecting path in normal form, the size of its orbit under the
-    walk's symmetries, and the count of walks that cover its trace, out
-    of the report's (2d)^L."""
+    """A connecting path in normal form, its orbit's size under the walk's
+    symmetries, and how many of the (2d)^L walks cover its trace."""
 
     points: tuple[Point, ...]
     orbit: int
@@ -440,15 +444,10 @@ class StaircaseReport:
     staircase's count is the largest.
 
     The underlying claim quantifies over connecting paths of *any*
-    length; the cap bounds only this enumeration and is echoed here.
+    length; the cap bounds only this enumeration.
     """
 
-    N: int
-    d: int
-    L: int
-    cap: int
     rows: tuple[RankedPath, ...]
-    staircase_probability: Fraction
     staircase_is_max: bool
 
 
@@ -496,10 +495,16 @@ def verify_staircase_max(N: int, d: int, L: int, cap: int,
     # a trace holds at most cap points besides the origin, all of norm <= N;
     # a cap past the budget's bit length is refused alike, without forming 2^cap
     _check_budget(d, L, 1 << min(cap, budget.bit_length()), N, budget)
-    paths = list(connecting_path_orbits(N, d, cap))
-    traces = list(dict.fromkeys(frozenset(points) for points, _ in paths))
-    count_of = dict(zip(traces, _favorable_counts(
-        d, L, [outstanding_visits(dict.fromkeys(t, 1)) for t in traces], budget)))
+    # every trace reaches norm N, so the live cells are known before the enumeration
+    live, states, paths, owed = sum(_live_sizes(d, L, N)[1:]), 0, [], {}
+    for points, orbit in connecting_path_orbits(N, d, cap):
+        paths.append((points, orbit))
+        trace = frozenset(points)
+        if trace not in owed:
+            owed[trace] = outstanding_visits(dict.fromkeys(trace, 1))
+            states += 2 ** len(owed[trace]) - 1
+            _check_live_work(live, states, budget)
+    count_of = dict(zip(owed, _favorable_counts(d, L, list(owed.values()), budget)))
     # every count shares the denominator (2d)^L, so the counts rank the rows:
     # by count, most first, then by points
     ranked = sorted((-count_of[frozenset(points)], points, orbit) for points, orbit in paths)
@@ -507,5 +512,4 @@ def verify_staircase_max(N: int, d: int, L: int, cap: int,
     stair_count = count_of[frozenset(stair_points)]
     rows = tuple(RankedPath(points, orbit, -n, points == stair_points)
                  for n, points, orbit in ranked)
-    return StaircaseReport(N, d, L, cap, rows, Fraction(stair_count, (2 * d) ** L),
-                           stair_count == rows[0].favorable)
+    return StaircaseReport(rows, stair_count == rows[0].favorable)

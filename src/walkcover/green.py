@@ -332,6 +332,10 @@ def fourier_green(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4) -> Gr
     last = T * b2 / (m + 1)
     tail = T * (b0 / (m - 1) + b1 / m) + last
     bound = float(2.0 * abs(body[1] - body[0]) + abs(last) + ROUNDING_FLOOR)
+    if not math.isfinite(bound):
+        raise ToleranceUnreachableError(
+            f"fourier bound is not finite at x = {tuple(x)}: the panels reach the Bessel "
+            f"argument t/d = {T / spec.d:.2g}, and scipy's ive is NaN from 2^30 on")
     if not bound <= tol:
         raise ToleranceUnreachableError(f"fourier bound {bound:.2e} exceeds tol {tol:.2e}")
     return GreenValue(float(body[1] + tail), bound, "fourier")
@@ -349,13 +353,12 @@ def _canonical_x(spec: WalkSpectrum, x: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=4096)
-def _green_cached(kind: str, d: int, x: tuple[int, ...], tol: float, method: str) -> GreenValue:
-    spec = WalkSpectrum(kind, d)
+def _green_cached(spec: WalkSpectrum, x: tuple[int, ...], tol: float, method: str) -> GreenValue:
     if method == "stepsum":
         return stepsum_green(spec, x, tol)
     if method == "fourier":
         return fourier_green(spec, x, tol)
-    four, step = (_green_cached(kind, d, x, tol, m) for m in ("fourier", "stepsum"))
+    four, step = (_green_cached(spec, x, tol, m) for m in ("fourier", "stepsum"))
     if abs(step.value - four.value) > step.abs_error_bound + four.abs_error_bound:
         raise ToleranceUnreachableError(
             f"methods disagree: stepsum {step.value} +/- {step.abs_error_bound}, "
@@ -377,7 +380,7 @@ def green_value(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4,
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     xt = tuple(int(c) for c in x)
-    return _green_cached(spec.kind, spec.d, _canonical_x(spec, xt), tol, method)
+    return _green_cached(spec, _canonical_x(spec, xt), tol, method)
 
 
 def return_probability(d: int, tol: float = 1e-5) -> float:
@@ -448,10 +451,6 @@ class SweepTable:
     rows: tuple[SweepRow, ...]
     note: str
     trend_failures: tuple[str, ...]
-
-    @property
-    def trends_ok(self) -> bool:
-        return not self.trend_failures
 
 
 def asymptotic_sweep(d_min: int = 3, d_max: int = 10, tol: float = 1e-3) -> SweepTable:

@@ -111,7 +111,6 @@ class CounterexampleResult:
     """L = infinity probabilities of covering ``COUNTEREXAMPLE_PATHS`` with repetitions."""
     p_original: float      # (o, y, w, z): four distinct points
     p_reflected: float     # (o, y, w, y): y needed twice
-    tol: float
     notes: tuple[str, ...]
 
 
@@ -121,7 +120,7 @@ def counterexample_probabilities(tol: float = 1e-5) -> CounterexampleResult:
     p_original, p_reflected = (
         infinite_cover_probability(CoverTarget.of_path(p, REPETITIONS), tol)
         for p in COUNTEREXAMPLE_PATHS)
-    return CounterexampleResult(p_original, p_reflected, tol, (
+    return CounterexampleResult(p_original, p_reflected, (
         "truncating the walk at L steps can only lower these probabilities; "
         "truncation_bias_estimate sizes the deficit",))
 

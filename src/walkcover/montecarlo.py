@@ -254,14 +254,13 @@ class CompareResult:
 
     estimates: tuple[Estimate, ...]
     joint: np.ndarray  # joint[i, j] = walks succeeding on both i and j
-    n: int
 
     def paired_diff(self, i: int, j: int) -> tuple[float, float]:
         """(p_i - p_j, standard error of the paired difference).  The
         variance is formed in integers, n^2 var = n (s_i + s_j - 2 s_ij)
         - (s_i - s_j)^2, so it is never negative and is exactly 0 when
         targets i and j succeed on the same walks."""
-        n = self.n
+        n = self.estimates[i].n
         si, sj = self.estimates[i].successes, self.estimates[j].successes
         sij = int(self.joint[i, j])
         n2_var = n * (si + sj - 2 * sij) - (si - sj) ** 2
@@ -276,4 +275,4 @@ def mc_compare(targets: Sequence[CoverTarget], cfg: SimConfig) -> CompareResult:
     joint = _simulate(cfg, targets)
     estimates = tuple(Estimate(int(joint[k, k]), cfg.n_walks)
                       for k in range(len(targets)))
-    return CompareResult(estimates, joint, cfg.n_walks)
+    return CompareResult(estimates, joint)

@@ -53,9 +53,6 @@ class Hyperplane:
         """p[i] - p[j] - offset: zero on the plane."""
         return p[self.i] - p[self.j] - self.offset
 
-    def contains(self, p: Point) -> bool:
-        return self.signed_gap(p) == 0
-
     def origin_sign(self) -> int:
         """Sign of the half-space containing the origin; for offset 0 the
         convention is the side ``x[i] <= x[j]``."""

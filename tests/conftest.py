@@ -133,7 +133,7 @@ class ArcDecomposition:
 
 
 def arc_decompose(path: Path, h: Hyperplane) -> ArcDecomposition:
-    visits = [n for n, p in enumerate(path.points) if h.contains(p)]
+    visits = [n for n, p in enumerate(path.points) if h.signed_gap(p) == 0]
     if not visits:
         return ArcDecomposition(tuple(path.points), (), ())
     arcs = []

@@ -128,7 +128,7 @@ def test_criterion_06_reflection_monotonicity_sweep():
     t0 = time.monotonic()
     report = ex.reflection_monotonicity_sweep(radius=2, max_set_size=2,
                                               lengths=(1, 2, 3, 4, 5, 6))
-    assert report.passed, report.violations[:3]
+    assert not report.violations, report.violations[:3]
     # dual-route integrity: the transfer-DP counter on sample pairs
     for A0, B0 in [((), ((0, 1),)), (((1, 1),), ((0, 1),)),
                    (((0, 0), (0, 2)), ((1, 2),))]:
@@ -157,7 +157,7 @@ def test_criterion_07_staircase_ranking():
 
 def test_criterion_08_asymptotic_trends():
     table = asymptotic_sweep(3, 10, tol=1e-3)
-    assert table.trends_ok, table.trend_failures
+    assert not table.trend_failures, table.trend_failures
     assert abs(table.rows[0].scaled_return - 2.043) < 2e-3
     diag = [r for r in table.rows if r.p_diagonal is not None and 4 <= r.d <= 8]
     assert len(diag) == 5

@@ -388,8 +388,7 @@ class TestExitCodes:
     def test_violation_exit_code_path(self, capsys, monkeypatch):
         """A failed theorem-shaped check exits 1 (distinct from usage=2)."""
         import walkcover.exact as ex
-        fake = ex.ReflectionSweepReport(2, ex.Hyperplane(0, 1, 1), 1, 1, (1,),
-                                        1, ((1, (), ((0, 1),), 0, 1),))
+        fake = ex.ReflectionSweepReport(1, ((1, (), ((0, 1),), 0, 1),))
         monkeypatch.setattr(ex, "reflection_monotonicity_sweep",
                             lambda **kw: fake)
         code = run(["verify-thm11", "--radius", "1", "--max-size", "1", "--L", "1"])
@@ -537,6 +536,18 @@ class TestExitCodes:
         assert code == 2 and captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("numerical error:")
         assert "stepsum reaches dimension 345" in captured.err
+
+    def test_far_point_past_bessel_range(self, capsys):
+        """scipy's ive is NaN from argument 2^30 on, which the panels reach
+        near |x| = 6,000 at d = 3: a numerical error naming that cause,
+        while a point inside the range still gets its value."""
+        code = run(["green", "--d", "3", "--x", "10000,0,0", "--tol", "1e-6"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("numerical error:")
+        assert "fourier bound is not finite" in captured.err and "ive is NaN" in captured.err
+        code, doc = run_json(capsys, ["green", "--d", "3", "--x", "3000,0,0", "--tol", "1e-6"])
+        assert code == 0 and doc["results"]["abs_error_bound"] <= 1e-6
 
     def test_memory_error(self, capsys, monkeypatch):
         """Exhausted memory is an input-scale failure: exit 2, one line."""

@@ -35,8 +35,8 @@ class SignedSet:
 
 
 def _check_config(V: ArcCollection, signs: Sequence[int]) -> None:
-    if len(signs) != V.m:
-        raise LengthMismatchError(f"{len(signs)} signs for {V.m} arcs")
+    if len(signs) != len(V.arcs):
+        raise LengthMismatchError(f"{len(signs)} signs for {len(V.arcs)} arcs")
     if any(s not in (-1, 1) for s in signs):
         raise ValueError("signs must be +/-1")
 
@@ -97,7 +97,7 @@ class TestCovers:
         """Summed over sign vectors, the set-wise test gives cover_count."""
         V = collection_of(3, {1, 2}, {2, 3}, {1}, set(), {3})
         for A in ({1, 2, 3}, {2}, set(), {1, 3}):
-            hits = sum(covers(V, s, A) for s in itertools.product((1, -1), repeat=V.m))
+            hits = sum(covers(V, s, A) for s in itertools.product((1, -1), repeat=len(V.arcs)))
             assert hits == cover_count(V, A), A
 
     def test_rejects_bad_input(self):
@@ -113,7 +113,7 @@ def brute_count(V: ArcCollection, A) -> int:
     A = frozenset(A)
     comp = frozenset(range(1, V.n + 1)) - A
     total = 0
-    for signs in itertools.product((1, -1), repeat=V.m):
+    for signs in itertools.product((1, -1), repeat=len(V.arcs)):
         s = inner_product(V, signs)
         if A <= s.positive and comp <= s.negative:
             total += 1

@@ -111,7 +111,7 @@ class FarSide(Hyperplane):
     sweep reflects sets toward the origin and finds violations."""
 
     def on_origin_side(self, p):
-        return self.contains(p) or not super().on_origin_side(p)
+        return self.signed_gap(p) == 0 or not super().on_origin_side(p)
 
 
 class TestExactCoverProbability:
@@ -146,6 +146,22 @@ class TestExactCoverProbability:
         with pytest.raises(BudgetExceededError, match="all targets"):
             verify_staircase_max(3, 2, 9, 7, budget=10**6)
         assert verify_staircase_max(3, 2, 9, 7, budget=2 * 10**6).staircase_is_max
+
+    def test_budget_refuses_during_the_enumeration(self, monkeypatch):
+        """Each new trace adds its states to the live work, so the ranking
+        is refused before the last of its 325 paths is drawn."""
+        drawn = []
+        orbits = ex.connecting_path_orbits
+
+        def counted(*args):
+            for item in orbits(*args):
+                drawn.append(item)
+                yield item
+
+        monkeypatch.setattr(ex, "connecting_path_orbits", counted)
+        with pytest.raises(BudgetExceededError, match="all targets"):
+            verify_staircase_max(3, 2, 9, 7, budget=10**6)
+        assert 0 < len(drawn) < 325
 
     def test_budget_guard_on_astronomical_work(self):
         """Work far past 4,300 decimal digits is refused as budget
@@ -300,18 +316,24 @@ class TestFavorableCounts:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 39, 40])
     def test_ball_tables(self, d):
         """Each class lists its parity's cells by norm, and the neighbour
-        tables point at the neighbour in the other class, or past it.
-        3^39 < 2^63 <= 3^40: at M = 1, d = 39 finds neighbours by int64
-        codes and d = 40 by Python-integer codes."""
+        tables point at the neighbour in the other class, or past it; the
+        live sizes count the ball's cells of each layer.  3^39 < 2^63 <=
+        3^40: at M = 1, d = 39 finds neighbours by int64 codes and d = 40
+        by Python-integer codes."""
         for M in range(4 if d <= 6 else 2):
-            upto, cells, neighbours = ex._ball(d, M)
+            cells, neighbours = ex._ball(d, M)
             ball = _l1_ball(d, M)
+            ball_norms = [sum(map(abs, p)) for p in ball]
+            # reach M; at L = M + 1 the last layer is the other parity's norms <= M
+            for L in (M, M + 1):
+                assert ex._live_sizes(d, L, M) == [
+                    sum(n % 2 == t % 2 and n <= min(t, M + L - t) for n in ball_norms)
+                    for t in range(L + 1)]
             for parity in (0, 1):
                 mine = [tuple(c) for c in cells[parity].tolist()]
                 norms = [sum(map(abs, p)) for p in mine]
                 assert sorted(mine) == sorted(p for p in ball if sum(map(abs, p)) % 2 == parity)
                 assert norms == sorted(norms)
-                assert list(upto[parity]) == [sum(n <= m for n in norms) for m in range(M + 1)]
                 other = {tuple(c): i for i, c in enumerate(cells[1 - parity].tolist())}
                 for k, row in enumerate(neighbours[parity]):
                     step = np.zeros(d, dtype=int)
@@ -375,7 +397,7 @@ class TestReflectionSweep:
     def test_tiny_sweep_no_violations(self):
         report = reflection_monotonicity_sweep(radius=1, max_set_size=1,
                                                lengths=(1, 2, 3))
-        assert report.passed and report.cases > 0
+        assert not report.violations and report.cases > 0
 
     @pytest.mark.parametrize("lengths", [(), range(1, 1), (0, 1), (2, -3)])
     def test_needs_a_positive_length(self, lengths):
@@ -416,7 +438,7 @@ class TestReflectionSweep:
         on both tables, in every case at radius 1, sets of size <= 2, L = 3."""
         report = reflection_monotonicity_sweep(radius=1, max_set_size=2,
                                                lengths=(3,))
-        assert report.passed
+        assert not report.violations
         for A0, B0 in [((), ((0, 1),)), (((1, 1),), ((0, 1),)),
                        (((0, 0),), ((1, 0), (0, 1)))]:
             c1, c2 = count_reflected_pair(A0, B0, H21, 2, 3)
@@ -453,7 +475,8 @@ class TestStaircaseRanking:
         assert any(r.is_staircase for r in report.rows)
         # straight two-step paths rank strictly below the corner paths
         straight = next(r for r in report.rows if r.points == ((0, 0), (1, 0), (2, 0)))
-        assert Fraction(straight.favorable, 4**6) < report.staircase_probability
+        stair = next(r for r in report.rows if r.is_staircase)
+        assert Fraction(straight.favorable, 4**6) < Fraction(stair.favorable, 4**6)
 
     def test_monotone_d3_classes(self, monotone_paths_d3):
         report = verify_staircase_max(3, 3, 6, 3)
@@ -497,7 +520,8 @@ class TestStaircaseRanking:
         assert weighed == reference
         stair = count_of[staircase_path(N, d).trace]
         assert report.staircase_is_max == (stair == max(reference))
-        assert report.staircase_probability == Fraction(stair, (2 * d) ** L)
+        row = next(r for r in report.rows if r.is_staircase)
+        assert Fraction(row.favorable, (2 * d) ** L) == Fraction(stair, (2 * d) ** L)
 
     def test_ranking_at_d7(self):
         """One path per orbit: the d = 7 ranking needs none of the
@@ -556,11 +580,11 @@ def sign_cover_instance(representative: Path, h: Hyperplane,
     A0, B0 = frozenset(A0), frozenset(B0)
     targets = A0 | B0
     dec = arc_decompose(representative, h)
-    on_plane_visits = {p for p in representative.trace if h.contains(p)}
-    guard_ok = all(p in on_plane_visits for p in targets if h.contains(p))
+    on_plane_visits = {p for p in representative.trace if h.signed_gap(p) == 0}
+    guard_ok = all(p in on_plane_visits for p in targets if h.signed_gap(p) == 0)
     prefix_trace = set(dec.prefix)
     omega = tuple(sorted(p for p in targets
-                         if not h.contains(p) and p not in prefix_trace))
+                         if h.signed_gap(p) != 0 and p not in prefix_trace))
     if not omega:
         return None
     index = {p: j + 1 for j, p in enumerate(omega)}
