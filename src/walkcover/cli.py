@@ -269,8 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="path file (JSON array of arrays)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--mode", choices=(lattice.TRACE, lattice.REPETITIONS),
-                   default=lattice.TRACE)
+    p.add_argument("--mode", choices=lattice.MODES, default=lattice.TRACE)
     p.add_argument("--budget", type=int, default=exact.DEFAULT_BUDGET)
 
     p = add("mc", _cmd_mc, help="Monte Carlo covering probability", sampling=True)
@@ -278,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--walks", type=int, required=True)
-    p.add_argument("--mode", choices=(lattice.TRACE, lattice.REPETITIONS),
-                   default=lattice.TRACE)
+    p.add_argument("--mode", choices=lattice.MODES, default=lattice.TRACE)
 
     p = add("compare", _cmd_compare, help="estimate several targets on shared walks",
             table="estimates", sampling=True)
@@ -287,8 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--walks", type=int, required=True)
-    p.add_argument("--mode", choices=(lattice.TRACE, lattice.REPETITIONS),
-                   default=lattice.TRACE)
+    p.add_argument("--mode", choices=lattice.MODES, default=lattice.TRACE)
 
     p = add("green", _cmd_green, help="lattice Green's function value")
     p.add_argument("--walk", choices=("simple", "diagdiff"), default="simple")

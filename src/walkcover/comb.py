@@ -13,25 +13,24 @@ inequality, verified here by brute force, is that no reflection target A
 admits more covering configurations than A = ground set itself.  One
 batched numpy kernel counts them: ``inequality_witnesses`` runs it over
 every collection of one shape, ``check_cover_inequality`` and
-``cover_count`` over a single collection.  ``cover_count_split``, a
-recursion on the last arc in pure Python, is the independent route that
-tests hold the kernel to.  These counts are the combinatorial shadow of
-path-reflection classes: arcs play the role of which target points an
-arc of a walk visits, signs the role of reflecting that arc.
+``cover_count`` over a single collection.  The tests hold the kernel to
+an independent route, a recursion on the last arc in pure Python.
+These counts are the combinatorial shadow of path-reflection classes:
+arcs play the role of which target points an arc of a walk visits,
+signs the role of reflecting that arc.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 #: Work allowed in one enumeration, counted as 2^m (2^n + m) per
 #: instance of m arcs over n elements: the 2^m signed unions, each built
 #: from m arcs and tested against 2^n subsets.  At about 0.2 us a unit
-#: this is a few seconds of the pure-Python split route.
+#: this is a few seconds of the tests' pure-Python split route.
 MAX_ENUM_WORK = 2**24
 
 
@@ -84,20 +83,6 @@ class ArcCollection:
         return tuple(_mask_of(a, self.n) for a in self.arcs)
 
 
-def _signed_unions(masks: Sequence[int]) -> list[tuple[int, int]]:
-    m = len(masks)
-    out = []
-    for bits in range(1 << m):
-        pos = neg = 0
-        for k in range(m):
-            if bits >> k & 1:
-                neg |= masks[k]
-            else:
-                pos |= masks[k]
-        out.append((pos, neg))
-    return out
-
-
 def _row(V: ArcCollection) -> np.ndarray:
     """One collection's arc masks as a kernel row, once the work guard allows them."""
     check_work(V.n, len(V.arcs))
@@ -110,37 +95,6 @@ def cover_count(V: ArcCollection, A: Iterable[int]) -> int:
     pos, neg = _union_masks(_row(V))
     a_mask = np.array([_mask_of(A, V.n)], dtype=np.int64)
     return int(_cover_counts(pos, neg, a_mask, (1 << V.n) - 1)[0, 0])
-
-
-def cover_count_split(V: ArcCollection, A: Iterable[int]) -> int:
-    """Independent route to the same count: split on the last arc.
-
-    Configurations either already cover using the first m-1 arcs (each
-    extends both ways), or the last arc must mop up exactly the uncovered
-    remainder with one specific sign.
-    """
-    check_work(V.n, len(V.arcs))
-    a_mask = _mask_of(A, V.n)
-    full = (1 << V.n) - 1
-    comp = full ^ a_mask
-
-    def rec(masks: tuple[int, ...]) -> int:
-        if not masks:
-            return 1 if a_mask == 0 and comp == 0 else 0
-        head, last = masks[:-1], masks[-1]
-        count = 2 * rec(head)
-        for pos, neg in _signed_unions(head):
-            miss_pos = a_mask & ~pos
-            miss_neg = comp & ~neg
-            if miss_pos == 0 and miss_neg == 0:
-                continue  # already counted, both extensions
-            if (miss_pos & ~last) == 0 and miss_neg == 0:
-                count += 1  # last arc kept positive finishes the job
-            if (miss_neg & ~last) == 0 and miss_pos == 0:
-                count += 1  # last arc flipped negative finishes the job
-        return count
-
-    return rec(V.masks())
 
 
 def check_cover_inequality(V: ArcCollection) -> tuple[bool, frozenset[int] | None]:
@@ -160,9 +114,8 @@ def mask_elements(mask: int) -> frozenset[int]:
 
 def all_collections(n: int, m: int):
     """Every arc collection with the given shape (2^(n*m) of them)."""
-    subsets = [mask_elements(bits) for bits in range(1 << n)]
-    for combo in itertools.product(subsets, repeat=m):
-        yield ArcCollection(n, combo)
+    for c in range(1 << n * m):
+        yield collection_at(n, m, c)
 
 
 def collection_at(n: int, m: int, index: int) -> ArcCollection:
@@ -191,8 +144,7 @@ def _arc_masks(n: int, m: int, first: int, stop: int) -> np.ndarray:
 
 def _union_masks(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positive and negative unions of every sign choice for each row of
-    arc masks; column b flips arc k negative when bit k of b is set, the
-    order of ``_signed_unions``."""
+    arc masks; column b flips arc k negative when bit k of b is set."""
     pos = neg = np.zeros((arcs.shape[0], 1), dtype=arcs.dtype)
     for k in range(arcs.shape[1]):
         arc = arcs[:, k:k + 1]

@@ -274,7 +274,7 @@ def exact_cover_probability(target: CoverTarget, d: int, L: int,
         raise ValueError("L must be >= 0")
     if target.dim != d:
         raise ValueError(f"target dimension {target.dim} != {d}")
-    return ExactResult(_favorable_counts(d, L, [target.outstanding()], budget)[0],
+    return ExactResult(_favorable_counts(d, L, [outstanding_visits(target.visits)], budget)[0],
                        (2 * d) ** L)
 
 

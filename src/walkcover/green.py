@@ -410,12 +410,6 @@ def _difference_vector(d: int, i: int, j: int) -> tuple[int, ...]:
     return tuple(y)
 
 
-def offdiag_green(d: int, i: int, j: int, tol: float = 1e-4) -> float:
-    """Green's function of the coordinate-difference walk at e_j - e_i;
-    symmetric in (i, j) and a function of the cyclic index distance."""
-    return green_value(diagonal_difference_walk(d), _difference_vector(d, i, j), tol).value
-
-
 def character_power_moment(d: int, i: int, j: int, k: int) -> float:
     """Raw integral of cos(theta_j - theta_i) * phihat^k over
     [-pi, pi]^(d-1): by Fourier inversion, (2pi)^(d-1) times the k-step
@@ -467,11 +461,9 @@ def asymptotic_sweep(d_min: int = 3, d_max: int = 10, tol: float = 1e-3) -> Swee
         g0 = green_value(simple_walk(d), (0,) * d, tol).value
         p = 1.0 - 1.0 / g0
         excess = g0 - 1.0 - 1.0 / (2 * d)
-        if d >= 4:
-            pd = diagonal_return_probability(d, tol)
-            rows.append(SweepRow(d, p, 2 * d * p, pd, 2 * d * pd, excess, d * excess))
-        else:
-            rows.append(SweepRow(d, p, 2 * d * p, None, None, excess, d * excess))
+        pd = diagonal_return_probability(d, tol) if diagonal_difference_walk(d).transient else None
+        rows.append(SweepRow(d, p, 2 * d * p, pd, None if pd is None else 2 * d * pd,
+                             excess, d * excess))
     failures = []
     for a, b in zip(rows, rows[1:]):
         if not b.scaled_return < a.scaled_return:

@@ -32,7 +32,7 @@ from functools import cache
 import numpy as np
 
 from .green import _lclt_amplitude, green_value, simple_walk
-from .lattice import REPETITIONS, CoverTarget, Point, validate_path
+from .lattice import REPETITIONS, CoverTarget, Point, outstanding_visits, validate_path
 
 
 class SingularSystemError(RuntimeError):
@@ -85,7 +85,7 @@ def infinite_cover_probability(target: CoverTarget, tol: float = 1e-5) -> float:
     """P(the walk from the origin ever meets every visit requirement of
     ``target``; the time-0 position counts as a visit).  Memoised on the
     visits still owed, each state one solve for every start at once."""
-    owed = target.outstanding()
+    owed = outstanding_visits(target.visits)
     points = tuple(sorted(owed))
     G, origin = _green_matrix(target.dim, points, (0,) * target.dim, tol)
 

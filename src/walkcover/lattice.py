@@ -106,9 +106,6 @@ class Path:
     def __len__(self) -> int:
         return len(self.points)
 
-    def __getitem__(self, idx):
-        return self.points[idx]
-
 
 def validate_path(points: Sequence[Sequence[int]]) -> Path:
     """Build a :class:`Path`, rejecting anything that is not a
@@ -151,7 +148,7 @@ def repetition_profile(path: Path) -> dict[Point, int]:
 
 TRACE = "trace"
 REPETITIONS = "repetitions"
-_MODES = (TRACE, REPETITIONS)
+MODES = (TRACE, REPETITIONS)
 
 
 @dataclass(frozen=True)
@@ -191,15 +188,10 @@ class CoverTarget:
     def of_path(cls, path: Path, mode: str = TRACE) -> "CoverTarget":
         """Cover the trace of ``path`` (``TRACE``) or every point as often
         as the path visits it (``REPETITIONS``)."""
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
         return cls(repetition_profile(path) if mode == REPETITIONS
                    else dict.fromkeys(path.trace, 1))
-
-    def outstanding(self) -> dict[Point, int]:
-        """Visits still owed once time 0 is credited; see
-        :func:`outstanding_visits`."""
-        return outstanding_visits(self.visits)
 
 
 def outstanding_visits(required: Mapping[Point, int]) -> dict[Point, int]:

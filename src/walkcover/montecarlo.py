@@ -11,8 +11,8 @@ partial last value, are replayed step by step to count visits.
 
 Success accounting is per walk: every walk counts its visits to each
 target point, and it covers a target once no point of that target is
-owed a visit (``CoverTarget.outstanding``: time 0 counts as a visit to
-the origin).  Success is absorbing, so a walk that has covered every
+owed a visit (``lattice.outstanding_visits``: time 0 counts as a visit
+to the origin).  Success is absorbing, so a walk that has covered every
 target retires without changing any count; walks that still owe visits
 run to the step budget.  The tiles' success rows reduce to joint success
 counts (per-target counts on the diagonal).
@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .lattice import CoverTarget, Point
+from .lattice import CoverTarget, Point, outstanding_visits
 from .rng import check_seed, steps_per_value, value_digits, walk_directions, walk_values
 
 DEFAULT_BATCH = 1024
@@ -173,7 +173,7 @@ def _build_requirements(cfg: SimConfig, targets: Sequence[CoverTarget]
         if t.dim != cfg.d:
             raise ValueError(f"target dimension {t.dim} != configured d={cfg.d}")
     union: list[Point] = sorted({p for t in targets for p in t.trace})
-    owed = [t.outstanding() for t in targets]
+    owed = [outstanding_visits(t.visits) for t in targets]
     needed = np.array([[o.get(p, 0) for p in union] for o in owed], dtype=np.int64)
     return _PackedTargets(cfg.d, cfg.L, union), needed
 

@@ -394,6 +394,19 @@ class TestExitCodes:
         code = run(["verify-thm11", "--radius", "1", "--max-size", "1", "--L", "1"])
         assert code == 1
 
+    def test_sweep_trend_failure_exit_code(self, capsys, monkeypatch):
+        """A failed trend check exits 1 and lists what failed: made-up
+        G_4(0) = 1.24 and G_5(0) = 1.09 put p_5 below 1/10 and E_5 below 0."""
+        import walkcover.green as green
+        g0, p_diag = {4: 1.24, 5: 1.09}, {4: 0.30, 5: 0.20}
+        monkeypatch.setattr(green, "green_value", lambda spec, x, tol: green.GreenValue(
+            g0[spec.d], 0.0, "fourier"))
+        monkeypatch.setattr(green, "diagonal_return_probability", lambda d, tol: p_diag[d])
+        code, doc = run_json(capsys, ["sweep", "--dmin", "4", "--dmax", "5"])
+        assert code == 1 and doc["exit_code"] == 1
+        assert doc["results"]["trend_failures"] == [
+            "2d*p_d <= 1 at d=5", "p_d outside (1/2d, 1) at d=5", "E_d <= 0 at d=5"]
+
     def test_comb_violation_reported(self, capsys, monkeypatch):
         """A collection failing the inequality exits 1 and names its arcs
         and witness: collection 6 of shape (2, 2) is ({1}, {2})."""
@@ -579,6 +592,50 @@ class TestExitCodes:
                     "--set", "[[1,0,0],[0,1,0]]"])
         err = capsys.readouterr().err
         assert code == 2 and err.count("\n") == 1 and "Singular" in err
+
+    def test_green_routes_disagree(self, capsys, monkeypatch):
+        """A stepsum value moved by 1e-2 under a stated bound of 1e-9 is a
+        numerical error under --method both, not a value."""
+        import walkcover.green as green
+        real = green.stepsum_green
+        monkeypatch.setattr(green, "stepsum_green", lambda spec, x, tol: green.GreenValue(
+            real(spec, x, tol).value + 1e-2, 1e-9, "stepsum"))
+        green._green_cached.cache_clear()
+        try:
+            code = run(["green", "--d", "3", "--x", "1,0,0", "--method", "both"])
+        finally:
+            green._green_cached.cache_clear()  # the moved value must not outlive the test
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("numerical error: methods disagree")
+
+    def test_stepsum_refuses_recurrent_walk(self, capsys):
+        code = run(["green", "--d", "2", "--x", "0,0", "--method", "stepsum"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "input error: G diverges for simple with dim 2\n"
+
+    def test_packed_coordinate_range(self, capsys, tmp_path):
+        """At L = 400 a coordinate takes 10 bits, and ten of them pass the
+        62 bits of a packed key."""
+        f = tmp_path / "d10.json"
+        f.write_text(json.dumps([[0] * 10, [1] + [0] * 9]))
+        code = run(["mc", "--target", str(f), "--d", "10", "--L", "400",
+                    "--walks", "10", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("input error: d=10, L=400 exceeds the "
+                                "packed-coordinate range\n")
+
+    def test_first_entry_out_of_range(self, capsys, monkeypatch):
+        """Made-up Green values, 1 at the origin and 2 elsewhere, give an
+        entry probability of 2: a numerical error, not a distribution."""
+        import walkcover.hitting as hitting
+        monkeypatch.setattr(hitting, "_green", lambda d, x, tol: 2.0 if any(x) else 1.0)
+        code = run(["hit", "--d", "3", "--start", "0,0,0", "--set", "[[1,0,0]]"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("numerical error: entry probabilities out of range")
 
     def test_reduce_invariant_violation(self, capsys, monkeypatch, tmp_path):
         import walkcover.reflect as rf

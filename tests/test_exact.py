@@ -293,7 +293,7 @@ class TestFavorableCounts:
     @pytest.mark.parametrize("mode", ["trace", "repetitions"])
     @pytest.mark.parametrize("d,L", [(1, 9), (2, 6), (3, 5), (4, 4)])
     def test_matches_brute_force(self, monkeypatch, d, L, mode, dtype, grouping):
-        owed = [t.outstanding() for t in _engine_targets(d, L, mode)]
+        owed = [outstanding_visits(t.visits) for t in _engine_targets(d, L, mode)]
         if dtype == "object":
             monkeypatch.setattr(ex, "INT64_MAX_WALKS", 0)
         if grouping == "one":

@@ -13,7 +13,7 @@ from walkcover.green import (DIAGONAL_DIFFERENCE, ROUNDING_FLOOR, STEPSUM_MAX_DI
                              WalkSpectrum, asymptotic_sweep,
                              character_power_moment, diagonal_difference_walk,
                              diagonal_return_probability, fourier_green,
-                             green_value, offdiag_green, return_probability,
+                             green_value, return_probability,
                              simple_walk, stepsum_green)
 import walkcover.green as green_mod
 from walkcover.green import (_alloc_cascade, _difference_vector, _green_cached,
@@ -170,6 +170,12 @@ class TestReturnProbabilities:
         assert abs(g.value - (1 / (1 - 0.193202))) < 1e-3
 
 
+def offdiag_green(d: int, i: int, j: int, tol: float = 1e-4) -> float:
+    """Green's function of the coordinate-difference walk at e_j - e_i;
+    symmetric in (i, j) and a function of the cyclic index distance."""
+    return green_value(diagonal_difference_walk(d), _difference_vector(d, i, j), tol).value
+
+
 def offdiagonal_sum(d: int, tol: float = 1e-4) -> float:
     """sum_j Ghat(e_j - e_i) - 1 (independent of i); the high-dimension
     bound for this quantity is 28/d."""
@@ -318,6 +324,27 @@ class TestSweep:
         table = asymptotic_sweep(3, 5, tol=1e-3)
         assert table.rows[0].p_diagonal is None
         assert table.rows[1].p_diagonal is not None
+
+    @pytest.mark.parametrize("g0, p_diag, failures", [
+        ({}, {}, ()),
+        ({5: 1.19}, {}, ("2d*p_d not decreasing at d=5",)),
+        ({}, {5: 0.25}, ("2d*P_d not decreasing at d=5",)),
+        ({}, {5: 0.31}, ("2d*P_d not decreasing at d=5", "P_d not monotone at d=5")),
+        ({5: 1.2}, {}, ("2d*p_d not decreasing at d=5", "d*E_d not decreasing at d=5")),
+        ({5: 1.11}, {}, ("2d*p_d <= 1 at d=5", "p_d outside (1/2d, 1) at d=5")),
+        ({}, {5: 0.09}, ("2d*P_d <= 1 at d=5",)),
+        ({5: 1.09}, {}, ("2d*p_d <= 1 at d=5", "p_d outside (1/2d, 1) at d=5",
+                         "E_d <= 0 at d=5"))])
+    def test_trend_failures_reported(self, monkeypatch, g0, p_diag, failures):
+        """Made-up G_d(0) and P_d at d = 4, 5 that pass every trend check,
+        with one case's change to them, report that case's failures."""
+        g0 = {4: 1.24, 5: 1.16, **g0}
+        p_diag = {4: 0.30, 5: 0.20, **p_diag}
+        monkeypatch.setattr(green_mod, "green_value",
+                            lambda spec, x, tol: GreenValue(g0[spec.d], 0.0, "fourier"))
+        monkeypatch.setattr(green_mod, "diagonal_return_probability",
+                            lambda d, tol: p_diag[d])
+        assert asymptotic_sweep(4, 5).trend_failures == failures
 
 
 class TestFourierGuards:

@@ -15,7 +15,8 @@ from walkcover.hitting import (COUNTEREXAMPLE_PATHS, counterexample_probabilitie
                                first_entry_distribution,
                                infinite_cover_probability,
                                truncation_bias_estimate)
-from walkcover.lattice import REPETITIONS, TRACE, CoverTarget, staircase_path
+from walkcover.lattice import (REPETITIONS, TRACE, CoverTarget, outstanding_visits,
+                               staircase_path)
 from walkcover.montecarlo import SimConfig, mc_cover_probability
 from walkcover.rng import walk_directions
 
@@ -166,7 +167,7 @@ def _per_state_cover(target, tol=1e-5):
     """Test-side reference: the recursion memoised on (position, visits
     owed), one first-entry solve per state for its one start."""
     d = target.dim
-    owed = target.outstanding()
+    owed = outstanding_visits(target.visits)
     points = tuple(sorted(owed))
 
     @cache

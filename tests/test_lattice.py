@@ -248,9 +248,9 @@ class TestCoverTarget:
         assert outstanding_visits({o: 2, y: 1}) == {o: 1, y: 1}
         assert outstanding_visits({o: 1, y: 2}) == {y: 2}
         assert outstanding_visits({(0,): 3}) == {(0,): 2}
-        assert CoverTarget.from_points([o, y]).outstanding() == {y: 1}
+        assert outstanding_visits(CoverTarget.from_points([o, y]).visits) == {y: 1}
         rep = CoverTarget.of_path(validate_path([o, y, o]), "repetitions")
-        assert rep.outstanding() == {o: 1, y: 1}
+        assert outstanding_visits(rep.visits) == {o: 1, y: 1}
 
     def test_outstanding_of_empty_mapping(self):
         assert outstanding_visits({}) == {}
