@@ -143,24 +143,18 @@ def _cmd_hit(args):
 
 
 def _cmd_counterexample(args):
+    ce = hitting.counterexample_probabilities(tol=args.tol)
+    bias = hitting.truncation_bias_estimate(args.L, ce.p_original, tol=args.tol)
     # the Monte Carlo parameters are checked even when --skip-mc leaves them unused
-    if args.L < 1:
-        raise ValueError(f"the truncation bias estimate needs L >= 1, got {args.L}")
     cfg = montecarlo.SimConfig(d=3, L=args.L, n_walks=args.walks, seed=args.seed,
                                threads=args.threads)
-    ce = hitting.counterexample_probabilities(tol=args.tol)
-    results: dict[str, Any] = {
-        "p_original": ce.p_original,
-        "p_reflected": ce.p_reflected,
-        "original_exceeds_reflected": ce.p_original > ce.p_reflected,
-    }
-    notes = list(ce.notes)
+    results: dict[str, Any] = {**dataclasses.asdict(ce),
+                               "original_exceeds_reflected": ce.p_original > ce.p_reflected}
+    notes = ["truncating the walk at L steps can only lower these probabilities; "
+             "truncation_bias_estimate sizes the deficit"]
     code = 0 if ce.p_original > ce.p_reflected else 1
     if not args.skip_mc:
-        bias = hitting.truncation_bias_estimate(args.L, ce.p_original, tol=args.tol)
-        cmp_res = montecarlo.mc_compare(
-            [lattice.CoverTarget.of_path(p, lattice.REPETITIONS)
-             for p in hitting.COUNTEREXAMPLE_PATHS], cfg)
+        cmp_res = montecarlo.mc_compare(hitting.COUNTEREXAMPLE_TARGETS, cfg)
         results["mc"] = {
             "L": args.L, "walks": args.walks,
             "original": dataclasses.asdict(cmp_res.estimates[0]),

@@ -222,11 +222,13 @@ def _group_counts(d: int, L: int, group: list, sizes: list[int], cells: list,
     return done.tolist()
 
 
-def _favorable_counts(d: int, L: int, owed_list: Sequence[dict[Point, int]],
+def _favorable_counts(d: int, L: int, required_list: Sequence[dict[Point, int]],
                       budget: int = DEFAULT_BUDGET) -> list[int]:
-    """For each mapping in ``owed_list``, the walks of length L from the
-    origin that make every visit still owed after time 0 (see
-    ``lattice.outstanding_visits``).
+    """For each mapping in ``required_list``, of points of Z^d to the
+    visits each needs, the walks of length L from the origin that make
+    them all; time 0 counts as a visit to the origin (see
+    ``lattice.outstanding_visits``).  L < 0 and points of another
+    dimension are refused.
 
     Walks reach norm <= t by step t, and an unmet walk at norm beyond
     reach + L - t can no longer reach a target point in time, so step t
@@ -234,9 +236,15 @@ def _favorable_counts(d: int, L: int, owed_list: Sequence[dict[Point, int]],
     the parity of t, reach being the largest over the targets.  Targets
     are grouped in order so that one layer array holds at most
     ``_GROUP_ELEMENTS`` elements, and each group runs one pass."""
+    if L < 0:
+        raise ValueError("L must be >= 0")
     sides = 2 * d
     counts, targets, reach = [], [], 0
-    for k, owed in enumerate(owed_list):
+    for k, required in enumerate(required_list):
+        for p in required:
+            if len(p) != d:
+                raise ValueError(f"point {p} has dimension {len(p)}, not d = {d}")
+        owed = outstanding_visits(required)
         points = sorted(owed)
         radices = [owed[p] + 1 for p in points]
         norm = max((sum(map(abs, p)) for p in points), default=0)
@@ -270,16 +278,11 @@ def exact_cover_probability(target: CoverTarget, d: int, L: int,
                             budget: int = DEFAULT_BUDGET) -> ExactResult:
     """Exact probability that the first L steps of the d-dimensional
     simple walk meet every visit requirement of the target."""
-    if L < 0:
-        raise ValueError("L must be >= 0")
-    if target.dim != d:
-        raise ValueError(f"target dimension {target.dim} != {d}")
-    return ExactResult(_favorable_counts(d, L, [outstanding_visits(target.visits)], budget)[0],
-                       (2 * d) ** L)
+    return ExactResult(_favorable_counts(d, L, [target.visits], budget)[0], (2 * d) ** L)
 
 
 def count_reflected_pair(A0: Iterable[Point], B0: Iterable[Point], h: Hyperplane,
-                         d: int, L: int, budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
+                         d: int, L: int) -> tuple[int, int]:
     """Counts of walks covering ``A0 | B0`` versus ``A0 | reflect(B0)``.
 
     Both input sets must sit on the origin side of the hyperplane; with
@@ -289,13 +292,13 @@ def count_reflected_pair(A0: Iterable[Point], B0: Iterable[Point], h: Hyperplane
     A0, B0 = frozenset(A0), frozenset(B0)
     if A0 & B0:
         raise ValueError("A0 and B0 must be disjoint")
+    if max(h.i, h.j) >= d:
+        raise ValueError(f"hyperplane axis {max(h.i, h.j)} >= d = {d}")
     for p in A0 | B0:
         if not h.on_origin_side(p):
             raise SideViolationError(f"{p} crosses the hyperplane")
     mirrored = frozenset(reflect_point(p, h) for p in B0)
-    return tuple(_favorable_counts(
-        d, L, [outstanding_visits(dict.fromkeys(s, 1)) for s in (A0 | B0, A0 | mirrored)],
-        budget))
+    return tuple(_favorable_counts(d, L, [dict.fromkeys(s, 1) for s in (A0 | B0, A0 | mirrored)]))
 
 
 # ---------------------------------------------------------------------------
@@ -496,15 +499,15 @@ def verify_staircase_max(N: int, d: int, L: int, cap: int,
     # a cap past the budget's bit length is refused alike, without forming 2^cap
     _check_budget(d, L, 1 << min(cap, budget.bit_length()), N, budget)
     # every trace reaches norm N, so the live cells are known before the enumeration
-    live, states, paths, owed = sum(_live_sizes(d, L, N)[1:]), 0, [], {}
+    live, states, paths, required = sum(_live_sizes(d, L, N)[1:]), 0, [], {}
     for points, orbit in connecting_path_orbits(N, d, cap):
         paths.append((points, orbit))
         trace = frozenset(points)
-        if trace not in owed:
-            owed[trace] = outstanding_visits(dict.fromkeys(trace, 1))
-            states += 2 ** len(owed[trace]) - 1
+        if trace not in required:
+            required[trace] = dict.fromkeys(trace, 1)
+            states += 2 ** len(outstanding_visits(required[trace])) - 1
             _check_live_work(live, states, budget)
-    count_of = dict(zip(owed, _favorable_counts(d, L, list(owed.values()), budget)))
+    count_of = dict(zip(required, _favorable_counts(d, L, list(required.values()), budget)))
     # every count shares the denominator (2d)^L, so the counts rank the rows:
     # by count, most first, then by points
     ranked = sorted((-count_of[frozenset(points)], points, orbit) for points, orbit in paths)

@@ -459,7 +459,7 @@ def asymptotic_sweep(d_min: int = 3, d_max: int = 10, tol: float = 1e-3) -> Swee
     rows = []
     for d in range(d_min, d_max + 1):
         g0 = green_value(simple_walk(d), (0,) * d, tol).value
-        p = 1.0 - 1.0 / g0
+        p = return_probability(d, tol)
         excess = g0 - 1.0 - 1.0 / (2 * d)
         pd = diagonal_return_probability(d, tol) if diagonal_difference_walk(d).transient else None
         rows.append(SweepRow(d, p, 2 * d * p, pd, None if pd is None else 2 * d * pd,

@@ -100,29 +100,24 @@ def infinite_cover_probability(target: CoverTarget, tol: float = 1e-5) -> float:
     return float(cover(tuple(owed[p] for p in points))[origin])
 
 
-#: The counterexample's path (o, y, w, z) in Z^3 and its reflected twin (o, y, w, y).
-COUNTEREXAMPLE_PATHS = tuple(validate_path(p) for p in (
+#: Covering the path (o, y, w, z) in Z^3 with repetitions, and its reflected twin (o, y, w, y).
+COUNTEREXAMPLE_TARGETS = tuple(CoverTarget.of_path(validate_path(p), REPETITIONS) for p in (
     [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)],
     [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 0, 0)]))
 
 
 @dataclass(frozen=True)
 class CounterexampleResult:
-    """L = infinity probabilities of covering ``COUNTEREXAMPLE_PATHS`` with repetitions."""
+    """L = infinity probabilities of covering ``COUNTEREXAMPLE_TARGETS``."""
     p_original: float      # (o, y, w, z): four distinct points
     p_reflected: float     # (o, y, w, y): y needed twice
-    notes: tuple[str, ...]
 
 
 def counterexample_probabilities(tol: float = 1e-5) -> CounterexampleResult:
     """The original path wins: reflecting its last arc onto y
     concentrates the required visits and lowers the probability."""
-    p_original, p_reflected = (
-        infinite_cover_probability(CoverTarget.of_path(p, REPETITIONS), tol)
-        for p in COUNTEREXAMPLE_PATHS)
-    return CounterexampleResult(p_original, p_reflected, (
-        "truncating the walk at L steps can only lower these probabilities; "
-        "truncation_bias_estimate sizes the deficit",))
+    return CounterexampleResult(*(infinite_cover_probability(t, tol)
+                                  for t in COUNTEREXAMPLE_TARGETS))
 
 
 def truncation_bias_estimate(L: int, p_cover: float, tol: float = 1e-5) -> float:
@@ -138,8 +133,8 @@ def truncation_bias_estimate(L: int, p_cover: float, tol: float = 1e-5) -> float
     """
     if L < 1:
         raise ValueError(f"the truncation bias estimate needs L >= 1, got {L}")
-    path = COUNTEREXAMPLE_PATHS[0]
-    d, origin = path.dim, path.points[0]
+    target = COUNTEREXAMPLE_TARGETS[0]
+    d, origin = target.dim, (0,) * target.dim
     tail = _lclt_amplitude(simple_walk(d)) * 2.0 / math.sqrt(L) / _green(d, origin, tol)
     return p_cover * tail * sum(math.exp(-d * sum(c * c for c in p) / 2.0 / L)
-                                for p in sorted(path.trace - {origin}))
+                                for p in sorted(target.trace - {origin}))

@@ -512,6 +512,32 @@ class TestExitCodes:
         assert code == 2 and captured.out == ""
         assert captured.err.count("\n") == 1 and message in captured.err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["exact", "--target", "corner.json", "--d", "3", "--L", "2"],
+         "has dimension 2, not d = 3"),
+        (["exact", "--target", "corner.json", "--d", "2", "--L", "-1"], "L must be >= 0"),
+        (["compare", "--targets", "empty.json", "--d", "2", "--L", "4", "--walks", "10",
+          "--seed", "1"], "no targets"),
+        (["sweep", "--dmin", "2"], "need 3 <= d_min <= d_max"),
+        (["staircase", "--N", "0", "--d", "2"], "need N >= 1 and d >= 1"),
+        (["green", "--walk", "diagdiff", "--d", "1", "--x", "0"], "dimension too small"),
+        (["comb", "--n", "0", "--m", "1"], "need n >= 1 and m >= 0, got n=0, m=1"),
+        (["reduce", "--target", "dimensionless.json"], "dimension must be >= 1"),
+        (["exact", "--target", "dimensionless.json", "--d", "2", "--L", "2"],
+         "dimension must be >= 1")])
+    def test_input_refused(self, capsys, tmp_path, monkeypatch, argv, message):
+        """Each refusal exits 2 with one stderr line naming its cause and
+        nothing on stdout."""
+        monkeypatch.chdir(tmp_path)
+        for name, text in (("corner.json", "[[0,0],[1,0],[1,1]]"), ("empty.json", "[]"),
+                           ("dimensionless.json", "[[]]")):
+            (tmp_path / name).write_text(text)
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("input error:") and message in captured.err
+
     def test_negative_radius(self, capsys):
         """An empty box would pass vacuously, with 6 cases of empty sets."""
         code = run(["verify-thm11", "--radius", "-1"])

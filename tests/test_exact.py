@@ -18,8 +18,7 @@ from walkcover.exact import (BudgetExceededError, SideViolationError,
                              connecting_path_orbits, count_reflected_pair,
                              exact_cover_probability,
                              reflection_monotonicity_sweep, verify_staircase_max)
-from walkcover.lattice import (CoverTarget, Path, Point, outstanding_visits, staircase_path,
-                               validate_path)
+from walkcover.lattice import CoverTarget, Path, Point, staircase_path, validate_path
 from walkcover.reflect import Hyperplane, canonical_representative, reflect_point
 
 H21 = Hyperplane(0, 1, 1)
@@ -123,6 +122,12 @@ class TestExactCoverProbability:
         for d in (1, 2, 3):
             t = CoverTarget.from_points([tuple([0] * d)])
             assert exact_cover_probability(t, d, 0).probability == 1
+
+    def test_origin_only_target_of_wrong_dimension(self):
+        """The time-0 credit drops the origin from what is owed, so the
+        dimension is checked before it."""
+        with pytest.raises(ValueError, match="dimension 2, not d = 3"):
+            exact_cover_probability(CoverTarget.from_points([(0, 0)]), 3, 2)
 
     def test_impossible_pair_d1(self):
         r = exact_cover_probability(CoverTarget.from_points([(1,), (-1,)]), 1, 2)
@@ -293,7 +298,7 @@ class TestFavorableCounts:
     @pytest.mark.parametrize("mode", ["trace", "repetitions"])
     @pytest.mark.parametrize("d,L", [(1, 9), (2, 6), (3, 5), (4, 4)])
     def test_matches_brute_force(self, monkeypatch, d, L, mode, dtype, grouping):
-        owed = [outstanding_visits(t.visits) for t in _engine_targets(d, L, mode)]
+        required = [t.visits for t in _engine_targets(d, L, mode)]
         if dtype == "object":
             monkeypatch.setattr(ex, "INT64_MAX_WALKS", 0)
         if grouping == "one":
@@ -306,12 +311,12 @@ class TestFavorableCounts:
             return run(d, L, group, *tables)
 
         monkeypatch.setattr(ex, "_group_counts", spy)
-        counts = ex._favorable_counts(d, L, owed)
+        counts = ex._favorable_counts(d, L, required)
         assert all(type(n) is int for n in counts)
         assert counts == _brute_counts(d, L, mode)
         assert counts[-2:] == [0, (2 * d) ** L]
         assert max(sizes) == 1 if grouping == "one" else max(sizes) > 1
-        assert counts == [ex._favorable_counts(d, L, [o])[0] for o in owed]
+        assert counts == [ex._favorable_counts(d, L, [r])[0] for r in required]
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 39, 40])
     def test_ball_tables(self, d):
@@ -391,6 +396,14 @@ class TestCountReflectedPair:
     def test_side_violation(self):
         with pytest.raises(SideViolationError):
             count_reflected_pair([(3, 0)], [], H21, 2, 3)
+
+    @pytest.mark.parametrize("A0, h, L, message", [
+        ([], H21, -1, "L must be >= 0"),
+        ([(1, 1, 0)], H21, 3, "dimension 3, not d = 2"),
+        ([(0, 1)], Hyperplane(0, 3, 1), 3, "axis 3")], ids=["L", "point", "hyperplane"])
+    def test_input_refused(self, A0, h, L, message):
+        with pytest.raises(ValueError, match=message):
+            count_reflected_pair(A0, [], h, 2, L)
 
 
 class TestReflectionSweep:
@@ -511,7 +524,7 @@ class TestStaircaseRanking:
         paths = enumerate_connecting_paths(N, d, cap)
         traces = list({frozenset(p) for p in paths})
         count_of = dict(zip(traces, ex._favorable_counts(
-            d, L, [outstanding_visits(dict.fromkeys(t, 1)) for t in traces], 10**12)))
+            d, L, [dict.fromkeys(t, 1) for t in traces], 10**12)))
         reference = Counter(count_of[frozenset(p)] for p in paths)
         report = verify_staircase_max(N, d, L, cap)
         weighed = Counter()

@@ -11,11 +11,11 @@ from walkcover.exact import exact_cover_probability
 from walkcover.green import (RecurrentWalkError, green_value, return_probability,
                              simple_walk)
 import walkcover.hitting as hitting
-from walkcover.hitting import (COUNTEREXAMPLE_PATHS, counterexample_probabilities,
+from walkcover.hitting import (COUNTEREXAMPLE_TARGETS, counterexample_probabilities,
                                first_entry_distribution,
                                infinite_cover_probability,
                                truncation_bias_estimate)
-from walkcover.lattice import (REPETITIONS, TRACE, CoverTarget, outstanding_visits,
+from walkcover.lattice import (TRACE, CoverTarget, outstanding_visits,
                                staircase_path)
 from walkcover.montecarlo import SimConfig, mc_cover_probability
 from walkcover.rng import walk_directions
@@ -195,8 +195,7 @@ class TestVectorRecursion:
         assert abs(infinite_cover_probability(target) - expect) <= 1e-13 * expect
 
     @pytest.mark.parametrize("target", [
-        CoverTarget.of_path(COUNTEREXAMPLE_PATHS[0], REPETITIONS),
-        CoverTarget.of_path(COUNTEREXAMPLE_PATHS[1], REPETITIONS),
+        *COUNTEREXAMPLE_TARGETS,
         CoverTarget({O: 2}),
         CoverTarget({O: 1}),
     ], ids=["original", "reflected", "origin twice", "origin once"])
@@ -259,7 +258,7 @@ class TestCounterexample:
         assert abs(p2 - 0.0653) < 1e-4
 
     def test_exact_finite_horizon_value_lies_below(self):
-        target = CoverTarget.of_path(COUNTEREXAMPLE_PATHS[0], REPETITIONS)
+        target = COUNTEREXAMPLE_TARGETS[0]
         res = exact_cover_probability(target, 3, 12, budget=6**12)
         assert res.favorable == 69_773_160 and res.total == 6**12
         assert res.probability < infinite_cover_probability(target, tol=1e-5)
