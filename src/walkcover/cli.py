@@ -38,22 +38,6 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _envelope(command: str, params: dict, seed: int | None, started: str,
-              results: Any, notes: list[str], exit_code: int) -> dict:
-    return {
-        "tool": "walkcover",
-        "version": __version__,
-        "command": command,
-        "parameters": params,
-        "seed": seed,
-        "started": started,
-        "finished": _now(),
-        "results": results,
-        "notes": notes,
-        "exit_code": exit_code,
-    }
-
-
 def _read_path_file(path: str) -> lattice.Path:
     with open(path, "r", encoding="utf-8") as fh:
         return lattice.path_from_json(fh.read())
@@ -206,10 +190,9 @@ def _cmd_comb(args):
 
 
 def _cmd_verify_thm11(args):
-    lengths = range(1, args.L + 1)
     report = exact.reflection_monotonicity_sweep(
-        radius=args.radius, max_set_size=args.max_size, lengths=lengths)
-    results = {"cases": report.cases, "lengths": list(lengths),
+        radius=args.radius, max_set_size=args.max_size, L=args.L)
+    results = {"cases": report.cases, "lengths": list(range(1, args.L + 1)),
                "radius": args.radius, "max_set_size": args.max_size,
                "violations": [list(map(str, v)) for v in report.violations]}
     return results, [], 1 if report.violations else 0
@@ -227,6 +210,22 @@ def _cmd_verify_thm41(args):
     notes = [f"enumeration capped at {args.cap} steps; the maximality claim "
              "ranges over connecting paths of any length"]
     return results, notes, 0 if report.staircase_is_max else 1
+
+
+# the options several commands share, each stated once; a command adds the
+# ones it takes with ``_add_shared``, in its own option order
+_SHARED = {
+    "target": dict(required=True, help="path file (JSON array of arrays)"),
+    "d": dict(type=int, required=True),
+    "L": dict(type=int, required=True),
+    "walks": dict(type=int, required=True),
+    "mode": dict(choices=lattice.MODES, default=lattice.TRACE),
+}
+
+
+def _add_shared(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(f"--{name}", **_SHARED[name])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -260,36 +259,26 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("exact", _cmd_exact, help="exact covering probability by enumeration")
-    p.add_argument("--target", required=True, help="path file (JSON array of arrays)")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--mode", choices=lattice.MODES, default=lattice.TRACE)
+    _add_shared(p, "target", "d", "L", "mode")
     p.add_argument("--budget", type=int, default=exact.DEFAULT_BUDGET)
 
     p = add("mc", _cmd_mc, help="Monte Carlo covering probability", sampling=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--walks", type=int, required=True)
-    p.add_argument("--mode", choices=lattice.MODES, default=lattice.TRACE)
+    _add_shared(p, "target", "d", "L", "walks", "mode")
 
     p = add("compare", _cmd_compare, help="estimate several targets on shared walks",
             table="estimates", sampling=True)
     p.add_argument("--targets", required=True, help="JSON file: list of paths")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--walks", type=int, required=True)
-    p.add_argument("--mode", choices=lattice.MODES, default=lattice.TRACE)
+    _add_shared(p, "d", "L", "walks", "mode")
 
     p = add("green", _cmd_green, help="lattice Green's function value")
     p.add_argument("--walk", choices=("simple", "diagdiff"), default="simple")
-    p.add_argument("--d", type=int, required=True)
+    _add_shared(p, "d")
     p.add_argument("--x", required=True, help="comma-separated coordinates")
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--method", choices=green.METHODS, default="fourier")
 
     p = add("hit", _cmd_hit, help="first-entry distribution over a finite set")
-    p.add_argument("--d", type=int, required=True)
+    _add_shared(p, "d")
     p.add_argument("--start", required=True, help="comma-separated coordinates")
     p.add_argument("--set", required=True, help="JSON array of points")
     p.add_argument("--tol", type=float, default=1e-5)
@@ -309,10 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("staircase", _cmd_staircase, help="emit the staircase path")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    _add_shared(p, "d")
 
     p = add("reduce", _cmd_reduce, help="reflection chain to the diagonal region")
-    p.add_argument("--target", required=True)
+    _add_shared(p, "target")
 
     p = add("comb", _cmd_comb, help="exhaustive cover-count inequality check")
     p.add_argument("--n", type=int, required=True)
@@ -343,6 +332,31 @@ def run(argv: list[str]) -> int:
         args.seed = fresh_seed()
     try:
         results, notes, code = args.func(args)
+        params = {k: v for k, v in vars(args).items()
+                  if k not in ("func", "command", "out", "record", "format", "table", "seed")
+                  and v is not None}
+        if sampling:
+            params["rng_stream"] = STREAM_VERSION
+        envelope = json.dumps({
+            "tool": "walkcover", "version": __version__, "command": args.command,
+            "parameters": params, "seed": getattr(args, "seed", None),
+            "started": started, "finished": _now(), "results": results,
+            "notes": notes, "exit_code": code})
+        text = envelope
+        if args.table and args.format == "csv":
+            text = _csv_text(results[args.table])
+        for path, content in ((args.out, text), (args.record, envelope)):
+            if path:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(content + "\n")
+        if not args.out:
+            print(text, flush=True)
+    except BrokenPipeError as exc:
+        # the reader of stdout is gone: point stdout at the null device so
+        # that the flush at interpreter exit has nothing left to report
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -356,33 +370,6 @@ def run(argv: list[str]) -> int:
     except reflect.ReductionInvariantError as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("func", "command", "out", "record", "format", "table", "seed")
-              and v is not None}
-    if sampling:
-        params["rng_stream"] = STREAM_VERSION
-    doc = _envelope(args.command, params, getattr(args, "seed", None), started, results,
-                    notes, code)
-    envelope = json.dumps(doc)
-    text = envelope
-    if args.table and args.format == "csv":
-        text = _csv_text(results[args.table])
-    try:
-        for path, content in ((args.out, text), (args.record, envelope)):
-            if path:
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(content + "\n")
-        if not args.out:
-            print(text, flush=True)
-    except BrokenPipeError as exc:
-        # the reader of stdout is gone: point stdout at the null device so
-        # that the flush at interpreter exit has nothing left to report
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"output error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     return code
 
 

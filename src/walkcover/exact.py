@@ -332,14 +332,14 @@ def _walk_cover_masks(d: int, L: int, points: Sequence[Point]) -> np.ndarray:
     return np.packbits(hits, axis=1, bitorder="little").view("<u8")
 
 
-def _check_sweep_work(d: int, points: int, max_set_size: int,
-                      lengths: Iterable[int]) -> None:
+def _check_sweep_work(d: int, points: int, max_set_size: int, L: int) -> None:
     """Raise ``BudgetExceededError`` unless the sweep over pairs of sets
-    drawn from `points` origin-side points fits ``MAX_SWEEP_WORK``."""
+    drawn from `points` origin-side points, at the walk lengths 1..L, fits
+    ``MAX_SWEEP_WORK``."""
     steps, words, cases = 0, 1, 0
-    for L in lengths:
-        steps += (2 * d) ** L * L
-        words += -(-(2 * d) ** L // 64)
+    for length in range(1, L + 1):
+        steps += (2 * d) ** length * length
+        words += -(-(2 * d) ** length // 64)
         if steps + words > MAX_SWEEP_WORK:
             break
     for a, b in itertools.product(range(min(max_set_size, points) + 1), repeat=2):
@@ -388,39 +388,38 @@ def _covered_counts(masks: np.ndarray, cases: np.ndarray, counts: np.ndarray) ->
 
 
 def reflection_monotonicity_sweep(h: Hyperplane = Hyperplane(0, 1, 1), radius: int = 2,
-                                  max_set_size: int = 2,
-                                  lengths: Sequence[int] = (1, 2, 3, 4, 5, 6),
-                                  ) -> ReflectionSweepReport:
-    """Exhaustively compare covering counts, at d = 2, for every disjoint
-    pair of origin-side sets (up to the given size, inside the sup-norm
-    box) against the pair with the second set reflected.  Any case where
-    the reflected pair is covered by strictly more walks is a violation."""
+                                  max_set_size: int = 2, L: int = 6) -> ReflectionSweepReport:
+    """Exhaustively compare covering counts, at d = 2 and every walk length
+    1..L, for every disjoint pair of origin-side sets (up to the given size,
+    inside the sup-norm box) against the pair with the second set
+    reflected.  Any case where the reflected pair is covered by strictly
+    more walks is a violation."""
     d = 2
     if max_set_size < 1 or radius < 0:
         raise ValueError("need max_set_size >= 1 and radius >= 0")
     # the origin side holds at least half the box: it contains x_i <= x_j or x_i >= x_j
-    _check_sweep_work(d, ((2 * radius + 1) ** d + 1) // 2, max_set_size, lengths)
-    if not lengths or min(lengths) < 1:
-        raise ValueError(f"need walk lengths >= 1, got {list(lengths)}")
+    _check_sweep_work(d, ((2 * radius + 1) ** d + 1) // 2, max_set_size, L)
+    if L < 1:
+        raise ValueError("need walk lengths >= 1, got []")
     box = [p for p in itertools.product(range(-radius, radius + 1), repeat=d)]
     origin_side = [p for p in box if h.on_origin_side(p)]
     n = len(origin_side)
-    _check_sweep_work(d, n, max_set_size, lengths)
+    _check_sweep_work(d, n, max_set_size, L)
     # mask rows: the origin-side points, their mirrors, then the origin
     rows = origin_side + [reflect_point(p, h) for p in origin_side] + [(0,) * d]
     original, reflected = _sweep_cases(n, max_set_size)
     c1, c2 = np.empty((2, len(original)), dtype=np.int64)
     violations = []
-    for L in lengths:
-        masks = _walk_cover_masks(d, L, rows)
+    for length in range(1, L + 1):
+        masks = _walk_cover_masks(d, length, rows)
         _covered_counts(masks, original, c1)
         _covered_counts(masks, reflected, c2)
         for v in np.flatnonzero(c1 < c2):
             a, b = original[v, :max_set_size], original[v, max_set_size:]
-            violations.append((L, tuple(sorted(origin_side[i] for i in a if i < n)),
+            violations.append((length, tuple(sorted(origin_side[i] for i in a if i < n)),
                                tuple(origin_side[i] for i in b if i < n),
                                int(c1[v]), int(c2[v])))
-    return ReflectionSweepReport(len(original) * len(lengths), tuple(violations))
+    return ReflectionSweepReport(len(original) * L, tuple(violations))
 
 
 # ---------------------------------------------------------------------------

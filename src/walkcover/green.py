@@ -383,18 +383,11 @@ def green_value(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4,
     return _green_cached(spec, _canonical_x(spec, xt), tol, method)
 
 
-def return_probability(d: int, tol: float = 1e-5) -> float:
-    """Probability the d-dimensional simple walk ever returns to 0:
-    1 - 1/G(0).  Always strictly between 1/(2d) and 1."""
-    g = green_value(simple_walk(d), (0,) * d, tol)
-    return 1.0 - 1.0 / g.value
-
-
-def diagonal_return_probability(d: int, tol: float = 1e-4) -> float:
-    """Probability the d-dimensional simple walk ever returns to the full
-    diagonal line: the coordinate-difference walk's return probability."""
-    g = green_value(diagonal_difference_walk(d), (0,) * (d - 1), tol)
-    return 1.0 - 1.0 / g.value
+def return_probability(spec: WalkSpectrum, tol: float = 1e-5) -> float:
+    """Probability the walk ever returns to 0: 1 - 1/G(0).  For the simple
+    walk on Z^d, strictly between 1/(2d) and 1; for the difference walk,
+    the probability the simple walk ever returns to the full diagonal line."""
+    return 1.0 - 1.0 / green_value(spec, (0,) * spec.dim, tol).value
 
 
 def _difference_vector(d: int, i: int, j: int) -> tuple[int, ...]:
@@ -459,9 +452,10 @@ def asymptotic_sweep(d_min: int = 3, d_max: int = 10, tol: float = 1e-3) -> Swee
     rows = []
     for d in range(d_min, d_max + 1):
         g0 = green_value(simple_walk(d), (0,) * d, tol).value
-        p = return_probability(d, tol)
+        p = return_probability(simple_walk(d), tol)
         excess = g0 - 1.0 - 1.0 / (2 * d)
-        pd = diagonal_return_probability(d, tol) if diagonal_difference_walk(d).transient else None
+        diag = diagonal_difference_walk(d)
+        pd = return_probability(diag, tol) if diag.transient else None
         rows.append(SweepRow(d, p, 2 * d * p, pd, None if pd is None else 2 * d * pd,
                              excess, d * excess))
     failures = []

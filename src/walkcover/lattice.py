@@ -113,15 +113,13 @@ def validate_path(points: Sequence[Sequence[int]]) -> Path:
     return Path(tuple(tuple(int(c) for c in p) for p in points))
 
 
-def connects_origin_to_sphere(path: Path, N: int) -> bool:
-    """True iff the path starts at 0 and first attains L1 norm ``N`` at its
-    final point."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if any(c != 0 for c in path.points[0]):
+def connects_origin_to_sphere(path: Path) -> bool:
+    """True iff the path starts at 0 and first attains its endpoint's L1
+    norm N >= 1 at its final point."""
+    if any(path.points[0]):
         return False
-    norms = [l1_norm(p) for p in path.points]
-    return norms[-1] == N and N not in norms[:-1]
+    *before, N = map(l1_norm, path.points)
+    return N >= 1 and N not in before
 
 
 def staircase_path(N: int, d: int) -> Path:

@@ -7,10 +7,9 @@ isometry, so it maps nearest-neighbor paths to nearest-neighbor paths.
 
 A path decomposes at its visits to the hyperplane into a prefix (before
 the first visit) and a sequence of arcs, each starting at an on-plane
-point with all later points strictly on one side.  A sign vector chooses,
-arc by arc, whether to keep or reflect; the orbit of a path under all
-sign choices is its equivalence class, represented canonically by the
-member whose arcs all lie on the origin side.
+point with all later points strictly on one side.  Keeping or reflecting
+each arc independently gives the path's equivalence class, represented
+canonically by the member whose arcs all lie on the origin side.
 
 ``reduce_path`` drives a connecting path into the unit-width diagonal
 region by repeatedly reflecting everything beyond a plane ``x[i] = x[j] +
@@ -25,8 +24,6 @@ from dataclasses import dataclass
 from operator import sub
 
 from .lattice import Path, Point, connects_origin_to_sphere, l1_norm, staircase_path
-
-SignVector = tuple[int, ...]
 
 
 class NotConnectingError(ValueError):
@@ -73,10 +70,9 @@ def reflect_point(p: Point, h: Hyperplane) -> Point:
     return tuple(q)
 
 
-def canonical_representative(path: Path, h: Hyperplane) -> tuple[Path, SignVector]:
+def canonical_representative(path: Path, h: Hyperplane) -> Path:
     """The unique member of the path's class with every arc on the origin
-    side, plus the sign vector, one sign per arc, that maps it back to
-    ``path``: +1 keeps an arc, -1 reflects it.
+    side.
 
     The path splits at its visits to the plane into a prefix, which is
     never touched, and arcs, each running from one visit to just before
@@ -86,17 +82,17 @@ def canonical_representative(path: Path, h: Hyperplane) -> tuple[Path, SignVecto
     i, j, offset = h.i, h.j, h.offset
     far = -h.origin_sign()
     points = list(path.points)
-    gaps = [p[i] - p[j] - offset for p in points]
-    signs: list[int] = []
-    for n, gap in enumerate(gaps):
+    in_arc = reflected = False
+    for n, p in enumerate(points):
+        gap = p[i] - p[j] - offset
         if gap == 0:
-            signs.append(1)
-        elif signs and gap * far > 0:
-            signs[-1] = -1
-            points[n] = reflect_point(points[n], h)
-    if -1 not in signs:  # every arc kept: the path is its own representative
-        return path, tuple(signs)
-    return Path(tuple(points)), tuple(signs)
+            in_arc = True
+        elif in_arc and gap * far > 0:
+            reflected = True
+            points[n] = reflect_point(p, h)
+    if not reflected:  # every arc kept: the path is its own representative
+        return path
+    return Path(tuple(points))
 
 
 def normalize_to_positive_orthant(path: Path) -> Path:
@@ -108,11 +104,10 @@ def normalize_to_positive_orthant(path: Path) -> Path:
 
 
 def _check_connecting(path: Path) -> int:
-    N = l1_norm(path.points[-1])
-    if N < 1 or not connects_origin_to_sphere(path, N):
+    if not connects_origin_to_sphere(path):
         raise NotConnectingError(
             "path must start at the origin and first attain its endpoint norm at the endpoint")
-    return N
+    return l1_norm(path.points[-1])
 
 
 def reduce_path(path: Path) -> list[tuple[Hyperplane, Path]]:
@@ -136,7 +131,7 @@ def reduce_path(path: Path) -> list[tuple[Hyperplane, Path]]:
 
     def fire(h: Hyperplane) -> None:
         nonlocal current
-        new, _ = canonical_representative(current, h)
+        new = canonical_representative(current, h)
         if new.points != current.points:
             chain.append((h, new))
             current = new

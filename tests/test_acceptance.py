@@ -54,7 +54,7 @@ def test_criterion_01_green_values():
 
 
 def test_criterion_02_return_probability():
-    p = return_probability(3, tol=1e-5)
+    p = return_probability(simple_walk(3), tol=1e-5)
     assert abs(p - 0.3401) < 2e-3
     s = stepsum_green(simple_walk(3), (0, 0, 0), tol=1e-5)
     f = fourier_green(simple_walk(3), (0, 0, 0), tol=1e-4)
@@ -126,8 +126,7 @@ def test_criterion_05_cover_inequality_exhaustive():
 
 def test_criterion_06_reflection_monotonicity_sweep():
     t0 = time.monotonic()
-    report = ex.reflection_monotonicity_sweep(radius=2, max_set_size=2,
-                                              lengths=(1, 2, 3, 4, 5, 6))
+    report = ex.reflection_monotonicity_sweep(radius=2, max_set_size=2, L=6)
     assert not report.violations, report.violations[:3]
     # dual-route integrity: the transfer-DP counter on sample pairs
     for A0, B0 in [((), ((0, 1),)), (((1, 1),), ((0, 1),)),

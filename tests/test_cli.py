@@ -401,7 +401,8 @@ class TestExitCodes:
         g0, p_diag = {4: 1.24, 5: 1.09}, {4: 0.30, 5: 0.20}
         monkeypatch.setattr(green, "green_value", lambda spec, x, tol: green.GreenValue(
             g0[spec.d], 0.0, "fourier"))
-        monkeypatch.setattr(green, "diagonal_return_probability", lambda d, tol: p_diag[d])
+        monkeypatch.setattr(green, "return_probability", lambda spec, tol: (
+            1 - 1 / g0[spec.d] if spec.kind == "simple" else p_diag[spec.d]))
         code, doc = run_json(capsys, ["sweep", "--dmin", "4", "--dmax", "5"])
         assert code == 1 and doc["exit_code"] == 1
         assert doc["results"]["trend_failures"] == [
@@ -665,8 +666,7 @@ class TestExitCodes:
 
     def test_reduce_invariant_violation(self, capsys, monkeypatch, tmp_path):
         import walkcover.reflect as rf
-        monkeypatch.setattr(rf, "canonical_representative",
-                            lambda path, h: (path, ()))
+        monkeypatch.setattr(rf, "canonical_representative", lambda path, h: path)
         f = tmp_path / "straight.json"
         f.write_text("[[0,0],[1,0],[2,0],[3,0]]")
         code = run(["reduce", "--target", str(f)])

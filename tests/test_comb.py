@@ -325,3 +325,11 @@ def test_inequality_random_larger_instances(n, data):
                  for _ in range(m))
     ok, witness = check_cover_inequality(ArcCollection(n, arcs))
     assert ok, witness
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ArcCollection(0, ()), "ground set must be nonempty")],
+    ids=["empty-ground-set"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -408,15 +408,14 @@ class TestCountReflectedPair:
 
 class TestReflectionSweep:
     def test_tiny_sweep_no_violations(self):
-        report = reflection_monotonicity_sweep(radius=1, max_set_size=1,
-                                               lengths=(1, 2, 3))
+        report = reflection_monotonicity_sweep(radius=1, max_set_size=1, L=3)
         assert not report.violations and report.cases > 0
 
-    @pytest.mark.parametrize("lengths", [(), range(1, 1), (0, 1), (2, -3)])
-    def test_needs_a_positive_length(self, lengths):
+    @pytest.mark.parametrize("L", [0, -3])
+    def test_needs_a_positive_length(self, L):
         """No length, or a length < 1, would make a vacuous pass."""
         with pytest.raises(ValueError, match="lengths >= 1"):
-            reflection_monotonicity_sweep(radius=1, max_set_size=1, lengths=lengths)
+            reflection_monotonicity_sweep(radius=1, max_set_size=1, L=L)
 
     @pytest.mark.parametrize("L", range(6))
     def test_masks_match_reference(self, L):
@@ -430,8 +429,7 @@ class TestReflectionSweep:
         """Reflecting toward the origin does help; the recovered violation
         tuples, and their order, equal the set-at-a-time loop's."""
         h = FarSide(0, 1, 1)
-        report = reflection_monotonicity_sweep(radius=1, max_set_size=2,
-                                               lengths=(1, 2, 3), h=h)
+        report = reflection_monotonicity_sweep(radius=1, max_set_size=2, L=3, h=h)
         expect = _reference_sweep_violations(2, h, 1, 2, (1, 2, 3))
         assert len(expect) > 10 and list(report.violations) == expect
 
@@ -439,8 +437,7 @@ class TestReflectionSweep:
         """Criterion 6's sweep holds its cases as compact index tables."""
         tracemalloc.start()
         try:
-            report = reflection_monotonicity_sweep(radius=2, max_set_size=2,
-                                                   lengths=(1, 2, 3, 4, 5, 6))
+            report = reflection_monotonicity_sweep(radius=2, max_set_size=2, L=6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -449,8 +446,7 @@ class TestReflectionSweep:
     def test_bitmask_counts_match_dfs(self):
         """The sweep's bit-parallel counts agree with the general counter,
         on both tables, in every case at radius 1, sets of size <= 2, L = 3."""
-        report = reflection_monotonicity_sweep(radius=1, max_set_size=2,
-                                               lengths=(3,))
+        report = reflection_monotonicity_sweep(radius=1, max_set_size=2, L=3)
         assert not report.violations
         for A0, B0 in [((), ((0, 1),)), (((1, 1),), ((0, 1),)),
                        (((0, 0),), ((1, 0), (0, 1)))]:
@@ -465,7 +461,7 @@ class TestReflectionSweep:
         counts = np.empty((2, len(original)), dtype=np.int64)
         ex._covered_counts(masks, original, counts[0])
         ex._covered_counts(masks, reflected, counts[1])
-        assert len(original) == report.cases == 885
+        assert len(original) == 885 and report.cases == 3 * 885
         for row, c1, c2 in zip(original, *counts):
             A0, B0 = ([side[i] for i in half if i < n] for half in (row[:2], row[2:]))
             assert (c1, c2) == count_reflected_pair(A0, B0, H21, 2, 3), (A0, B0)
@@ -642,7 +638,7 @@ class TestSignCoverBridge:
         checked = 0
         for _ in range(200):
             p = random_walk_path(rng, 2, int(rng.integers(3, 8)))
-            rep, _ = canonical_representative(p, h)
+            rep = canonical_representative(p, h)
             pool = [q for q in itertools.product(range(-2, 3), repeat=2)
                     if h.on_origin_side(q)]
             idx = rng.choice(len(pool), size=3, replace=False)
@@ -662,3 +658,12 @@ class TestSignCoverBridge:
             assert n2 <= cover_count(inst.collection, a_set)
             assert cover_count(inst.collection, a_set) <= cover_count(inst.collection, omega_all)
         assert checked > 30
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: count_reflected_pair([(0, 1)], [(0, 1)], H21, 2, 3), "A0 and B0 must be disjoint"),
+    (lambda: ex.ExactResult(5, 4), r"favorable count outside \[0, total\]")],
+    ids=["overlapping-pair", "favorable-above-total"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

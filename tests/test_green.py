@@ -12,8 +12,7 @@ from walkcover.green import (DIAGONAL_DIFFERENCE, ROUNDING_FLOOR, STEPSUM_MAX_DI
                              GreenValue, RecurrentWalkError, ToleranceUnreachableError,
                              WalkSpectrum, asymptotic_sweep,
                              character_power_moment, diagonal_difference_walk,
-                             diagonal_return_probability, fourier_green,
-                             green_value, return_probability,
+                             fourier_green, green_value, return_probability,
                              simple_walk, stepsum_green)
 import walkcover.green as green_mod
 from walkcover.green import (_alloc_cascade, _difference_vector, _green_cached,
@@ -64,7 +63,7 @@ class TestCharacter:
         with pytest.raises(RecurrentWalkError):
             green_value(simple_walk(2), (0, 0))
         with pytest.raises(RecurrentWalkError):
-            diagonal_return_probability(3)
+            return_probability(diagonal_difference_walk(3))
 
 
 class TestPublishedValues:
@@ -143,17 +142,17 @@ class TestIdentities:
 
 class TestReturnProbabilities:
     def test_p3_against_published_and_classical(self):
-        p = return_probability(3)
+        p = return_probability(simple_walk(3))
         assert abs(p - 0.3401) < 2e-3       # published rounding
         assert abs(p - P3) < 1e-4           # high-resolution oracle
 
     def test_bounds_all_d(self):
         for d in range(3, 9):
-            p = return_probability(d, tol=1e-3)
+            p = return_probability(simple_walk(d), tol=1e-3)
             assert 1 / (2 * d) < p < 1
 
     def test_diagonal_return_in_bounds_and_monotone(self):
-        vals = [diagonal_return_probability(d, tol=1e-3) for d in range(4, 9)]
+        vals = [return_probability(diagonal_difference_walk(d), tol=1e-3) for d in range(4, 9)]
         for d, v in zip(range(4, 9), vals):
             assert 1 / (2 * d) < v < 1
         assert all(b <= a for a, b in zip(vals, vals[1:]))
@@ -342,8 +341,8 @@ class TestSweep:
         p_diag = {4: 0.30, 5: 0.20, **p_diag}
         monkeypatch.setattr(green_mod, "green_value",
                             lambda spec, x, tol: GreenValue(g0[spec.d], 0.0, "fourier"))
-        monkeypatch.setattr(green_mod, "diagonal_return_probability",
-                            lambda d, tol: p_diag[d])
+        monkeypatch.setattr(green_mod, "return_probability", lambda spec, tol: (
+            1 - 1 / g0[spec.d] if spec.kind == "simple" else p_diag[spec.d]))
         assert asymptotic_sweep(4, 5).trend_failures == failures
 
 
@@ -591,3 +590,13 @@ class TestGreenContract:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             green_value(simple_walk(3), (0, 0, 0), method="auto")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: WalkSpectrum("bogus", 3), "unknown walk kind 'bogus'"),
+    (lambda: GreenValue(1.0, -1.0, "fourier"), "error bound must be nonnegative"),
+    (lambda: character_power_moment(6, 0, 6, 1), r"indices must lie in 0\.\.d-1")],
+    ids=["walk-kind", "negative-bound", "index-range"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

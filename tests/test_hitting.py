@@ -156,7 +156,7 @@ class TestInfiniteCover:
     def test_origin_twice_is_return_probability(self):
         target = CoverTarget({O: 2})
         p = infinite_cover_probability(target, tol=1e-5)
-        assert abs(p - return_probability(3, tol=1e-5)) < 1e-12
+        assert abs(p - return_probability(simple_walk(3), tol=1e-5)) < 1e-12
 
     def test_recurrent_dimension_rejected(self):
         with pytest.raises(ValueError):

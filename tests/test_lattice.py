@@ -127,18 +127,18 @@ def test_validation_matches_pairwise_l1_distance(steps):
 
 class TestConnects:
     def test_corner_reaches_two(self):
-        assert connects_origin_to_sphere(validate_path([(0, 0), (1, 0), (1, 1)]), 2)
+        assert connects_origin_to_sphere(validate_path([(0, 0), (1, 0), (1, 1)]))
 
     def test_backtrack_fails(self):
-        assert not connects_origin_to_sphere(validate_path([(0, 0), (1, 0), (0, 0)]), 1)
+        assert not connects_origin_to_sphere(validate_path([(0, 0), (1, 0), (0, 0)]))
 
     def test_norm_sequence(self):
         p = validate_path([(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
         assert [l1_norm(q) for q in p.points] == [0, 1, 2, 3, 4]
-        assert connects_origin_to_sphere(p, 4)
+        assert connects_origin_to_sphere(p)
 
     def test_not_from_origin(self):
-        assert not connects_origin_to_sphere(validate_path([(1, 0), (1, 1)]), 2)
+        assert not connects_origin_to_sphere(validate_path([(1, 0), (1, 1)]))
 
 
 class TestStaircase:
@@ -156,7 +156,7 @@ class TestStaircase:
         for N in range(1, 31):
             p = staircase_path(N, d)
             assert len(p) == N + 1
-            assert connects_origin_to_sphere(p, N)
+            assert connects_origin_to_sphere(p) and l1_norm(p.points[-1]) == N
             assert all(max(q) - min(q) <= 1 for q in p.points)
             # monotone nondecreasing in every coordinate
             for a, b in zip(p.points, p.points[1:]):

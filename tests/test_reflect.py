@@ -113,19 +113,17 @@ class TestApplyConfiguration:
 class TestCanonicalRepresentative:
     def test_already_canonical(self):
         p = validate_path([(0, 0), (0, 1), (1, 1)])
-        rep, signs = canonical_representative(p, H21)
-        assert rep == p and set(signs) <= {1}
+        assert canonical_representative(p, H21) == p
 
     def test_mirrored_arc(self):
         p = validate_path([(0, 0), (1, 0), (2, 0), (3, 0)])  # wanders right of x=y+1
-        rep, signs = canonical_representative(p, H21)
+        rep = canonical_representative(p, H21)
         assert all(q[0] <= q[1] + 1 for q in rep.points)
-        assert apply_configuration(rep, H21, signs) == p
 
     def test_counterexample_path_both_arcs_one_side(self):
         p = validate_path([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)])
         h = Hyperplane(0, 1, 0)  # x1 = x2
-        rep, _ = canonical_representative(p, h)
+        rep = canonical_representative(p, h)
         assert all(q[0] <= q[1] for q in rep.points)
         assert rep.points == ((0, 0, 0), (0, 1, 0), (1, 1, 0), (0, 1, 0))
 
@@ -133,19 +131,18 @@ class TestCanonicalRepresentative:
         rng = np.random.default_rng(41)
         for _ in range(300):
             p = random_walk_path(rng, 2, int(rng.integers(1, 12)))
-            rep, _ = canonical_representative(p, H21)
+            rep = canonical_representative(p, H21)
             dec = arc_decompose(p, H21)
             signs = tuple(int(s) for s in rng.choice([-1, 1], size=dec.arc_count))
             q = apply_configuration(p, H21, signs)
-            rep2, _ = canonical_representative(q, H21)
-            assert rep == rep2
+            assert canonical_representative(q, H21) == rep
 
 
 def _classes_by_representative(d, L, h):
     groups = {}
     for seq in all_step_sequences(d, L):
         p = validate_path(walk_points(seq, d))
-        rep, _ = canonical_representative(p, h)
+        rep = canonical_representative(p, h)
         groups.setdefault(rep.points, []).append(p.points)
     return groups
 
@@ -217,8 +214,7 @@ class TestReducePath:
         """The postconditions hold under python -O too: a firing that
         leaves the path unchanged stops stage 1 with a named error."""
         import walkcover.reflect as rf
-        monkeypatch.setattr(rf, "canonical_representative",
-                            lambda path, h: (path, ()))
+        monkeypatch.setattr(rf, "canonical_representative", lambda path, h: path)
         with pytest.raises(rf.ReductionInvariantError):
             reduce_path(straight_path(3, 2))
 
@@ -249,9 +245,9 @@ def test_canonical_representative_idempotent(steps, offset):
     vecs = [(1, 0), (-1, 0), (0, 1), (0, -1)]
     p = validate_path(walk_points([vecs[s] for s in steps], 2))
     h = Hyperplane(0, 1, offset)
-    rep, _ = canonical_representative(p, h)
-    rep2, signs2 = canonical_representative(rep, h)
-    assert rep2 == rep and set(signs2) <= {1}
+    rep = canonical_representative(p, h)
+    assert canonical_representative(rep, h) == rep
+    assert set(arc_representative(rep, h)[1]) <= {1}
 
 
 @st.composite
@@ -271,12 +267,22 @@ def _nearest_neighbor_paths(draw):
 @settings(max_examples=200, deadline=None)
 @given(_nearest_neighbor_paths(), st.integers(-2, 2))
 def test_canonical_representative_matches_the_arc_route(p, offset):
-    """The one-pass representative equals the arc decomposition's, path
-    and signs, for every ordered axis pair; the cached total difference
-    equals the pairwise sum over the trace."""
+    """The one-pass representative equals the arc decomposition's for
+    every ordered axis pair; the cached total difference equals the
+    pairwise sum over the trace."""
     d = p.dim
     for i, j in itertools.permutations(range(d), 2):
         h = Hyperplane(i, j, offset)
-        assert canonical_representative(p, h) == arc_representative(p, h)
+        assert canonical_representative(p, h) == arc_representative(p, h)[0]
     assert p.total_difference == sum(abs(q[a] - q[b]) for q in p.trace
                                      for a in range(d) for b in range(a + 1, d))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Hyperplane(1, 1, 0), "need two distinct nonnegative axes"),
+    (lambda: Hyperplane(-1, 0, 0), "need two distinct nonnegative axes"),
+    (lambda: reflect_point((0,), Hyperplane(0, 1, 0)), "point of dimension 1 lacks axis 1")],
+    ids=["equal-axes", "negative-axis", "missing-axis"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
