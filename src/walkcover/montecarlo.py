@@ -7,15 +7,21 @@ usable CPU).  Each walk draws from its own counter-based stream (see
 Positions are packed into int64 keys.  A walk moves one stream value, k
 steps, per table lookup, about ``DEFAULT_CHUNK`` steps per window; only
 values that start within L1 distance k of the targets' box, and a
-partial last value, are replayed step by step to count visits.
+partial last value, are replayed step by step to count visits.  Keys
+pack the top axis most significantly, so one range test on the keys
+keeps the values whose top coordinate is within k of the box, and the
+per-axis distance is formed for those alone.  The near values replay in
+batches of ``4 * DEFAULT_BATCH``.
 
 Success accounting is per walk: every walk counts its visits to each
 target point, and it covers a target once no point of that target is
 owed a visit (``lattice.outstanding_visits``: time 0 counts as a visit
 to the origin).  Success is absorbing, so a walk that has covered every
 target retires without changing any count; walks that still owe visits
-run to the step budget.  The tiles' success rows reduce to joint success
-counts (per-target counts on the diagonal).
+run to the step budget.  Visits only grow, so after each window only the
+walks that gained a visit are checked, and the live arrays are filtered
+only when some walk is done.  The tiles' success rows reduce to joint
+success counts (per-target counts on the diagonal).
 Estimates carry the binomial standard error and a Wilson 95% interval.
 
 Truncating at L estimates a lower bound on the L = infinity covering
@@ -116,9 +122,14 @@ class _PackedTargets:
         self._box = (box.min(1, keepdims=True) + box.max(1, keepdims=True) + 2 * offset,
                      np.ptp(box, 1, keepdims=True))
         self._shifts, self._mask = bits * np.arange(d, dtype=np.int64)[:, None], np.int64(base - 1)
+        self.k = steps_per_value(2 * d)
+        # keys pack the top axis most significantly, so "top coordinate
+        # within k of the box" is one range of keys; reachable keys are >= 0
+        top, low = box[-1] + offset, bits * (d - 1)
+        self._top_lo = max(0, (int(top.min()) - self.k) << low)
+        self._top_span = np.uint64(((int(top.max()) + self.k + 1) << low) - 1 - self._top_lo)
         # displacement of a k-step string, summed over parts of at most
         # 2**16 strings each; the top part's missing digits read as step 0
-        self.k = steps_per_value(2 * d)
         m = max(j for j in range(1, self.k + 1) if (2 * d) ** j <= 1 << 16)
         self._parts, self._base = -(-self.k // m), (2 * d) ** m
         self._table = self.step_keys[value_digits(np.arange(self._base), 2 * d, m)].sum(1)
@@ -134,11 +145,14 @@ class _PackedTargets:
 
     def near(self, keys: np.ndarray) -> np.ndarray:
         """Flat indices of the ``keys`` within L1 distance k of the reachable points' box."""
+        flat = keys.ravel()
+        # the top axis alone, by one range test, then the exact test on those left
+        at = np.flatnonzero((flat - self._top_lo).view(np.uint64) <= self._top_span)
         # twice each coordinate's distance outside the box, in place
-        outside = 2 * ((keys.ravel() >> self._shifts) & self._mask) - self._box[0]
+        outside = 2 * ((flat[at] >> self._shifts) & self._mask) - self._box[0]
         np.abs(outside, out=outside)
         outside -= self._box[1]
-        return np.flatnonzero(np.maximum(outside, 0, out=outside).sum(axis=0) <= 2 * self.k)
+        return at[np.maximum(outside, 0, out=outside).sum(axis=0) <= 2 * self.k]
 
     def trajectories(self, pos: np.ndarray, incr: np.ndarray) -> np.ndarray:
         """(n, C) packed positions after each of the packed increments
@@ -186,30 +200,40 @@ def _tile(cfg: SimConfig, pts: _PackedTargets, needed: np.ndarray,
     live = np.arange(hi - lo)  # rows of ``ok`` still walking
     pos = np.full(hi - lo, pts.origin_key, dtype=np.int64)
     visits = np.zeros((hi - lo, needed.shape[1]), dtype=np.int64)
+    touched = live  # rows of ``live`` whose visits grew; all at first, for time 0
     nsides, k = 2 * cfg.d, pts.k
     step0 = 0
     while True:
-        covered = (visits[:, None, :] >= needed).all(axis=2)
-        ok[live] = covered
-        walking = ~covered.all(axis=1)
-        live, pos, visits = live[walking], pos[walking], visits[walking]
+        # visits only grow, so only touched rows can change ``ok``
+        covered = (visits[touched, None, :] >= needed).all(axis=2)
+        ok[live[touched]] = covered
+        done = touched[covered.all(axis=1)]
+        if len(done):
+            walking = np.ones(len(live), dtype=bool)
+            walking[done] = False
+            live, pos, visits = live[walking], pos[walking], visits[walking]
         if step0 >= cfg.L or not len(live):
             return ok
         if cfg.L - step0 < k:  # the partial last value, step by step
             dirs = walk_directions(cfg.seed, ids[live], step0, cfg.L - step0, nsides)
-            np.add.at(visits, pts.hits(pts.trajectories(pos, np.take(pts.step_keys, dirs))), 1)
+            rows, points = pts.hits(pts.trajectories(pos, np.take(pts.step_keys, dirs)))
+            np.add.at(visits, (rows, points), 1)
+            touched = np.unique(rows)
             step0 = cfg.L
             continue
         W = min(max(1, DEFAULT_CHUNK // k), (cfg.L - step0) // k)
         q = walk_values(cfg.seed, ids[live], step0 // k, W, nsides)
         ends = pts.trajectories(pos, pts.displacement(q))
         starts = np.concatenate((pos[:, None], ends[:, :-1]), axis=1)
-        # replay the values that start near the targets, a tile's worth at a time
-        near = pts.near(starts)
-        for at in np.split(near, range(DEFAULT_BATCH, len(near), DEFAULT_BATCH)):
+        # replay the values that start near the targets, four tiles' worth at a time
+        near, batch = pts.near(starts), 4 * DEFAULT_BATCH
+        hit_rows = []
+        for at in np.split(near, range(batch, len(near), batch)):
             steps = np.take(pts.step_keys, value_digits(q.ravel()[at], nsides, k))
             hit, points = pts.hits(pts.trajectories(starts.ravel()[at], steps))
-            np.add.at(visits, (at[hit] // W, points), 1)
+            hit_rows.append(at[hit] // W)
+            np.add.at(visits, (hit_rows[-1], points), 1)
+        touched = np.unique(np.concatenate(hit_rows))
         pos = ends[:, -1].copy()
         step0 += W * k
 

@@ -32,27 +32,36 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 
-def philox4x32(c0, c1, c2, c3, k0, k1):
-    """One Philox-4x32-10 block per element of the counter words ``c0..c3``
-    (uint32 values that broadcast to a common shape) under the key
-    ``(k0, k1)`` (two uint32 scalars); returns the four output words as
-    uint32 arrays of that shape.
+def _philox_lanes(c0, c1, c2, c3, k0, k1) -> tuple[np.ndarray, np.ndarray]:
+    """Philox-4x32-10 as two uint64 lane arrays of shape (2,) + the
+    counters' broadcast shape: the multiplied words (x0, x2) and the
+    xored words (x1, x3).
 
-    Words are held in uint64 so each 32x32-bit product is exact.  The two
-    multiplied words (x0, x2) share one array and the two xored words
-    (x1, x3) another, so a round is five array operations."""
+    Words are held in uint64 so each 32x32-bit product is exact.  A
+    round is five array operations, all into preallocated buffers."""
     shape = np.broadcast_shapes(*(np.shape(c) for c in (c0, c1, c2, c3)))
     mul = np.empty((2,) + shape, np.uint64)
-    xor = np.empty_like(mul)
+    xor, prod = np.empty_like(mul), np.empty_like(mul)
     mul[0], mul[1], xor[0], xor[1] = c0, c2, c1, c3
     column = (2,) + (1,) * len(shape)
     factors = np.array(_FACTORS, np.uint64).reshape(column)
     key = [int(np.squeeze(k0)), int(np.squeeze(k1))]
     for _ in range(10):
-        prod = (mul * factors)[::-1]  # (M1 * x2, M0 * x0)
-        mul = (prod >> _SHIFT32) ^ xor ^ np.array(key, np.uint64).reshape(column)
-        xor = prod & _MASK32
+        np.multiply(mul, factors, out=prod)
+        np.right_shift(prod[::-1], _SHIFT32, out=mul)  # hi(M1 * x2), hi(M0 * x0)
+        mul ^= xor
+        mul ^= np.array(key, np.uint64).reshape(column)
+        np.bitwise_and(prod[::-1], _MASK32, out=xor)
         key = [(k + b) & 0xFFFFFFFF for k, b in zip(key, _BUMPS)]
+    return mul, xor
+
+
+def philox4x32(c0, c1, c2, c3, k0, k1):
+    """One Philox-4x32-10 block per element of the counter words ``c0..c3``
+    (uint32 values that broadcast to a common shape) under the key
+    ``(k0, k1)`` (two uint32 scalars); returns the four output words as
+    uint32 arrays of that shape."""
+    mul, xor = _philox_lanes(c0, c1, c2, c3, k0, k1)
     x0, x2 = mul.astype(np.uint32)
     x1, x3 = xor.astype(np.uint32)
     return x0, x1, x2, x3
@@ -65,15 +74,25 @@ def check_seed(seed: int) -> int:
     return int(seed)
 
 
-def walk_words(seed: int, walk_ids: np.ndarray, block0: int, nblocks: int) -> np.ndarray:
-    """Raw uint32 words for each walk: words ``4*block0 .. 4*(block0 +
-    nblocks) - 1`` of each walk's stream; shape (len(walk_ids), 4*nblocks)."""
+def _walk_lanes(seed: int, walk_ids: np.ndarray, block0: int, nblocks: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_philox_lanes` of blocks ``block0 .. block0+nblocks-1`` of
+    each walk's stream, each lane of shape (2, len(walk_ids), nblocks)."""
     seed = check_seed(seed)
     ids = np.asarray(walk_ids, np.uint64)[:, None]
     blocks = block0 + np.arange(nblocks, dtype=np.uint64)[None, :]
-    words = philox4x32(blocks & _MASK32, blocks >> _SHIFT32, ids & _MASK32, ids >> _SHIFT32,
-                       seed & 0xFFFFFFFF, seed >> 32)
-    return np.stack(words, axis=-1).reshape(ids.shape[0], 4 * nblocks)
+    return _philox_lanes(blocks & _MASK32, blocks >> _SHIFT32, ids & _MASK32,
+                         ids >> _SHIFT32, seed & 0xFFFFFFFF, seed >> 32)
+
+
+def walk_words(seed: int, walk_ids: np.ndarray, block0: int, nblocks: int) -> np.ndarray:
+    """Raw uint32 words for each walk: words ``4*block0 .. 4*(block0 +
+    nblocks) - 1`` of each walk's stream; shape (len(walk_ids), 4*nblocks)."""
+    mul, xor = _walk_lanes(seed, walk_ids, block0, nblocks)
+    words = np.empty(mul.shape[1:] + (2, 2), np.uint32)
+    words[..., 0] = np.moveaxis(mul, 0, -1)  # x0, x2
+    words[..., 1] = np.moveaxis(xor, 0, -1)  # x1, x3
+    return words.reshape(mul.shape[1], 4 * nblocks)
 
 
 def steps_per_value(nsides: int) -> int:
@@ -92,13 +111,19 @@ def walk_values(seed: int, walk_ids: np.ndarray, v0: int, nvalues: int,
     """Values ``v0 .. v0+nvalues-1`` of each walk as k-step strings ``floor(value *
     nsides**k / 2**64)`` (stream version 2); uint32, shape (len(walk_ids), nvalues)."""
     block0, odd = divmod(v0, 2)  # two values per Philox block
-    words = walk_words(seed, walk_ids, block0, (odd + nvalues + 1) // 2)
-    words = words[:, 2 * odd:2 * (odd + nvalues)].astype(np.uint64)
-    hi, lo = words[:, 0::2], words[:, 1::2]
+    nblocks = (odd + nvalues + 1) // 2
+    # value 2b + j of a walk is (high, low) = lane j of (mul, xor) at block b
+    hi, lo = _walk_lanes(seed, walk_ids, block0, nblocks)
     scale = np.uint64(nsides ** steps_per_value(nsides))
-    # floor(value * scale / 2**64), exact: with scale <= 2**32 the sum
-    # below is at most 2**64 - 1
-    return ((hi * scale + ((lo * scale) >> _SHIFT32)) >> _SHIFT32).astype(np.uint32)
+    # floor(value * scale / 2**64), exact and in place: with scale <= 2**32
+    # the sum below is at most 2**64 - 1
+    hi *= scale
+    lo *= scale
+    lo >>= _SHIFT32
+    hi += lo
+    hi >>= _SHIFT32
+    values = np.moveaxis(hi, 0, -1).astype(np.uint32, order="C").reshape(hi.shape[1], 2 * nblocks)
+    return np.ascontiguousarray(values[:, odd:odd + nvalues])
 
 
 def value_digits(q: np.ndarray, nsides: int, k: int) -> np.ndarray:

@@ -153,20 +153,36 @@ class TestDeterminism:
         q = np.concatenate([q, [0, n**k - 1]]).astype(np.uint32)
         assert (pts.displacement(q) == pts.step_keys[value_digits(q, n, k)].sum(axis=1)).all()
 
-    @pytest.mark.parametrize("d", [1, 3, 5])
-    def test_near_is_the_l1_distance_to_the_box(self, d):
+    @pytest.mark.parametrize("d, L", [(1, 100), (3, 100), (5, 100), (3, 2), (1, 10**6),
+                                      (10, 30)],
+                             ids=["1", "3", "5", "3-2", "1-1000000", "10-30"])
+    def test_near_is_the_l1_distance_to_the_box(self, d, L):
         """``near`` keeps exactly the positions within L1 distance k of
-        the box of the reachable points."""
-        L, k = 100, steps_per_value(2 * d)
-        points = [tuple(int(c) for c in row) for row in
-                  np.random.default_rng(d).integers(-3, 6, (3, d))] + [(L + 1,) * d]
+        the box of the reachable points, up to the packing's edges: at
+        (3, 2) k = 12 exceeds the offset 4, at (1, 10**6) k = 32, and at
+        (10, 30) the keys use 60 of the 62 bits.  Positions whose top
+        coordinate lies k or k + 1 from the box, with the other axes in
+        the box or far from it, sit on the edge of the top-axis range
+        test."""
+        k, bits = steps_per_value(2 * d), montecarlo._pack_bits(d, L)
+        offset = 1 << bits - 1
+        rng = np.random.default_rng(d)
+        points = [tuple(int(c) for c in row) for row in rng.integers(-3, 6, (3, d))]
+        points += [unit_vector(d, d - 1), (L + 1,) * d]
         pts = _PackedTargets(d, L, points)
-        lo, hi = np.min(points[:3], axis=0), np.max(points[:3], axis=0)
-        coords = np.random.default_rng(7).integers(-40, 41, (20_000, d))
+        reach = np.array([p for p in points if sum(map(abs, p)) <= L])
+        lo, hi = reach.min(axis=0), reach.max(axis=0)
+        r = min(40, offset - 1)  # every coordinate packs
+        coords = [rng.integers(-r, r + 1, (20_000, d))]
+        for top in (lo[-1] - k, lo[-1] - k - 1, hi[-1] + k, hi[-1] + k + 1):
+            for rest in (lo[:-1], hi[:-1], np.full(d - 1, r), np.full(d - 1, -r)):
+                coords.append([[*rest, top]])
+        coords = np.concatenate(coords)
+        coords = coords[(np.abs(coords) <= r).all(axis=1)]
+        assert len(coords) > 20_000 or k > r  # the edges pack wherever k fits
         dist = (np.maximum(lo - coords, 0) + np.maximum(coords - hi, 0)).sum(axis=1)
-        bits = montecarlo._pack_bits(d, L)
-        keys = ((coords + (1 << bits - 1)) << (bits * np.arange(d))).sum(axis=1)
-        assert (pts.near(keys) == np.flatnonzero(dist <= k)).all()
+        keys = ((coords + offset) << (bits * np.arange(d))).sum(axis=1)
+        assert np.array_equal(pts.near(keys), np.flatnonzero(dist <= k))
 
     def test_workers_capped_by_tiles_and_cpus(self, monkeypatch):
         """A huge thread count starts one worker per tile at most, and
@@ -213,6 +229,38 @@ class TestDeterminism:
         counts = [e.successes for e in res.estimates]
         assert counts[0] == counts[2] == 0
         assert counts[1] == mc_cover_probability(near, cfg).successes > 0
+
+
+class TestRetirement:
+    def test_targets_owed_nothing_draw_no_values(self, monkeypatch):
+        """Time 0 covers the origin once, so every walk succeeds before
+        its first window and no stream value is drawn."""
+        calls = []
+        monkeypatch.setattr(montecarlo, "walk_values",
+                            lambda *a: calls.append(a) or walk_values(*a))
+        o = (0, 0, 0)
+        targets = [CoverTarget.from_points([o]), CoverTarget({o: 1})]
+        cfg = SimConfig(d=3, L=500, n_walks=2 * DEFAULT_BATCH + 3, seed=5)
+        assert _per_walk_success(cfg, targets).all()
+        assert calls == []
+
+    def test_cover_in_the_partial_last_value(self, monkeypatch):
+        """At d = 3, L = 61 ends one step into a value: three walks first
+        visit (1, 0, 0) at step 61.  Tiles of 7 walks replay each window's
+        near values in several batches of 28."""
+        calls = []
+        monkeypatch.setattr(montecarlo, "walk_values",
+                            lambda *a: calls.append("window") or walk_values(*a))
+        monkeypatch.setattr(montecarlo, "value_digits",
+                            lambda *a: calls.append("batch") or value_digits(*a))
+        monkeypatch.setattr(montecarlo, "DEFAULT_BATCH", 7)
+        targets = [CoverTarget.from_points([(1, 0, 0)]), CoverTarget({(1, 0, 0): 2}),
+                   CoverTarget.from_points([(1, 1, 1)])]
+        cfg = SimConfig(d=3, L=61, n_walks=1001, seed=777)
+        expect = _replay_success(cfg, targets)
+        assert (expect & ~_replay_success(replace(cfg, L=60), targets))[:, 0].sum() == 3
+        assert (_per_walk_success(cfg, targets) == expect).all()
+        assert "window batch batch" in " ".join(calls)
 
 
 class TestModeAndHorizonMonotonicity:

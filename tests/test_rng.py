@@ -141,3 +141,30 @@ class TestStreamV2:
         got = walk_directions(77, self.WALKS, 0, n, nsides)
         for row, walk in zip(got.tolist(), self.WALKS):
             assert row == _scalar_steps(77, int(walk), nsides, n)
+
+
+def _scalar_values(seed: int, walk: int, nsides: int, v0: int, nvalues: int) -> list[int]:
+    """Values v0 .. v0 + nvalues - 1 of stream v2 with Python integers:
+    floor(value * nsides**k / 2**64), value v being words 2v (high) and
+    2v + 1 (low)."""
+    words = walk_words(seed, np.array([walk], np.uint64), 0, (v0 + nvalues + 1) // 2)[0]
+    scale = nsides ** steps_per_value(nsides)
+    return [((int(words[2 * v]) << 32 | int(words[2 * v + 1])) * scale) >> 64
+            for v in range(v0, v0 + nvalues)]
+
+
+class TestWalkValues:
+    """``walk_values`` forms its values from the Philox lanes, beside
+    ``walk_words``: values at odd and even starts, in ones and in odd
+    runs, match the Python-integer definition."""
+
+    WALKS = np.array([3, 2**40 + 11], dtype=np.uint64)
+
+    @pytest.mark.parametrize("nsides", [2, 7, 20, 65_536])
+    @pytest.mark.parametrize("v0, nvalues", [(0, 1), (5, 1), (8, 29), (13, 29)])
+    def test_matches_scalar_definition(self, nsides, v0, nvalues):
+        got = walk_values(2024, self.WALKS, v0, nvalues, nsides)
+        assert got.dtype == np.uint32 and got.shape == (2, nvalues)
+        assert got.flags.c_contiguous
+        for row, walk in zip(got.tolist(), self.WALKS):
+            assert row == _scalar_values(2024, int(walk), nsides, v0, nvalues)
