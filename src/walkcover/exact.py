@@ -281,6 +281,12 @@ def exact_cover_probability(target: CoverTarget, d: int, L: int,
     return ExactResult(_favorable_counts(d, L, [target.visits], budget)[0], (2 * d) ** L)
 
 
+def _check_plane(h: Hyperplane, d: int) -> None:
+    """Refuse a hyperplane that names an axis outside the d axes."""
+    if max(h.i, h.j) >= d:
+        raise ValueError(f"hyperplane axis {max(h.i, h.j)} >= d = {d}")
+
+
 def count_reflected_pair(A0: Iterable[Point], B0: Iterable[Point], h: Hyperplane,
                          d: int, L: int) -> tuple[int, int]:
     """Counts of walks covering ``A0 | B0`` versus ``A0 | reflect(B0)``.
@@ -292,8 +298,7 @@ def count_reflected_pair(A0: Iterable[Point], B0: Iterable[Point], h: Hyperplane
     A0, B0 = frozenset(A0), frozenset(B0)
     if A0 & B0:
         raise ValueError("A0 and B0 must be disjoint")
-    if max(h.i, h.j) >= d:
-        raise ValueError(f"hyperplane axis {max(h.i, h.j)} >= d = {d}")
+    _check_plane(h, d)
     for p in A0 | B0:
         if not h.on_origin_side(p):
             raise SideViolationError(f"{p} crosses the hyperplane")
@@ -397,6 +402,7 @@ def reflection_monotonicity_sweep(h: Hyperplane = Hyperplane(0, 1, 1), radius: i
     d = 2
     if max_set_size < 1 or radius < 0:
         raise ValueError("need max_set_size >= 1 and radius >= 0")
+    _check_plane(h, d)
     # the origin side holds at least half the box: it contains x_i <= x_j or x_i >= x_j
     _check_sweep_work(d, ((2 * radius + 1) ** d + 1) // 2, max_set_size, L)
     if L < 1:

@@ -5,13 +5,14 @@ thread or on up to ``threads`` workers (at most one per tile and per
 usable CPU).  Each walk draws from its own counter-based stream (see
 :mod:`walkcover.rng`), so results depend on ``(config, seed)`` alone.
 Positions are packed into int64 keys.  A walk moves one stream value, k
-steps, per table lookup, about ``DEFAULT_CHUNK`` steps per window; only
-values that start within L1 distance k of the targets' box, and a
-partial last value, are replayed step by step to count visits.  Keys
-pack the top axis most significantly, so one range test on the keys
-keeps the values whose top coordinate is within k of the box, and the
-per-axis distance is formed for those alone.  The near values replay in
-batches of ``4 * DEFAULT_BATCH``.
+steps, per table lookup, about ``DEFAULT_CHUNK`` steps per window.  The
+values that start within L1 distance k of the targets' box, and every
+live walk's partial last value (drawn by :func:`walk_directions`),
+replay step by step through one loop, in batches of
+``4 * DEFAULT_BATCH``, to count visits.  Keys pack the top axis most
+significantly, so one range test on the keys keeps the values whose top
+coordinate is within k of the box, and the per-axis distance is formed
+for those alone.
 
 Success accounting is per walk: every walk counts its visits to each
 target point, and it covers a target once no point of that target is
@@ -214,28 +215,25 @@ def _tile(cfg: SimConfig, pts: _PackedTargets, needed: np.ndarray,
             live, pos, visits = live[walking], pos[walking], visits[walking]
         if step0 >= cfg.L or not len(live):
             return ok
-        if cfg.L - step0 < k:  # the partial last value, step by step
+        if cfg.L - step0 < k:  # the partial last value: every live walk replays it
             dirs = walk_directions(cfg.seed, ids[live], step0, cfg.L - step0, nsides)
-            rows, points = pts.hits(pts.trajectories(pos, np.take(pts.step_keys, dirs)))
-            np.add.at(visits, (rows, points), 1)
-            touched = np.unique(rows)
-            step0 = cfg.L
-            continue
-        W = min(max(1, DEFAULT_CHUNK // k), (cfg.L - step0) // k)
-        q = walk_values(cfg.seed, ids[live], step0 // k, W, nsides)
-        ends = pts.trajectories(pos, pts.displacement(q))
-        starts = np.concatenate((pos[:, None], ends[:, :-1]), axis=1)
-        # replay the values that start near the targets, four tiles' worth at a time
-        near, batch = pts.near(starts), 4 * DEFAULT_BATCH
-        hit_rows = []
+            W, near, starts, digits = 1, np.arange(len(live)), pos[:, None], lambda at: dirs[at]
+        else:
+            W = min(max(1, DEFAULT_CHUNK // k), (cfg.L - step0) // k)
+            q = walk_values(cfg.seed, ids[live], step0 // k, W, nsides)
+            ends = pts.trajectories(pos, pts.displacement(q))
+            starts = np.concatenate((pos[:, None], ends[:, :-1]), axis=1)
+            near, digits = pts.near(starts), lambda at: value_digits(q.ravel()[at], nsides, k)
+            pos = ends[:, -1].copy()
+        # replay step by step, four tiles' worth of values at a time
+        batch, hit_rows = 4 * DEFAULT_BATCH, []
         for at in np.split(near, range(batch, len(near), batch)):
-            steps = np.take(pts.step_keys, value_digits(q.ravel()[at], nsides, k))
+            steps = np.take(pts.step_keys, digits(at))
             hit, points = pts.hits(pts.trajectories(starts.ravel()[at], steps))
             hit_rows.append(at[hit] // W)
             np.add.at(visits, (hit_rows[-1], points), 1)
         touched = np.unique(np.concatenate(hit_rows))
-        pos = ends[:, -1].copy()
-        step0 += W * k
+        step0 = min(cfg.L, step0 + W * k)
 
 
 def _tiles(cfg: SimConfig, targets: Sequence[CoverTarget]) -> Iterator[np.ndarray]:

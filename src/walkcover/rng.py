@@ -1,9 +1,10 @@
 """Counter-based random streams for reproducible parallel simulation.
 
 Philox-4x32 (10 rounds), vectorized with numpy integer arithmetic.  The
-64-bit seed forms the key; the 128-bit counter encodes ``(block, walk)``,
-so every walk owns an independent stream addressed purely by its index.
-Draws therefore depend only on ``(seed, walk, position-in-stream)`` and
+64-bit seed is the key and the 128-bit counter is ``(block, walk)``, so
+the published test vectors run through :func:`walk_words`, and every
+walk owns an independent stream addressed purely by its index.  Draws
+therefore depend only on ``(seed, walk, position-in-stream)`` and
 results are identical under any batching or thread schedule.
 
 Walk steps follow stream version 2 (:data:`STREAM_VERSION`).  With
@@ -26,45 +27,10 @@ import numpy as np
 # a given (seed, walk) bumps it
 STREAM_VERSION = 2
 
-_FACTORS = (0xD2511F53, 0xCD9E8D57)
+_FACTORS = np.array([0xD2511F53, 0xCD9E8D57], np.uint64).reshape(2, 1, 1)
 _BUMPS = (0x9E3779B9, 0xBB67AE85)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-
-
-def _philox_lanes(c0, c1, c2, c3, k0, k1) -> tuple[np.ndarray, np.ndarray]:
-    """Philox-4x32-10 as two uint64 lane arrays of shape (2,) + the
-    counters' broadcast shape: the multiplied words (x0, x2) and the
-    xored words (x1, x3).
-
-    Words are held in uint64 so each 32x32-bit product is exact.  A
-    round is five array operations, all into preallocated buffers."""
-    shape = np.broadcast_shapes(*(np.shape(c) for c in (c0, c1, c2, c3)))
-    mul = np.empty((2,) + shape, np.uint64)
-    xor, prod = np.empty_like(mul), np.empty_like(mul)
-    mul[0], mul[1], xor[0], xor[1] = c0, c2, c1, c3
-    column = (2,) + (1,) * len(shape)
-    factors = np.array(_FACTORS, np.uint64).reshape(column)
-    key = [int(np.squeeze(k0)), int(np.squeeze(k1))]
-    for _ in range(10):
-        np.multiply(mul, factors, out=prod)
-        np.right_shift(prod[::-1], _SHIFT32, out=mul)  # hi(M1 * x2), hi(M0 * x0)
-        mul ^= xor
-        mul ^= np.array(key, np.uint64).reshape(column)
-        np.bitwise_and(prod[::-1], _MASK32, out=xor)
-        key = [(k + b) & 0xFFFFFFFF for k, b in zip(key, _BUMPS)]
-    return mul, xor
-
-
-def philox4x32(c0, c1, c2, c3, k0, k1):
-    """One Philox-4x32-10 block per element of the counter words ``c0..c3``
-    (uint32 values that broadcast to a common shape) under the key
-    ``(k0, k1)`` (two uint32 scalars); returns the four output words as
-    uint32 arrays of that shape."""
-    mul, xor = _philox_lanes(c0, c1, c2, c3, k0, k1)
-    x0, x2 = mul.astype(np.uint32)
-    x1, x3 = xor.astype(np.uint32)
-    return x0, x1, x2, x3
 
 
 def check_seed(seed: int) -> int:
@@ -76,13 +42,28 @@ def check_seed(seed: int) -> int:
 
 def _walk_lanes(seed: int, walk_ids: np.ndarray, block0: int, nblocks: int
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_philox_lanes` of blocks ``block0 .. block0+nblocks-1`` of
-    each walk's stream, each lane of shape (2, len(walk_ids), nblocks)."""
+    """Philox-4x32-10 of blocks ``block0 .. block0+nblocks-1`` of each
+    walk's stream, counter (block low, block high, walk low, walk high) and
+    key (seed low, seed high): the multiplied words (x0, x2) and the xored
+    words (x1, x3) as uint64 lanes of shape (2, len(walk_ids), nblocks).
+    Words are held in uint64 so each 32x32-bit product is exact, and a
+    round is five array operations, all into preallocated buffers."""
     seed = check_seed(seed)
     ids = np.asarray(walk_ids, np.uint64)[:, None]
-    blocks = block0 + np.arange(nblocks, dtype=np.uint64)[None, :]
-    return _philox_lanes(blocks & _MASK32, blocks >> _SHIFT32, ids & _MASK32,
-                         ids >> _SHIFT32, seed & 0xFFFFFFFF, seed >> 32)
+    blocks = block0 + np.arange(nblocks, dtype=np.uint64)
+    mul = np.empty((2, len(ids), nblocks), np.uint64)
+    xor, prod = np.empty_like(mul), np.empty_like(mul)
+    mul[0], mul[1] = blocks & _MASK32, ids & _MASK32  # counter words 0 and 2
+    xor[0], xor[1] = blocks >> _SHIFT32, ids >> _SHIFT32  # counter words 1 and 3
+    key = [seed & 0xFFFFFFFF, seed >> 32]
+    for _ in range(10):
+        np.multiply(mul, _FACTORS, out=prod)
+        np.right_shift(prod[::-1], _SHIFT32, out=mul)  # hi(M1 * x2), hi(M0 * x0)
+        mul ^= xor
+        mul ^= np.array(key, np.uint64).reshape(2, 1, 1)
+        np.bitwise_and(prod[::-1], _MASK32, out=xor)
+        key = [(k + b) & 0xFFFFFFFF for k, b in zip(key, _BUMPS)]
+    return mul, xor
 
 
 def walk_words(seed: int, walk_ids: np.ndarray, block0: int, nblocks: int) -> np.ndarray:

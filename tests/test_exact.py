@@ -662,8 +662,10 @@ class TestSignCoverBridge:
 
 @pytest.mark.parametrize("call, message", [
     (lambda: count_reflected_pair([(0, 1)], [(0, 1)], H21, 2, 3), "A0 and B0 must be disjoint"),
-    (lambda: ex.ExactResult(5, 4), r"favorable count outside \[0, total\]")],
-    ids=["overlapping-pair", "favorable-above-total"])
+    (lambda: ex.ExactResult(5, 4), r"favorable count outside \[0, total\]"),
+    (lambda: reflection_monotonicity_sweep(Hyperplane(0, 2, 1), radius=1, max_set_size=1, L=1),
+     "hyperplane axis 2 >= d = 2")],
+    ids=["overlapping-pair", "favorable-above-total", "sweep-hyperplane-axis"])
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()

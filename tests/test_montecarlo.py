@@ -262,6 +262,18 @@ class TestRetirement:
         assert (_per_walk_success(cfg, targets) == expect).all()
         assert "window batch batch" in " ".join(calls)
 
+    @pytest.mark.parametrize("L, partial", [(61, 1), (60, 0)])
+    def test_partial_value_drawn_once_per_tile(self, L, partial, monkeypatch):
+        """Only the partial last value is drawn through ``walk_directions``,
+        the name the benchmark's ``rng`` spans wrap: once per tile, its
+        L mod k steps from step L - L mod k, and never when k divides L."""
+        calls = []
+        monkeypatch.setattr(montecarlo, "walk_directions",
+                            lambda *a: calls.append(a[2:]) or walk_directions(*a))
+        cfg = SimConfig(d=3, L=L, n_walks=2 * DEFAULT_BATCH + 3, seed=5)
+        _per_walk_success(cfg, [CoverTarget.from_points([(3, 3, 3)])])
+        assert calls == [(L - partial, partial, 6)] * (3 if partial else 0)
+
 
 class TestModeAndHorizonMonotonicity:
     def test_trace_dominates_repetitions_per_walk(self):

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from walkcover.rng import (STREAM_VERSION, philox4x32, steps_per_value,
-                           walk_directions, walk_values, walk_words)
+from walkcover.rng import STREAM_VERSION, steps_per_value, walk_directions, walk_values, walk_words
 
 
 def _block(c, k):
-    arr = lambda v: np.array([v], dtype=np.uint32)
-    out = philox4x32(arr(c[0]), arr(c[1]), arr(c[2]), arr(c[3]),
-                     arr(k[0]), arr(k[1]))
-    return [int(w[0]) for w in out]
+    """The block at counter ``c`` under key ``k``, read as walk ``c2 | c3 << 32``'s
+    block ``c0 | c1 << 32`` under the seed ``k0 | k1 << 32``."""
+    seed, walk, block = k[0] | k[1] << 32, [c[2] | c[3] << 32], c[0] | c[1] << 32
+    words = walk_words(seed, walk, block, 1)[0].tolist()
+    # at nsides = 2 a value's string is its high word: values 2b and 2b + 1 are x0 and x2
+    assert walk_values(seed, walk, 2 * block, 2, 2)[0].tolist() == words[::2]
+    return words
 
 
 class TestKnownAnswers:
