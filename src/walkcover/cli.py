@@ -360,8 +360,7 @@ def run(argv: list[str]) -> int:
     except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (green.ToleranceUnreachableError, hitting.SingularSystemError,
-            ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

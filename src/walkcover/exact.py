@@ -406,7 +406,7 @@ def reflection_monotonicity_sweep(h: Hyperplane = Hyperplane(0, 1, 1), radius: i
     # the origin side holds at least half the box: it contains x_i <= x_j or x_i >= x_j
     _check_sweep_work(d, ((2 * radius + 1) ** d + 1) // 2, max_set_size, L)
     if L < 1:
-        raise ValueError("need walk lengths >= 1, got []")
+        raise ValueError(f"need walk lengths >= 1, got L = {L}")
     box = [p for p in itertools.product(range(-radius, radius + 1), repeat=d)]
     origin_side = [p for p in box if h.on_origin_side(p)]
     n = len(origin_side)

@@ -59,7 +59,7 @@ class RecurrentWalkError(ValueError):
     """A divergent Green's function was requested."""
 
 
-class ToleranceUnreachableError(RuntimeError):
+class ToleranceUnreachableError(ArithmeticError):
     """The evaluation budget cannot certify the requested tolerance, or
     the two routes disagree beyond their combined bounds."""
 
@@ -236,19 +236,16 @@ def _stepsum_n_max(spec: WalkSpectrum, tol: float) -> int:
     return min(max(math.ceil(n), 400), 25000)
 
 
-def stepsum_green(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4,
-                  n_max: int | None = None) -> GreenValue:
+def stepsum_green(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4) -> GreenValue:
     """Partial sum of n-step probabilities plus the local-CLT tail, bound
     2 A n_max^-(dim/2) + ROUNDING_FLOOR.  Raises before the cascade runs when
-    the 25 000-step cap keeps that above tol; an explicit n_max states it whatever tol."""
+    the 25 000-step cap keeps that above tol."""
     if not spec.transient:
         raise RecurrentWalkError(f"G diverges for {spec.kind} with dim {spec.dim}")
-    checked = n_max is None
-    if checked:
-        n_max = _stepsum_n_max(spec, tol)
+    n_max = _stepsum_n_max(spec, tol)
     tail, bound = _lclt_tail(spec, x, n_max)
     bound += ROUNDING_FLOOR
-    if checked and not bound <= tol:
+    if not bound <= tol:
         raise ToleranceUnreachableError(
             f"stepsum bound {bound:.2e} at {n_max} steps exceeds tol {tol:.2e}")
     return GreenValue(float(_step_terms(spec, x, n_max).sum() + tail), bound, "stepsum")
@@ -443,7 +440,8 @@ class SweepTable:
 def asymptotic_sweep(d_min: int = 3, d_max: int = 10, tol: float = 1e-3) -> SweepTable:
     """Tabulate return probabilities against their high-dimension
     scalings and check the desk-scale trends: ``2d p_d`` and ``2d P_d``
-    strictly decreasing and > 1, ``d E_d`` decreasing.  The limits
+    strictly decreasing (so P_d falls) and > 1, ``p_d`` in (1/2d, 1) (so
+    E_d > 0), ``d E_d`` decreasing.  The limits
     themselves (both scalings -> 1) are out of reach at finite d; only
     monotone descent is asserted.
     """
@@ -465,8 +463,6 @@ def asymptotic_sweep(d_min: int = 3, d_max: int = 10, tol: float = 1e-3) -> Swee
         if a.scaled_diagonal is not None and b.scaled_diagonal is not None:
             if not b.scaled_diagonal < a.scaled_diagonal:
                 failures.append(f"2d*P_d not decreasing at d={b.d}")
-            if not b.p_diagonal <= a.p_diagonal:
-                failures.append(f"P_d not monotone at d={b.d}")
         if not b.scaled_excess < a.scaled_excess:
             failures.append(f"d*E_d not decreasing at d={b.d}")
     for r in rows:
@@ -476,8 +472,6 @@ def asymptotic_sweep(d_min: int = 3, d_max: int = 10, tol: float = 1e-3) -> Swee
             failures.append(f"2d*P_d <= 1 at d={r.d}")
         if not 1.0 / (2 * r.d) < r.p_return < 1.0:
             failures.append(f"p_d outside (1/2d, 1) at d={r.d}")
-        if not r.excess > 0.0:
-            failures.append(f"E_d <= 0 at d={r.d}")
     note = ("trend check at desk scale: monotone descent of the scaled return "
             "probabilities toward their high-dimension limit 1; the limit itself "
             "is not attainable at finite d")

@@ -1,4 +1,4 @@
-"""First-entry calculus for finite point sets under the simple walk.
+"""First-entry calculus for finite point sets; the public entry points run the simple walk.
 
 For a transient walk from x, conditioning on its first entry into a
 finite set S, counting from step 1, splits the expected visit counts:
@@ -31,25 +31,21 @@ from functools import cache
 
 import numpy as np
 
-from .green import _lclt_amplitude, green_value, simple_walk
+from .green import WalkSpectrum, _lclt_amplitude, green_value, simple_walk
 from .lattice import REPETITIONS, CoverTarget, Point, outstanding_visits, validate_path
 
 
-class SingularSystemError(RuntimeError):
+class SingularSystemError(ArithmeticError):
     """Green matrix not solvable: duplicate points or a quadrature failure."""
 
 
-def _green(d: int, x: tuple[int, ...], tol: float) -> float:
-    return green_value(simple_walk(d), x, tol).value
-
-
-def _green_matrix(d: int, points: tuple[Point, ...], start: Point,
+def _green_matrix(spec: WalkSpectrum, points: tuple[Point, ...], start: Point,
                   tol: float) -> tuple[np.ndarray, int]:
-    """G(a - b) over the nodes, the points and then the start unless it is
-    one of them, and the start's node."""
+    """G(a - b) for the walk over the nodes, the points and then the start
+    unless it is one of them, and the start's node."""
     nodes = points if start in points else (*points, start)
-    return np.array([[_green(d, tuple(u - v for u, v in zip(a, b)), tol) for b in nodes]
-                     for a in nodes]), nodes.index(start)
+    return np.array([[green_value(spec, tuple(u - v for u, v in zip(a, b)), tol).value
+                      for b in nodes] for a in nodes]), nodes.index(start)
 
 
 def _first_entries(G: np.ndarray, pending: Sequence[int], tol: float) -> np.ndarray:
@@ -77,7 +73,7 @@ def first_entry_distribution(start: Point, targets: tuple[Point, ...], d: int,
         raise ValueError("target points must be distinct")
     if any(len(p) != d for p in (start, *targets)):
         raise ValueError("dimension mismatch")
-    G, x = _green_matrix(d, targets, start, tol)
+    G, x = _green_matrix(simple_walk(d), targets, start, tol)
     return dict(zip(targets, _first_entries(G, range(len(targets)), tol)[:, x].tolist()))
 
 
@@ -87,7 +83,7 @@ def infinite_cover_probability(target: CoverTarget, tol: float = 1e-5) -> float:
     visits still owed, each state one solve for every start at once."""
     owed = outstanding_visits(target.visits)
     points = tuple(sorted(owed))
-    G, origin = _green_matrix(target.dim, points, (0,) * target.dim, tol)
+    G, origin = _green_matrix(simple_walk(target.dim), points, (0,) * target.dim, tol)
 
     @cache
     def cover(rem: tuple[int, ...]) -> np.ndarray:
@@ -134,7 +130,7 @@ def truncation_bias_estimate(L: int, p_cover: float, tol: float = 1e-5) -> float
     if L < 1:
         raise ValueError(f"the truncation bias estimate needs L >= 1, got {L}")
     target = COUNTEREXAMPLE_TARGETS[0]
-    d, origin = target.dim, (0,) * target.dim
-    tail = _lclt_amplitude(simple_walk(d)) * 2.0 / math.sqrt(L) / _green(d, origin, tol)
+    d, origin, spec = target.dim, (0,) * target.dim, simple_walk(target.dim)
+    tail = _lclt_amplitude(spec) * 2.0 / math.sqrt(L) / green_value(spec, origin, tol).value
     return p_cover * tail * sum(math.exp(-d * sum(c * c for c in p) / 2.0 / L)
                                 for p in sorted(target.trace - {origin}))

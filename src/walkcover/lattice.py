@@ -16,6 +16,7 @@ that the reflection machinery decreases) and the repetition profile
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, cycle
@@ -136,12 +137,9 @@ def staircase_path(N: int, d: int) -> Path:
 
 
 def repetition_profile(path: Path) -> dict[Point, int]:
-    """Visit multiplicity of each trace point; counts sum to
-    ``len(path)``."""
-    counts: dict[Point, int] = {}
-    for p in path.points:
-        counts[p] = counts.get(p, 0) + 1
-    return counts
+    """Visit multiplicity of each trace point, in first-visit order; counts
+    sum to ``len(path)``."""
+    return dict(Counter(path.points))
 
 
 TRACE = "trace"

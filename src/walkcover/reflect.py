@@ -103,13 +103,6 @@ def normalize_to_positive_orthant(path: Path) -> Path:
     return Path(tuple(tuple(f * c for f, c in zip(flips, p)) for p in path.points))
 
 
-def _check_connecting(path: Path) -> int:
-    if not connects_origin_to_sphere(path):
-        raise NotConnectingError(
-            "path must start at the origin and first attain its endpoint norm at the endpoint")
-    return l1_norm(path.points[-1])
-
-
 def reduce_path(path: Path) -> list[tuple[Hyperplane, Path]]:
     """Chain of reflections carrying a connecting path into the region
     ``max_{i,j} |x_i - x_j| <= 1`` with coordinates ordered so the trace
@@ -122,10 +115,12 @@ def reduce_path(path: Path) -> list[tuple[Hyperplane, Path]]:
     firings (offset 1) strictly decrease the total difference, which
     guarantees termination.
     """
-    N = _check_connecting(path)
+    if not connects_origin_to_sphere(path):
+        raise NotConnectingError(
+            "path must start at the origin and first attain its endpoint norm at the endpoint")
     if any(c < 0 for c in path.points[-1]):
         raise NotConnectingError("endpoint must lie in the closed positive orthant")
-    d = path.dim
+    d, N = path.dim, l1_norm(path.points[-1])
     chain: list[tuple[Hyperplane, Path]] = []
     current = path
 

@@ -1,8 +1,11 @@
 import argparse
 import hashlib
+import importlib
+import inspect
 import json
 import os
 import pathlib
+import pkgutil
 import random
 import subprocess
 import sys
@@ -14,7 +17,9 @@ import pytest
 
 import walkcover
 from walkcover.cli import build_parser, run
+from walkcover.green import GreenValue
 from walkcover.lattice import validate_path
+from walkcover.reflect import ReductionInvariantError
 
 SCHEMA = json.loads(
     (pathlib.Path(walkcover.__file__).parent / "output.schema.json").read_text())
@@ -31,6 +36,15 @@ def _commands():
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return sub.choices
+
+
+def _engine_exceptions():
+    """Every exception class that a walkcover module defines."""
+    modules = [importlib.import_module(f"walkcover.{m.name}")
+               for m in pkgutil.iter_modules(walkcover.__path__) if m.name != "__main__"]
+    return sorted({c for m in modules for _, c in inspect.getmembers(m, inspect.isclass)
+                   if issubclass(c, Exception) and c.__module__ == m.__name__},
+                  key=lambda c: f"{c.__module__}.{c.__qualname__}")
 
 
 def run_json(capsys, argv):
@@ -406,7 +420,7 @@ class TestExitCodes:
         code, doc = run_json(capsys, ["sweep", "--dmin", "4", "--dmax", "5"])
         assert code == 1 and doc["exit_code"] == 1
         assert doc["results"]["trend_failures"] == [
-            "2d*p_d <= 1 at d=5", "p_d outside (1/2d, 1) at d=5", "E_d <= 0 at d=5"]
+            "2d*p_d <= 1 at d=5", "p_d outside (1/2d, 1) at d=5"]
 
     def test_comb_violation_reported(self, capsys, monkeypatch):
         """A collection failing the inequality exits 1 and names its arcs
@@ -424,6 +438,7 @@ class TestExitCodes:
         code = run(["verify-thm11", "--L", L])
         err = capsys.readouterr().err
         assert code == 2 and err.count("\n") == 1 and "lengths >= 1" in err
+        assert f"L = {L}" in err
 
     def test_exact_budget_guard(self, capsys, corner_path):
         t0 = time.monotonic()
@@ -589,6 +604,32 @@ class TestExitCodes:
         code, doc = run_json(capsys, ["green", "--d", "3", "--x", "3000,0,0", "--tol", "1e-6"])
         assert code == 0 and doc["results"]["abs_error_bound"] <= 1e-6
 
+    #: (class, exit code, stderr prefix); every engine exception fits exactly one row
+    ENGINE_EXIT_CODES = [(ValueError, 2, "input error: "),
+                         (ArithmeticError, 2, "numerical error: "),
+                         (ReductionInvariantError, 1, "violation: ")]
+
+    @pytest.mark.parametrize("cls", _engine_exceptions(), ids=lambda c: c.__name__)
+    def test_every_engine_exception_has_an_exit_code(self, capsys, monkeypatch, cls):
+        """Each exception class in src/, raised inside a command, exits with
+        its row's code and one stderr line under its row's prefix."""
+        import walkcover.lattice as lattice
+        rows = [row for row in self.ENGINE_EXIT_CODES if issubclass(cls, row[0])]
+        assert len(rows) == 1, f"{cls.__module__}.{cls.__name__} fits {len(rows)} rows"
+        _, expected_code, prefix = rows[0]
+
+        def failing(N, d):
+            raise cls.__new__(cls, "planted")  # args alone: some __init__s take more
+        monkeypatch.setattr(lattice, "staircase_path", failing)
+        code = run(["staircase", "--N", "2", "--d", "2"])
+        captured = capsys.readouterr()
+        assert code == expected_code and captured.out == ""
+        assert captured.err == f"{prefix}planted\n"
+
+    def test_engine_exceptions_found(self):
+        assert {c.__name__ for c in _engine_exceptions()} >= {
+            "ToleranceUnreachableError", "SingularSystemError", "ReductionInvariantError"}
+
     def test_memory_error(self, capsys, monkeypatch):
         """Exhausted memory is an input-scale failure: exit 2, one line."""
         import walkcover.lattice as lattice
@@ -614,7 +655,8 @@ class TestExitCodes:
 
     def test_singular_first_entry_system(self, capsys, monkeypatch):
         import walkcover.hitting as hitting
-        monkeypatch.setattr(hitting, "_green", lambda d, x, tol: 1.0)
+        monkeypatch.setattr(hitting, "green_value", lambda spec, x, tol: GreenValue(
+            1.0, 0.0, "fourier"))
         code = run(["hit", "--d", "3", "--start", "0,0,0",
                     "--set", "[[1,0,0],[0,1,0]]"])
         err = capsys.readouterr().err
@@ -658,7 +700,8 @@ class TestExitCodes:
         """Made-up Green values, 1 at the origin and 2 elsewhere, give an
         entry probability of 2: a numerical error, not a distribution."""
         import walkcover.hitting as hitting
-        monkeypatch.setattr(hitting, "_green", lambda d, x, tol: 2.0 if any(x) else 1.0)
+        monkeypatch.setattr(hitting, "green_value", lambda spec, x, tol: GreenValue(
+            2.0 if any(x) else 1.0, 0.0, "fourier"))
         code = run(["hit", "--d", "3", "--start", "0,0,0", "--set", "[[1,0,0]]"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and captured.err.count("\n") == 1

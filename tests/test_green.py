@@ -133,7 +133,7 @@ class TestIdentities:
             orbits.setdefault(key, []).append(x)
         assert len(orbits) == 10
         for key, pts in orbits.items():
-            vals = [stepsum_green(simple_walk(3), x, n_max=1200).value for x in pts]
+            vals = [stepsum_green(simple_walk(3), x, tol=1e-4).value for x in pts]
             assert max(vals) - min(vals) < 1e-9, key
         fvals = [fourier_green(simple_walk(3), x, tol=1e-3).value
                  for x in [(2, 1, 0), (0, 1, 2), (-2, 1, 0), (1, 0, -2)]]
@@ -184,8 +184,8 @@ def offdiagonal_sum(d: int, tol: float = 1e-4) -> float:
 class TestOffDiagonal:
     def test_symmetry_in_indices(self):
         spec = diagonal_difference_walk(5)
-        a = stepsum_green(spec, (-1, 1, 0, 0), n_max=1200).value  # e_2 - e_1
-        b = stepsum_green(spec, (1, -1, 0, 0), n_max=1200).value  # e_1 - e_2
+        a = stepsum_green(spec, (-1, 1, 0, 0), tol=1e-4).value  # e_2 - e_1
+        b = stepsum_green(spec, (1, -1, 0, 0), tol=1e-4).value  # e_1 - e_2
         assert abs(a - b) < 1e-12
         assert offdiag_green(5, 1, 2, tol=1e-3) == offdiag_green(5, 2, 1, tol=1e-3)
 
@@ -328,12 +328,11 @@ class TestSweep:
         ({}, {}, ()),
         ({5: 1.19}, {}, ("2d*p_d not decreasing at d=5",)),
         ({}, {5: 0.25}, ("2d*P_d not decreasing at d=5",)),
-        ({}, {5: 0.31}, ("2d*P_d not decreasing at d=5", "P_d not monotone at d=5")),
+        ({}, {5: 0.31}, ("2d*P_d not decreasing at d=5",)),
         ({5: 1.2}, {}, ("2d*p_d not decreasing at d=5", "d*E_d not decreasing at d=5")),
         ({5: 1.11}, {}, ("2d*p_d <= 1 at d=5", "p_d outside (1/2d, 1) at d=5")),
         ({}, {5: 0.09}, ("2d*P_d <= 1 at d=5",)),
-        ({5: 1.09}, {}, ("2d*p_d <= 1 at d=5", "p_d outside (1/2d, 1) at d=5",
-                         "E_d <= 0 at d=5"))])
+        ({5: 1.09}, {}, ("2d*p_d <= 1 at d=5", "p_d outside (1/2d, 1) at d=5"))])
     def test_trend_failures_reported(self, monkeypatch, g0, p_diag, failures):
         """Made-up G_d(0) and P_d at d = 4, 5 that pass every trend check,
         with one case's change to them, report that case's failures."""
@@ -483,8 +482,9 @@ class TestGreenContract:
                         (diagonal_difference_walk(4), (2, -1, 0)),
                         (diagonal_difference_walk(5), (1, 0, 0, 0)),
                         (diagonal_difference_walk(6), (0, 1, 0, 0, 0))]:
-            a, b = (stepsum_green(spec, x, n_max=n) for n in (400, 401))
-            assert abs(a.value - b.value) <= a.abs_error_bound / 100, (spec, x)
+            a, b = (_step_terms(spec, x, n).sum() + _lclt_tail(spec, x, n)[0] for n in (400, 401))
+            bound = _lclt_tail(spec, x, 400)[1] + ROUNDING_FLOOR
+            assert abs(a - b) <= bound / 100, (spec, x)
 
     @pytest.mark.parametrize("d", [4, 7, 10])
     def test_panel_density_matches_one_shot(self, d):
@@ -532,8 +532,6 @@ class TestGreenContract:
         with pytest.raises(ToleranceUnreachableError):
             stepsum_green(spec, (0, 0, 0), tol=1e-8)
         assert time.monotonic() - t0 < 0.1
-        g = stepsum_green(spec, (0, 0, 0), tol=1e-8, n_max=1200)
-        assert abs(g.value - ORACLE_D3[(0, 0, 0)]) <= g.abs_error_bound
         with pytest.raises(ToleranceUnreachableError):
             green_value(spec, (0, 0, 0), tol=1e-8, method="both")
 

@@ -204,8 +204,8 @@ class TestVectorRecursion:
         assert abs(infinite_cover_probability(target) - expect) <= 1e-13 * expect
 
     def test_one_green_lookup_per_matrix_entry(self, monkeypatch):
-        calls, green = [], hitting._green
-        monkeypatch.setattr(hitting, "_green", lambda *a: calls.append(a) or green(*a))
+        calls, green = [], hitting.green_value
+        monkeypatch.setattr(hitting, "green_value", lambda *a: calls.append(a) or green(*a))
         infinite_cover_probability(CoverTarget.of_path(staircase_path(9, 4), TRACE))
         assert len(calls) <= 100
 
