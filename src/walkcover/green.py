@@ -16,8 +16,10 @@ probed bonds for off-diagonal values.
   Gauss-Legendre in log t plus a fitted tail, the integrand summed over
   the levels one panel of t at a time.  Each panel's nodes, of both
   quadrature orders, share one table of ive(n, t/d) over every order n,
-  built from three ive calls per node by the backward ratio recurrence.
-  Its stated bound is about 1e-12 in every dimension.
+  built by the backward ratio recurrence from ive(0, t/d) (power series or
+  Hankel expansion) and the top order's ratio (Perron's continued
+  fraction), both formed once per call over every node.  Its stated bound
+  is about 1e-12 in every dimension, up to Bessel order ``FOURIER_MAX_ORDER``.
 
 * **stepsum** - the independent cross-check, up to dimension
   ``STEPSUM_MAX_DIM``.  G(x) = sum_n P(X_n = x) is summed exactly to a
@@ -40,11 +42,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammainc, gammaln, ive
+from numpy.polynomial.polynomial import polyval
 
 
 SIMPLE = "simple"
@@ -123,14 +126,14 @@ class GreenValue:
 # ---------------------------------------------------------------------------
 
 def _one_dim_landing(target: int, n_max: int) -> np.ndarray:
-    """q[k] = P(k-step +/-1 walk sits at `target`)."""
+    """q[k] = P(k-step +/-1 walk sits at `target`) = C(k, (k+t)/2) 2^-k, from
+    q[t] = 2^-t by q[k+2]/q[k] = 1 + (t^2 - k - 2)/((k+2)^2 - t^2), summed in
+    logs, so no term under- or overflows before its exponential."""
     t = abs(int(target))
-    k = np.arange(n_max + 1)
     q = np.zeros(n_max + 1)
-    ok = (k >= t) & ((k - t) % 2 == 0)
-    kk = k[ok]
-    q[ok] = np.exp(gammaln(kk + 1) - gammaln((kk + t) / 2 + 1)
-                   - gammaln((kk - t) / 2 + 1) - kk * math.log(2.0))
+    k = np.arange(t, n_max + 1, 2)
+    steps = np.log1p((t * t - k[:-1] - 2.0) / ((k[:-1] + 2.0) ** 2 - t * t))
+    q[k] = np.exp(np.cumsum(np.r_[-t * math.log(2.0), steps])[:k.size])
     return q
 
 
@@ -167,20 +170,28 @@ def _alloc_cascade(targets: np.ndarray, n_max: int) -> np.ndarray:
     return h
 
 
-def _slot_targets(spec: WalkSpectrum, x: Sequence[int], horizon: float) -> np.ndarray:
+def _slot_targets(spec: WalkSpectrum, x: Sequence[int], horizon: float,
+                  max_order: float = math.inf) -> np.ndarray:
     """Row r: where the slot walks must sit at the r-th winding level for
     the walk to sit at x.  The difference walk's level k puts bond h at
     k - partial[h] (column 0 is k); after n steps (or time t) k has
     variance about n/d^2, so the levels run 10 sd + 10 beyond the bond
-    offsets."""
+    offsets.  The simple walk has the one level 0, with partial = -x.
+    Raises, before it forms them, when a target lies past max_order."""
     if len(x) != spec.dim:
         raise ValueError(f"x must have dimension {spec.dim}")
     if spec.kind == SIMPLE:
-        return np.asarray(x, dtype=int)[None, :]
-    partial = np.concatenate([[0], np.cumsum(np.asarray(x, dtype=int))])
-    reach = int(10 * math.sqrt(horizon) / spec.d) + 10
-    levels = np.arange(partial.min() - reach, partial.max() + reach + 1)
-    return levels[:, None] - partial
+        partial, lo, hi = [-int(c) for c in x], 0, 0
+    else:
+        partial = [0, *accumulate(map(int, x))]
+        reach = int(10 * math.sqrt(horizon) / spec.d) + 10
+        lo, hi = min(partial) - reach, max(partial) + reach
+    order = max(hi - min(partial), max(partial) - lo)
+    if order > max_order:
+        raise ToleranceUnreachableError(
+            f"fourier tabulates Bessel orders up to {max_order}; x = {tuple(x)} "
+            f"needs order {order}")
+    return np.arange(lo, hi + 1)[:, None] - np.array(partial)
 
 
 def _step_terms(spec: WalkSpectrum, x: Sequence[int], n_max: int) -> np.ndarray:
@@ -199,8 +210,29 @@ def _lclt_exponent(spec: WalkSpectrum, x: Sequence[int]) -> tuple[Sequence[int],
     """x's slot offsets q and the exponent a of the local-CLT envelope A n^-s e^(-a/n);
     for the difference walk q are the bond offsets (0, cumsum(y)) and a = d y^T T^-1 y / 2."""
     diff = spec.kind == DIAGONAL_DIFFERENCE
-    q = np.r_[0, np.cumsum(x)] if diff else x
+    q = (0, *accumulate(x)) if diff else x
     return q, spec.d * (sum(c * c for c in q) - diff * sum(q) ** 2 / spec.d) / 2.0
+
+
+def _gamma_p(a: float, x: float) -> float:
+    """The regularized lower incomplete gamma function P(a, x), for an integer
+    or half-integer a >= 1/2 and x > 0.  Below x = a + 1 its series
+    x^a e^-x / Gamma(a + 1) sum_k x^k / ((a + 1) ... (a + k)); from there on
+    1 - Q(a, x), with Q = e^-x sum_(k < a) x^k / k! for integer a and
+    erfc(sqrt x) + e^-x sum_(k < a - 1/2) x^(k + 1/2) / Gamma(k + 3/2) for
+    half-integer a (DLMF 8.4).  Every sum has positive terms."""
+    if x < a + 1:
+        term = total = 1.0
+        k = 1
+        while term > 1e-17 * total:
+            term *= x / (a + k)
+            total += term
+            k += 1
+        return total * math.exp(a * math.log(x) - x - math.lgamma(a + 1))
+    half = a % 1
+    q = sum(math.exp((half + k) * math.log(x) - x - math.lgamma(half + k + 1))
+            for k in range(int(a)))
+    return 1.0 - q - (math.erfc(math.sqrt(x)) if half else 0.0)
 
 
 def _lclt_tail(spec: WalkSpectrum, x: Sequence[int], n_max: int) -> tuple[float, float]:
@@ -214,7 +246,7 @@ def _lclt_tail(spec: WalkSpectrum, x: Sequence[int], n_max: int) -> tuple[float,
     if a == 0:
         tail = amp * N ** (1 - s) / (s - 1)
     else:
-        tail = amp * a ** (1 - s) * gammainc(s - 1, a / N) * math.gamma(s - 1)
+        tail = amp * a ** (1 - s) * _gamma_p(s - 1, a / N) * math.gamma(s - 1)
     if spec.kind == SIMPLE or spec.d % 2 == 0:
         g_next = amp * (n_max + 1.0) ** (-s) * math.exp(-a / (n_max + 1))
         tail += (-1 if (n_max + 1 + sum(q)) % 2 else 1) * g_next / 2.0
@@ -255,18 +287,58 @@ def stepsum_green(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4) -> Gr
 # fourier route
 # ---------------------------------------------------------------------------
 
-def _ive_table(m: int, s: np.ndarray) -> np.ndarray:
-    """table[n] = ive(n, s) for n = 0..m, from three ive calls per node:
-    orders 0, m and m + 1.  The ratio r_n = I_n / I_(n-1) = 1 / (2n/s + r_(n+1))
-    runs down from r_(m+1), which damps its errors (Gautschi, SIAM Review 9,
-    1967); the cumulative product with ive(0, s) then gives the table.  Where
-    ive(m, s) underflows to 0 the run starts from r = 0, whose error has
-    died out before the orders where I_n is representable."""
+#: ive(0, s) sums this many terms of its power series below s = 20 and of its
+#: Hankel expansion from there on; the Hankel terms still fall at s = 20.
+_IVE0_TERMS = 41
+_IVE0_SERIES = np.array([1 / math.factorial(k) ** 2 for k in range(_IVE0_TERMS)])
+_IVE0_HANKEL = np.array([math.prod(range(1, 2 * k, 2)) ** 2 / (math.factorial(k) * 8**k)
+                         for k in range(_IVE0_TERMS)])
+
+#: Levels of Perron's continued fraction: full precision at every s from order 2 on.
+_PERRON_LEVELS = 48
+
+#: The largest Bessel order a fourier table holds: its recurrence runs one row per order.
+FOURIER_MAX_ORDER = 2**14
+
+
+def _ive0(s: np.ndarray) -> np.ndarray:
+    """ive(0, s): e^-s sum_k (s/2)^2k / k!^2 below s = 20, and the Hankel
+    expansion (2 pi s)^-1/2 sum_k ((2k-1)!!)^2 / (k! (8s)^k) (DLMF 10.40.1)
+    from there on.  Both have positive terms."""
+    near = s < 20.0
+    out = np.empty(s.shape)
+    a, b = s[near], s[~near]
+    out[near] = np.exp(-a) * polyval(a * a / 4, _IVE0_SERIES)
+    out[~near] = polyval(1 / b, _IVE0_HANKEL) / np.sqrt(2 * np.pi * b)
+    return out
+
+
+def _ive_ratio(n: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """I_n(s) / I_(n-1)(s) by Perron's continued fraction
+    s / (2n + s - (2n + 1) s / (2n + 1 + 2s - (2n + 3) s / (2n + 2 + 2s - ...))),
+    which, unlike the fraction of the three-term recurrence, converges
+    geometrically at large s too (Gautschi and Slavik, Math. Comp. 32 (1978)
+    865).  Its denominators stay positive, so no level cancels."""
+    k = np.arange(_PERRON_LEVELS, 0, -1)[:, None]
+    num = (2.0 * n + 2.0 * k - 1.0) * s           # level k's numerator,
+    den = 2.0 * n + (k - 1.0) + 2.0 * s           # over level k - 1's denominator
+    den[-1] -= s
+    f = den[0] + 1.0
+    for a, b in zip(num, den):
+        np.divide(a, f, out=f)
+        np.subtract(b, f, out=f)
+    return s / f
+
+
+def _ive_table(m: int, s: np.ndarray, ive0: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """table[n] = ive(n, s) for n = 0..m, from ive(0, s) and r = I_(m+1)(s) / I_m(s).
+    The ratio r_n = I_n / I_(n-1) = 1 / (2n/s + r_(n+1)) runs down from r_(m+1),
+    which damps its errors (Gautschi, SIAM Review 9, 1967); the cumulative
+    product with ive(0, s) then gives the table, whose high orders underflow
+    to 0 at small s."""
     table = np.empty((m + 1, s.size))
-    table[0] = ive(0, s)
+    table[0] = ive0
     if m:
-        top = ive(m, s)
-        r = np.divide(ive(m + 1, s), top, out=np.zeros(s.size), where=top > 0)
         ratios = table[1:]
         np.divide.outer(2.0 * np.arange(1, m + 1), s, out=ratios)
         for row in ratios[::-1]:
@@ -284,15 +356,25 @@ def _occupation_density(spec: WalkSpectrum, x: Sequence[int],
     concatenated: each slot is an independent rate-1/d +/-1 walk, at n with
     probability ive(n, t/d).  Slots sum over their winding levels as in
     _step_terms, one row at a time over the levels its largest t reaches,
-    so memory stays at one row's Bessel table."""
-    out = []
-    for tp in t:
-        slots = np.abs(_slot_targets(spec, x, tp.max()))
-        table = _ive_table(int(slots.max()), tp / spec.d)
-        prod = table[slots[:, 0]]
-        for b in slots.T[1:]:
-            prod *= table[b]
+    so memory stays at one row's Bessel table; ive(0, t/d) and each row's
+    top ratio are formed first, over every node at once.  Raises when a row
+    needs an order past FOURIER_MAX_ORDER, before any table is formed."""
+    s = [tp / spec.d for tp in t]
+    slots = [np.abs(_slot_targets(spec, x, tp.max(), FOURIER_MAX_ORDER)) for tp in t]
+    tops = np.array([int(b.max()) for b in slots])
+    flat = np.concatenate(s)
+    ive0 = _ive0(flat)
+    n = np.repeat(tops + 1, [row.size for row in s])
+    ratio = np.zeros(flat.size)  # order-0 tables read no ratio
+    ratio[n > 1] = _ive_ratio(n[n > 1], flat[n > 1])
+    out, lo = [], 0
+    for row, b, m in zip(s, slots, tops):
+        table = _ive_table(int(m), row, ive0[lo:lo + row.size], ratio[lo:lo + row.size])
+        prod = table[b[:, 0]]
+        for c in b.T[1:]:
+            prod *= table[c]
         out.append(prod.sum(axis=0))
+        lo += row.size
     return np.concatenate(out)
 
 
@@ -329,10 +411,6 @@ def fourier_green(spec: WalkSpectrum, x: Sequence[int], tol: float = 1e-4) -> Gr
     last = T * b2 / (m + 1)
     tail = T * (b0 / (m - 1) + b1 / m) + last
     bound = float(2.0 * abs(body[1] - body[0]) + abs(last) + ROUNDING_FLOOR)
-    if not math.isfinite(bound):
-        raise ToleranceUnreachableError(
-            f"fourier bound is not finite at x = {tuple(x)}: the panels reach the Bessel "
-            f"argument t/d = {T / spec.d:.2g}, and scipy's ive is NaN from 2^30 on")
     if not bound <= tol:
         raise ToleranceUnreachableError(f"fourier bound {bound:.2e} exceeds tol {tol:.2e}")
     return GreenValue(float(body[1] + tail), bound, "fourier")

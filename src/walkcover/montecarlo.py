@@ -232,7 +232,7 @@ def _tile(cfg: SimConfig, pts: _PackedTargets, needed: np.ndarray,
             hit, points = pts.hits(pts.trajectories(starts.ravel()[at], steps))
             hit_rows.append(at[hit] // W)
             np.add.at(visits, (hit_rows[-1], points), 1)
-        touched = np.unique(np.concatenate(hit_rows))
+        touched = np.flatnonzero(np.bincount(np.concatenate(hit_rows), minlength=len(live)))
         step0 = min(cfg.L, step0 + W * k)
 
 

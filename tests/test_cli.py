@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import math
 import os
 import pathlib
 import pkgutil
@@ -593,16 +594,33 @@ class TestExitCodes:
         assert "stepsum reaches dimension 345" in captured.err
 
     def test_far_point_past_bessel_range(self, capsys):
-        """scipy's ive is NaN from argument 2^30 on, which the panels reach
-        near |x| = 6,000 at d = 3: a numerical error naming that cause,
-        while a point inside the range still gets its value."""
-        code = run(["green", "--d", "3", "--x", "10000,0,0", "--tol", "1e-6"])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err.count("\n") == 1 and captured.err.startswith("numerical error:")
-        assert "fourier bound is not finite" in captured.err and "ive is NaN" in captured.err
+        """At |x| = 10 000 and d = 3 the panels pass t/d = 2^30, where
+        scipy's ive is NaN; the Bessel kernels hold there, and the value
+        follows 3 / (2 pi |x|) (1 + O(|x|^-2)) as the far-point asymptote
+        test has it.  A point inside the old range still gets its value."""
+        code, doc = run_json(capsys, ["green", "--d", "3", "--x", "10000,0,0", "--tol", "1e-6"])
+        value = doc["results"]["value"]
+        assert code == 0 and doc["results"]["abs_error_bound"] <= 1e-6
+        assert abs(value - 3 / (2 * math.pi * 10000)) <= 1e-6 * value
         code, doc = run_json(capsys, ["green", "--d", "3", "--x", "3000,0,0", "--tol", "1e-6"])
         assert code == 0 and doc["results"]["abs_error_bound"] <= 1e-6
+
+    @pytest.mark.parametrize("argv, order", [
+        (["green", "--d", "3", "--x", "16385,0,0"], 16385),
+        (["green", "--walk", "diagdiff", "--d", "4", "--x", "2147483648,0,0"], 2147483660),
+        (["hit", "--d", "3", "--start", "0,0,0", "--set", "[[20000,0,0]]"], 20000)])
+    def test_far_point_past_the_order_cap(self, capsys, argv, order):
+        """The recurrence runs one row per Bessel order, so past
+        FOURIER_MAX_ORDER = 2^14 the fourier route refuses before it forms
+        a table or a level, and names the order the point needs."""
+        t0 = time.monotonic()
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert time.monotonic() - t0 < 0.5
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("numerical error:")
+        assert "fourier tabulates Bessel orders up to 16384; x = " in captured.err
+        assert captured.err.endswith(f"needs order {order}\n")
 
     #: (class, exit code, stderr prefix); every engine exception fits exactly one row
     ENGINE_EXIT_CODES = [(ValueError, 2, "input error: "),

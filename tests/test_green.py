@@ -3,10 +3,11 @@ import math
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ive
+from scipy.special import gammainc, gammaln, ive
 
 from walkcover.green import (DIAGONAL_DIFFERENCE, ROUNDING_FLOOR, STEPSUM_MAX_DIM,
                              GreenValue, RecurrentWalkError, ToleranceUnreachableError,
@@ -15,9 +16,11 @@ from walkcover.green import (DIAGONAL_DIFFERENCE, ROUNDING_FLOOR, STEPSUM_MAX_DI
                              fourier_green, green_value, return_probability,
                              simple_walk, stepsum_green)
 import walkcover.green as green_mod
-from walkcover.green import (_alloc_cascade, _difference_vector, _green_cached,
-                             _ive_table, _lclt_tail, _occupation_density,
-                             _slot_targets, _step_terms, _stepsum_n_max)
+from walkcover.green import (FOURIER_MAX_ORDER, _alloc_cascade, _difference_vector,
+                             _gamma_p, _green_cached, _ive0, _ive_ratio, _ive_table,
+                             _lclt_amplitude, _lclt_exponent, _lclt_tail,
+                             _occupation_density, _one_dim_landing, _slot_targets,
+                             _step_terms, _stepsum_n_max)
 
 # classical values, frozen from the high-resolution stepsum oracle and
 # matching the standard references to the digits shown
@@ -380,8 +383,13 @@ def _fourier_arguments():
     return np.unique(np.concatenate([t / d for d in range(3, 11)]))
 
 
+def _table(m, s):
+    """The Bessel table as fourier_green builds it, from its two start kernels."""
+    return _ive_table(m, s, _ive0(s), _ive_ratio(np.full(s.shape, m + 1), s))
+
+
 def _assert_table_matches_ive(m, s):
-    table = _ive_table(m, s)
+    table = _table(m, s)
     ref = ive(np.arange(m + 1)[:, None], s)
     assert table.shape == ref.shape
     assert np.abs(table - ref).max() <= 1e-15
@@ -390,17 +398,67 @@ def _assert_table_matches_ive(m, s):
     assert (np.abs(table[:6] - ref[:6]) <= 1e-14 * ref[:6]).all()
 
 
+def _mp_ive(n, s):
+    return float(mpmath.besseli(n, s) * mpmath.exp(-s))
+
+
+@pytest.fixture
+def mp30():
+    """mpmath oracles at 30 digits."""
+    with mpmath.workdps(30):
+        yield
+
+
+@pytest.mark.usefixtures("mp30")
 class TestBesselTable:
     @pytest.mark.parametrize("m", [0, 1, 2, 40, 1100])
     def test_matches_ive(self, m):
         _assert_table_matches_ive(m, _fourier_arguments())
 
     def test_underflowed_start(self):
-        """ive(400, s) and ive(401, s) underflow to 0 at s = 1e-3, so the
-        recurrence starts from r = 0, without a 0/0."""
+        """ive(400, s) and ive(401, s) underflow to 0 at s = 1e-3: the ratio
+        start stays finite, and the table's high orders underflow to 0
+        without a 0/0."""
         s = np.array([1e-3])
         assert ive(400, s) == 0.0 and ive(401, s) == 0.0
+        assert 0 < _ive_ratio(np.array([401]), s)[0] < 1e-5
         _assert_table_matches_ive(400, s)
+
+    @pytest.mark.parametrize("s", [np.nextafter(20.0, 0.0), 20.0])
+    def test_ive0_series_and_hankel_meet(self, s):
+        """Below s = 20 ive(0, s) sums its power series, from 20 on its
+        Hankel expansion; both agree with the 30-digit value at the switch."""
+        assert abs(_ive0(np.array([s]))[0] / _mp_ive(0, s) - 1) <= 1e-15
+
+    def test_ive0_both_branches_match_mpmath(self):
+        """Horner's rule over 41 positive terms keeps ive(0, s) within a few
+        units in the last place of the 30-digit value on either side of 20."""
+        s = np.geomspace(1e-4, 1e9, 300)
+        assert (s < 20).any() and (s >= 20).any()
+        ref = np.array([_mp_ive(0, b) for b in s])
+        assert np.abs(_ive0(s) / ref - 1).max() <= 2e-15
+
+    def test_ratio_start_matches_mpmath(self):
+        """Perron's fraction at its slowest (order 2 near s = 11) and across
+        the orders and arguments the tables start from."""
+        n = np.array([2, 2, 2, 3, 41, 401, 1019, 1019, 10001, 16385])
+        s = np.array([10.7, 1e-3, 5e4, 3.0, 20.0, 1e-3, 200.0, 4e4, 5e8, 1e10])
+        ref = np.array([float(mpmath.besseli(a, b) / mpmath.besseli(a - 1, b))
+                        for a, b in zip(n, s)])
+        assert np.abs(_ive_ratio(n, s) / ref - 1).max() <= 1e-15
+
+    @pytest.mark.parametrize("m", [0, 5, 10000])
+    def test_past_the_old_bessel_range(self, m):
+        """From s = 2^30 on scipy's ive is NaN; the table holds there against
+        mpmath, at the orders a far point at d = 3 tabulates.  There every
+        ratio lies within 1e-5 of 1 and damps nothing, so the recurrence's
+        rounding adds up over its m rows, at most one unit each."""
+        s = np.array([2.0**30, 3.3e9, 1e10])
+        assert np.isnan(ive(m, s)).all()
+        table = _table(m, s)
+        for n in sorted({0, min(m, 1), m // 2, m}):
+            ref = np.array([_mp_ive(n, b) for b in s])
+            assert np.abs(table[n] / ref - 1).max() <= 1e-14 + m * 2.0**-53, n
 
 
 # asymptotic_sweep(3, 10, 1e-3) rows (d, p_return, p_diagonal, excess) and
@@ -445,13 +503,82 @@ class TestPinnedValues:
         assert abs(fourier_green(spec, x, tol=1e-3).value - value) <= 1e-14
 
 
+@pytest.mark.usefixtures("mp30")
+class TestStepKernels:
+    """The step sum's gamma terms against scipy's gammaln and gammainc over
+    the ranges dimensions 3-345 reach: targets up to the difference walk's
+    widest level reach at horizon 25 000, and every tail exponent."""
+
+    @pytest.mark.parametrize("t", [0, 1, 2, 7, 60, 415, 1100])
+    @pytest.mark.parametrize("n_max", [400, 401, 25000])
+    def test_landing_matches_gammaln(self, t, n_max):
+        k = np.arange(t, n_max + 1, 2)
+        ref = np.zeros(n_max + 1)
+        ref[k] = np.exp(gammaln(k + 1) - gammaln((k + t) / 2 + 1) - gammaln((k - t) / 2 + 1)
+                        - k * math.log(2.0))
+        q = _one_dim_landing(t, n_max)
+        assert (q[(np.arange(n_max + 1) - t) % 2 == 1] == 0).all() and (q[:t] == 0).all()
+        # gammaln of k ~ 25 000 carries about 3e-11 of rounding into ref
+        assert (np.abs(q - ref) <= 1e-10 * ref).all()
+
+    def test_landing_matches_mpmath(self):
+        for t, k in [(0, 0), (0, 24998), (3, 5), (415, 24999), (1100, 25000), (1000, 1000)]:
+            ref = float(mpmath.binomial(k, (k + t) // 2) / mpmath.mpf(2) ** k)
+            assert abs(_one_dim_landing(t, 25000)[k] / ref - 1) <= 1e-12, (t, k)
+
+    def test_landing_beyond_the_horizon(self):
+        assert not _one_dim_landing(500, 400).any()
+
+    def test_gamma_p_matches_gammainc(self):
+        """Both branches (series below x = a + 1, 1 - Q above) for every
+        exponent s - 1 of dimensions 3-345.  Where P is tiny both forms
+        scale by exp(a log x - x - lgamma(a + 1)), whose rounding at an
+        exponent of several hundred is about 1e-13 relative in each."""
+        a = np.arange(1, 344) / 2.0
+        x = np.geomspace(1e-6, 1e5, 300)
+        got = np.array([[_gamma_p(ai, xi) for xi in x] for ai in a])
+        ref = gammainc(a[:, None], x[None, :])
+        assert ((x[None, :] < a[:, None] + 1) & (ref > 0)).any()
+        assert (x[None, :] >= a[:, None] + 1).any()
+        assert (np.abs(got - ref) <= 5e-13 * ref + 1e-300).all()
+
+    def test_gamma_p_matches_mpmath(self):
+        for a, x in [(0.5, 1e-6), (0.5, 1.6), (1.0, 0.3), (1.0, 40.0), (2.5, 3.4),
+                     (115.5, 0.33), (171.5, 150.0), (171.5, 172.6), (171.5, 1e4)]:
+            ref = float(mpmath.gammainc(a, 0, x, regularized=True))
+            assert abs(_gamma_p(a, x) - ref) <= 2e-13 * ref, (a, x)
+
+    @pytest.mark.parametrize("spec", [simple_walk(3), simple_walk(4), simple_walk(345),
+                                      diagonal_difference_walk(4),
+                                      diagonal_difference_walk(346)])
+    def test_lclt_tail_matches_gammainc(self, spec):
+        for x in [(1,) + (0,) * (spec.dim - 1), (300, 7) + (0,) * (spec.dim - 2)]:
+            for n_max in (400, 3000, 25000):
+                ref = _gammainc_lclt_tail(spec, x, n_max)
+                assert abs(_lclt_tail(spec, x, n_max)[0] - ref) <= 5e-13 * abs(ref) + 1e-300
+
+
+def _gammainc_lclt_tail(spec, x, n_max):
+    """The local-CLT tail off the origin, its integral from scipy's gammainc."""
+    s, amp = spec.dim / 2.0, _lclt_amplitude(spec)
+    q, a = _lclt_exponent(spec, x)
+    tail = amp * a ** (1 - s) * gammainc(s - 1, a / (n_max + 0.5)) * math.gamma(s - 1)
+    if spec.kind == "simple" or spec.d % 2 == 0:
+        g_next = amp * (n_max + 1.0) ** (-s) * math.exp(-a / (n_max + 1))
+        tail += (-1 if (n_max + 1 + sum(q)) % 2 else 1) * g_next / 2.0
+    return tail
+
+
 def _one_shot_density(spec, x, t):
     """Reference for the panel-wise difference-walk density: every t at
-    once, over the levels the largest t reaches."""
+    once, over the levels the largest t reaches, from one Bessel table.
+    The table is the module's own, which TestBesselTable checks against
+    scipy: a product of d = 10 factors turns one unit in the last place of
+    ive(0, s) into 2e-15, so scipy's table would test the rounding."""
     s = t / spec.d
     bonds = np.abs(_slot_targets(spec, x, t.max()))
-    table = ive(np.arange(bonds.max() + 1), s[:, None])
-    return np.prod([table[:, b] for b in bonds.T], axis=0).sum(axis=1)
+    table = _table(int(bonds.max()), s)
+    return np.prod([table[b] for b in bonds.T], axis=0).sum(axis=0)
 
 
 def _probe_points(d):

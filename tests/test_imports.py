@@ -3,6 +3,9 @@ that module.  Names read only in annotations count, quoted ones too;
 ``from __future__`` imports are exempt."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +58,16 @@ def test_an_unread_import_is_caught():
     tree = ast.parse("import os\nfrom typing import Any, Sequence\n"
                      "def f(x: 'Sequence[int]') -> None:\n    return os.sep\n")
     assert set(_imported(tree)) - _read(tree) == {"Any"}
+
+
+def test_cli_loads_no_scipy():
+    """The package runs on numpy alone: a fresh interpreter that imports
+    walkcover.cli and evaluates a Green value has no scipy module loaded."""
+    code = ("import sys\n"
+            "from walkcover import cli\n"
+            "assert cli.run(['green', '--d', '3', '--x', '1,0,0']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
